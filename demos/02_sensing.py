@@ -8,8 +8,8 @@ import numpy as np
 from hsrec.datacube import as_band_pixel_matrix
 from hsrec.formats import read_measurements, write_measurements
 from hsrec.harness import PhantomSpec, generate_phantom
-from hsrec.sensing import (acquire, adjoint, build_spatial_projector,
-                           build_spectral_projector, default_lowpass_counts,
+from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
+                           adjoint, default_lowpass_counts,
                            operator_norm_estimate, project, rates_to_counts)
 
 # A 32x32 cube with 16 bands; each axis gets its own projector.
@@ -24,8 +24,8 @@ q_p, q_s = default_lowpass_counts(1024, 16, m_p, m_s)
 print("spatial: %d rows (%d structured), spectral: %d rows (%d structured)"
       % (m_p, q_p, m_s, q_s))
 
-pp = build_spatial_projector(32, 32, m_p, q_p, seed=1)
-sp = build_spectral_projector(16, m_s, q_s, seed=2)
+pp = SpatialProjector(32, 32, m_p, q_p, seed=1)
+sp = SpectralProjector(16, m_s, q_s, seed=2)
 
 # Both projectors are normalized so the combined operator has norm ~1,
 # which is what keeps a fixed solver step size safe at every rate.

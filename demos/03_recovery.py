@@ -13,9 +13,8 @@ from hsrec.datacube import as_band_pixel_matrix
 from hsrec.harness import (PhantomSpec, default_bpdn_config,
                            default_hybrid_config, generate_phantom,
                            relative_error, sample_training_columns)
-from hsrec.sensing import (acquire, build_spatial_projector,
-                           build_spectral_projector, default_lowpass_counts,
-                           rates_to_counts)
+from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
+                           default_lowpass_counts, rates_to_counts)
 from hsrec.solvers import apg_bpdn, recover_hybrid
 from hsrec.transforms import HaarBasis, learn_spectral_basis
 
@@ -25,8 +24,8 @@ x = as_band_pixel_matrix(cube)
 # Keep only 30% of the pixels axis and 25% of the bands axis.
 m_p, m_s = rates_to_counts(0.3, 0.25, 1024, 16)
 q_p, q_s = default_lowpass_counts(1024, 16, m_p, m_s)
-pp = build_spatial_projector(32, 32, m_p, q_p, seed=1)
-sp = build_spectral_projector(16, m_s, q_s, seed=2)
+pp = SpatialProjector(32, 32, m_p, q_p, seed=1)
+sp = SpectralProjector(16, m_s, q_s, seed=2)
 meas = acquire(x, sp, pp, sigma=0.01, noise_seed=3)
 print("keeping %d of %d spatial and %d of %d spectral dimensions"
       % (m_p, 1024, m_s, 16))

@@ -14,21 +14,16 @@ import numpy as np
 
 from . import formats, harness
 from .datacube import as_band_pixel_matrix, cube_from_matrix
-from .sensing import (acquire, build_spatial_projector, build_spectral_projector,
+from .sensing import (SpatialProjector, SpectralProjector, acquire,
                       default_lowpass_counts, rates_to_counts)
-from .solvers import (DivergenceError, SolverConfig, apg_bpdn, recover_hybrid,
-                      recover_hybrid_nonortho)
-from .transforms import HaarBasis, SpectralBasis, fwht_sequency, learn_spectral_basis
-
-
-def _require_pow2(flag, value):
-    if value < 1 or value & (value - 1):
-        raise ValueError(f"{flag} must be a power of two, got {value}")
+from .solvers import DivergenceError, SolverConfig, apg_bpdn, recover_hybrid
+from .transforms import (HaarBasis, SpectralBasis, _check_pow2, fwht_sequency,
+                         learn_spectral_basis)
 
 
 def _cmd_phantom(args):
     for flag in ("nv", "nh", "ns"):
-        _require_pow2("--" + flag, getattr(args, flag))
+        _check_pow2(getattr(args, flag), "--" + flag)
     spec = harness.PhantomSpec(args.nv, args.nh, args.ns, n_regions=args.regions,
                                n_atoms=args.atoms, seed=args.seed)
     formats.write_cube(args.out, harness.generate_phantom(spec))
@@ -46,8 +41,8 @@ def _cmd_acquire(args):
         q_p = args.qp
     if args.qs is not None:
         q_s = args.qs
-    pp = build_spatial_projector(cube.n_v, cube.n_h, m_p, q_p, args.seed)
-    sp = build_spectral_projector(cube.n_s, m_s, q_s, args.seed)
+    pp = SpatialProjector(cube.n_v, cube.n_h, m_p, q_p, args.seed)
+    sp = SpectralProjector(cube.n_s, m_s, q_s, args.seed)
     meas = acquire(x, sp, pp, args.sigma, noise_seed=args.seed)
     formats.write_measurements(args.out, meas)
     print(f"wrote {args.out}: {m_s}x{m_p} measurements "
@@ -103,11 +98,8 @@ def _cmd_recover(args):
     if args.method == "bpdn":
         x_hat, trace = apg_bpdn(meas, HaarBasis(n_v, n_h), basis, config,
                                 x_truth=x_truth)
-    elif args.method == "hybrid":
+    else:  # "hybrid-dict" names the same solver
         x_hat, trace = recover_hybrid(meas, basis, config, x_truth=x_truth)
-    else:
-        x_hat, trace = recover_hybrid_nonortho(meas, basis, config,
-                                                 x_truth=x_truth)
     formats.write_cube(args.out, cube_from_matrix(x_hat, n_v, n_h))
     if args.trace:
         _write_trace(args.trace, trace)
@@ -173,7 +165,7 @@ def _cmd_sweep(args):
         phantom = harness.PhantomSpec(cube.n_v, cube.n_h, cube.n_s)
     else:
         for flag in ("nv", "nh", "ns"):
-            _require_pow2("--" + flag, getattr(args, flag))
+            _check_pow2(getattr(args, flag), "--" + flag)
         cube = None
         phantom = harness.PhantomSpec(args.nv, args.nh, args.ns,
                                       n_regions=args.regions,

@@ -61,11 +61,6 @@ class Datacube:
         return self.data[:, :, k]
 
 
-def frame(cube, k):
-    """Writable view of band k of the cube."""
-    return cube.frame(k)
-
-
 def as_band_pixel_matrix(cube):
     """n_s x n_p matrix; row k is frame k flattened column-major."""
     return np.transpose(cube.data, (2, 1, 0)).reshape(cube.n_s, cube.n_p)

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .datacube import as_band_pixel_matrix, cube_from_matrix
-from .sensing import Measurements, build_spatial_projector, build_spectral_projector
+from .sensing import Measurements, SpatialProjector, SpectralProjector
 
 _CUBE_MAGIC = b"HSC1"
 _CUBE_HEADER = struct.Struct("<4s3I")
@@ -68,11 +68,15 @@ def read_measurements(path):
         if magic != _MEAS_MAGIC:
             raise ValueError(f"{path}: not a measurement file (bad magic {magic!r})")
         payload = fh.read()
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"{path}: noise level must be finite and >= 0, got {sigma}")
     y = np.frombuffer(payload, dtype="<f4")
     if y.size != m_s * m_p:
         raise ValueError(f"{path}: expected {m_s * m_p} samples, found {y.size}")
-    sp = build_spectral_projector(n_s, m_s, q_s, spectral_seed)
-    pp = build_spatial_projector(n_v, n_h, m_p, q_p, spatial_seed)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"{path}: measurement payload is not finite")
+    sp = SpectralProjector(n_s, m_s, q_s, spectral_seed)
+    pp = SpatialProjector(n_v, n_h, m_p, q_p, spatial_seed)
     return Measurements(y=y.astype(np.float64).reshape(m_s, m_p),
                         spectral=sp, spatial=pp,
                         sigma=sigma, noise_seed=noise_seed)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng
 from .datacube import Datacube, as_band_pixel_matrix
-from .sensing import (acquire, build_spatial_projector, build_spectral_projector,
+from .sensing import (SpatialProjector, SpectralProjector, acquire,
                       default_lowpass_counts, rates_to_counts)
 from .solvers import SolverConfig, apg_bpdn, recover_hybrid
 from .transforms import HaarBasis, learn_spectral_basis
@@ -152,8 +152,8 @@ def run_experiment(spec, cube=None):
         for r_p, r_s in spec.rates:
             m_p, m_s = rates_to_counts(r_p, r_s, n_v * n_h, n_s)
             q_p, q_s = default_lowpass_counts(n_v * n_h, n_s, m_p, m_s)
-            pp = build_spatial_projector(n_v, n_h, m_p, q_p, seed)
-            sp = build_spectral_projector(n_s, m_s, q_s, seed)
+            pp = SpatialProjector(n_v, n_h, m_p, q_p, seed)
+            sp = SpectralProjector(n_s, m_s, q_s, seed)
             meas = acquire(x_true, sp, pp, spec.sigma, noise_seed=seed)
             for method in ("bpdn", "hybrid"):
                 start = time.perf_counter()

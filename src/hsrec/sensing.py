@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .transforms import _check_pow2, _walsh_axis, sequency_row_order, zigzag_indices
+from .transforms import _check_pow2, _walsh_axis, zigzag_indices
 
 # Rademacher blocks larger than this many entries are regenerated in row
 # chunks per call instead of being cached.
@@ -86,7 +86,13 @@ class _RademacherBlock:
 
     def _matrix(self):
         if self._cache is None:
-            self._cache = np.concatenate(list(self._generate()), axis=0)
+            # fill in place: the chunks never coexist with the whole block
+            matrix = np.empty((self.rows, self.n))
+            done = 0
+            for block in self._generate():
+                matrix[done:done + block.shape[0]] = block
+                done += block.shape[0]
+            self._cache = matrix
         return self._cache
 
     def apply(self, x):
@@ -208,8 +214,6 @@ class SpectralProjector:
             est = _power_norm(self._apply_raw_vec, self._adjoint_raw_vec, n_s,
                               rng.stream(self.seed, rng.SPECTRAL_NORM))
             self.scale = 1.0 / est
-        # row order cached for documentation/tests
-        self.sequency_rows = sequency_row_order(n_s)[:q_s]
 
     def _apply_raw(self, x):
         """x: (n_s, cols) -> (m_s, cols), unscaled."""
@@ -235,14 +239,6 @@ class SpectralProjector:
 
     def adjoint(self, y):
         return self.scale * self._adjoint_raw(y)
-
-
-def build_spatial_projector(n_v, n_h, m_p, q_p, seed):
-    return SpatialProjector(n_v, n_h, m_p, q_p, seed)
-
-
-def build_spectral_projector(n_s, m_s, q_s, seed):
-    return SpectralProjector(n_s, m_s, q_s, seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,19 +1,21 @@
 """Accelerated proximal solvers for datacube recovery.
 
-Three variants share one iteration skeleton: a gradient (or subgradient)
-step on the data term at the extrapolated iterate, a prox step, then FISTA
+One loop, _run, serves every solver: a gradient (or subgradient) step on
+the data term at the extrapolated iterate, a prox step, then FISTA
 extrapolation, stopping on the relative change of the extrapolated iterate.
+The loop projects each iterate once; the residual and the TV pair it keeps
+give both the iterate's cost and the next gradient step.
 
 - apg_bpdn: least squares plus an l1 penalty on coefficients in an
   orthonormal spectral basis and a frame-wise orthonormal wavelet basis;
   the prox is soft thresholding in the transformed domain.
 - recover_hybrid: least squares plus a total-variation term (handled by a
   subgradient inside the gradient step) and an l1 penalty on spectral-basis
-  coefficients only; the prox transforms along the band axis alone.
-- recover_hybrid_nonortho: the same objective for an invertible,
-  possibly non-orthonormal spectral dictionary, iterated in coefficient
-  space with the dictionary's inverse maps. Handing it an orthonormal
-  basis reproduces recover_hybrid.
+  coefficients only. Any invertible spectral basis works: the
+  coefficient-space iteration of a non-orthonormal dictionary runs in band
+  space through a preconditioned step and an inverse-transpose synthesis,
+  both of which reduce to the plain maps for an orthonormal basis.
+  recover_hybrid_nonortho is the same function under its older name.
 """
 
 import math
@@ -108,41 +110,35 @@ def relative_change(x_new, x_prev):
     return num / den if den > 0.0 else float("inf")
 
 
-def stopping(x_n, x_prev, tau, n, max_iters):
-    """Halt when the relative change drops below tau or n reaches max_iters."""
-    return relative_change(x_n, x_prev) < tau or n >= max_iters
-
-
-def cost_bpdn(x, y, sp, pp, spatial_basis, spectral_basis, gamma):
-    """0.5*||Y - Phi_s X Phi_p^T||_F^2 + gamma*||Psi_s^T X Psi_p||_1."""
-    resid = y - project(x, sp, pp)
-    coeff = spatial_basis.analyze(basis_apply(spectral_basis, x, "analysis"))
-    return 0.5 * float(np.sum(resid * resid)) + gamma * float(np.abs(coeff).sum())
-
-
-def cost_hybrid(x, y, sp, pp, spectral_basis, gamma1, gamma2):
-    """0.5*||Y - Phi_s X Phi_p^T||_F^2 + gamma1*TV + gamma2*||Psi_s^T X||_1."""
-    resid = y - project(x, sp, pp)
-    tv_total, _ = tv_sum_and_subgradient(x, pp.n_v, pp.n_h)
-    coeff = basis_apply(spectral_basis, x, "analysis")
-    return (0.5 * float(np.sum(resid * resid)) + gamma1 * tv_total
-            + gamma2 * float(np.abs(coeff).sum()))
-
-
 def _truth_metric(x, x_truth, truth_norm2):
     diff = x - x_truth
     return float(np.sum(diff * diff)) / truth_norm2
 
 
-def _run(y, sp, pp, config, descent_fn, prox_fn, cost_fn, x_truth):
-    """Shared accelerated proximal loop; descent_fn returns the full
-    (negated) gradient/subgradient of the smooth-plus-TV part."""
+def _run(measurements, basis, config, tv_weight, prox_fn, penalty_fn, x_truth):
+    """The accelerated proximal loop every solver runs.
+
+    Each iterate x is projected once and, when tv_weight > 0, TV-differentiated
+    once: the residual y - project(x) and the TV pair give both the cost of x
+    and the next gradient step from x. The step is preconditioned by
+    (Psi Psi^T)^-1, the identity for an orthonormal basis; penalty_fn(x) is
+    the weighted l1 term of the cost.
+    """
+    y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
     if x_truth is not None:
         x_truth = np.asarray(x_truth, dtype=np.float64)
         truth_norm2 = float(np.sum(x_truth * x_truth))
         if truth_norm2 == 0.0:
             raise ValueError("ground truth is identically zero")
+
+    def data_terms(x):
+        resid = y - project(x, sp, pp)
+        if tv_weight > 0:
+            return (resid, *tv_sum_and_subgradient(x, pp.n_v, pp.n_h))
+        return resid, 0.0, None
+
     x = adjoint(y, sp, pp)
+    resid, _, tv_grad = data_terms(x)
     x_tilde_prev = x
     alpha = 1.0
     rels, costs, snorms, terrs = [], [], [], []
@@ -150,15 +146,21 @@ def _run(y, sp, pp, config, descent_fn, prox_fn, cost_fn, x_truth):
     # overflow warnings on a diverging run are expected; the guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, config.max_iters + 1):
-            g = descent_fn(x)
-            x_tilde = prox_fn(x + config.step_size * g)
+            g = adjoint(resid, sp, pp)
+            if tv_grad is not None:
+                g = g - tv_weight * tv_grad
+                tv_grad = None  # freed before the next iterate's is computed
+            x_tilde = prox_fn(
+                x + config.step_size * basis_apply(basis, g, "gram_inverse"))
             if config.accelerate:
                 alpha, weight = fista_momentum(alpha)
             else:
                 weight = 0.0
             x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
             rel = relative_change(x_next, x)
-            cost = cost_fn(x_next)
+            resid, tv_total, tv_grad = data_terms(x_next)
+            cost = (0.5 * float(np.sum(resid * resid)) + tv_weight * tv_total
+                    + penalty_fn(x_next))
             rels.append(rel)
             costs.append(cost)
             snorms.append(float(np.linalg.norm(g)))
@@ -181,10 +183,10 @@ def _run(y, sp, pp, config, descent_fn, prox_fn, cost_fn, x_truth):
         reason=reason)
 
 
-def _require_orthonormal(basis):
-    if not basis.orthonormal:
-        raise ValueError("this solver requires an orthonormal spectral basis; "
-                         "use recover_hybrid_nonortho for general dictionaries")
+def _check_bands(basis, sp):
+    if basis.n_s != sp.n_s:
+        raise ValueError(f"spectral basis size {basis.n_s} does not "
+                         f"match projector bands {sp.n_s}")
 
 
 def apg_bpdn(measurements, spatial_basis, spectral_basis, config, x_truth=None):
@@ -194,130 +196,58 @@ def apg_bpdn(measurements, spatial_basis, spectral_basis, config, x_truth=None):
     norm of the coefficients in the given orthonormal spatial wavelet and
     spectral bases. Returns (recovered band-by-pixel matrix, Trace).
     """
-    y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
-    _require_orthonormal(spectral_basis)
-    if spectral_basis.n_s != sp.n_s:
-        raise ValueError(f"spectral basis size {spectral_basis.n_s} does not "
-                         f"match projector bands {sp.n_s}")
+    sp, pp = measurements.spectral, measurements.spatial
+    if not spectral_basis.orthonormal:
+        raise ValueError("apg_bpdn requires an orthonormal spectral basis; "
+                         "recover_hybrid accepts general dictionaries")
+    _check_bands(spectral_basis, sp)
     if (spatial_basis.n_v, spatial_basis.n_h) != (pp.n_v, pp.n_h):
         raise ValueError("spatial basis grid does not match the projector")
     xi = config.step_size * config.gamma
 
-    def descent(x):
-        return adjoint(y - project(x, sp, pp), sp, pp)
+    def analyze(x):
+        return spatial_basis.analyze(basis_apply(spectral_basis, x, "analysis"))
 
     def prox(z):
-        coeff = spatial_basis.analyze(basis_apply(spectral_basis, z, "analysis"))
-        shrunk = prox_l1(coeff, xi)
+        shrunk = prox_l1(analyze(z), xi)
         return basis_apply(spectral_basis, spatial_basis.synthesize(shrunk),
                            "synthesis")
 
-    def cost(x):
-        return cost_bpdn(x, y, sp, pp, spatial_basis, spectral_basis, config.gamma)
+    def penalty(x):
+        return config.gamma * float(np.abs(analyze(x)).sum())
 
-    return _run(y, sp, pp, config, descent, prox, cost, x_truth)
+    return _run(measurements, spectral_basis, config, 0.0, prox, penalty, x_truth)
 
 
 def recover_hybrid(measurements, spectral_basis, config, x_truth=None):
     """Accelerated proximal-subgradient solver for the hybrid objective.
 
-    The TV term enters through its subgradient inside the gradient step;
-    the spectral-l1 term through a prox in the orthonormal spectral basis.
-    Returns (recovered band-by-pixel matrix, Trace).
+    Minimizes the least-squares data term plus config.gamma1 times the TV
+    summed over the bands plus config.gamma2 times ||Psi^T X||_1, for any
+    invertible spectral basis Psi. The TV term enters through its
+    subgradient inside the gradient step. The l1 term enters through the
+    coefficient-space prox r -> soft(r) with r = Psi^T x, taken in band
+    space: the step is preconditioned by (Psi Psi^T)^-1 and the prox is
+    Psi^-T soft(Psi^T z). For an orthonormal Psi both reduce to the plain
+    step and Psi soft(Psi^T z). Returns (recovered band-by-pixel matrix, Trace).
     """
-    y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
-    _require_orthonormal(spectral_basis)
-    if spectral_basis.n_s != sp.n_s:
-        raise ValueError(f"spectral basis size {spectral_basis.n_s} does not "
-                         f"match projector bands {sp.n_s}")
+    _check_bands(spectral_basis, measurements.spectral)
     xi = config.step_size * config.gamma2
-
-    def descent(x):
-        g = adjoint(y - project(x, sp, pp), sp, pp)
-        if config.gamma1 > 0:
-            _, h = tv_sum_and_subgradient(x, pp.n_v, pp.n_h)
-            g = g - config.gamma1 * h
-        return g
 
     def prox(z):
         if config.gamma2 == 0:
             return z
         shrunk = prox_l1(basis_apply(spectral_basis, z, "analysis"), xi)
-        return basis_apply(spectral_basis, shrunk, "synthesis")
+        return basis_apply(spectral_basis, shrunk, "pinv_synthesis")
 
-    def cost(x):
-        return cost_hybrid(x, y, sp, pp, spectral_basis,
-                           config.gamma1, config.gamma2)
+    def penalty(x):
+        coeff = basis_apply(spectral_basis, x, "analysis")
+        return config.gamma2 * float(np.abs(coeff).sum())
 
-    return _run(y, sp, pp, config, descent, prox, cost, x_truth)
+    return _run(measurements, spectral_basis, config, config.gamma1, prox,
+                penalty, x_truth)
 
 
-def recover_hybrid_nonortho(measurements, dictionary, config, x_truth=None):
-    """Hybrid solver for an invertible, possibly non-orthonormal dictionary.
-
-    Iterates in coefficient space: the gradient step is mapped through the
-    dictionary inverse, soft thresholding acts on the coefficients, and the
-    iterate returns to band space through the inverse transpose. With an
-    orthonormal dictionary this reproduces recover_hybrid.
-    """
-    y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
-    if dictionary.n_s != sp.n_s:
-        raise ValueError(f"dictionary size {dictionary.n_s} does not match "
-                         f"projector bands {sp.n_s}")
-    if np.linalg.matrix_rank(dictionary.matrix) < dictionary.n_s:
-        raise np.linalg.LinAlgError("dictionary is rank-deficient")
-    if x_truth is not None:
-        x_truth = np.asarray(x_truth, dtype=np.float64)
-        truth_norm2 = float(np.sum(x_truth * x_truth))
-        if truth_norm2 == 0.0:
-            raise ValueError("ground truth is identically zero")
-    xi = config.step_size * config.gamma2
-
-    x = adjoint(y, sp, pp)
-    r = basis_apply(dictionary, x, "analysis")
-    r_tilde_prev = r
-    alpha = 1.0
-    rels, costs, snorms, terrs = [], [], [], []
-    reason = "max-iters"
-    # overflow warnings on a diverging run are expected; the guard reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, config.max_iters + 1):
-            g = adjoint(y - project(x, sp, pp), sp, pp)
-            if config.gamma1 > 0:
-                _, h = tv_sum_and_subgradient(x, pp.n_v, pp.n_h)
-                g = g - config.gamma1 * h
-            r_half = r + config.step_size * basis_apply(dictionary, g,
-                                                        "pinv_analysis")
-            r_tilde = prox_l1(r_half, xi) if config.gamma2 > 0 else r_half
-            if config.accelerate:
-                alpha, weight = fista_momentum(alpha)
-            else:
-                weight = 0.0
-            r_next = r_tilde + weight * (r_tilde - r_tilde_prev)
-            x_next = basis_apply(dictionary, r_next, "pinv_synthesis")
-            rel = relative_change(x_next, x)
-            resid = y - project(x_next, sp, pp)
-            tv_total, _ = tv_sum_and_subgradient(x_next, pp.n_v, pp.n_h)
-            cost = (0.5 * float(np.sum(resid * resid)) + config.gamma1 * tv_total
-                    + config.gamma2 * float(np.abs(r_next).sum()))
-            rels.append(rel)
-            costs.append(cost)
-            snorms.append(float(np.linalg.norm(g)))
-            if x_truth is not None:
-                terrs.append(_truth_metric(x_next, x_truth, truth_norm2))
-            if rel > _DIVERGENCE_LIMIT or not np.isfinite(cost):
-                raise DivergenceError(
-                    f"iteration {n} diverged with step size {config.step_size}: "
-                    f"relative change {rel:.3e}, cost {cost:.3e}")
-            r_tilde_prev = r_tilde
-            r = r_next
-            x = x_next
-            if rel < config.tau:
-                reason = "threshold"
-                break
-    return x, Trace(
-        rel_change=np.array(rels),
-        cost=np.array(costs),
-        subgrad_norm=np.array(snorms),
-        truth_error=np.array(terrs) if x_truth is not None else None,
-        reason=reason)
+# The dictionary route of the paper is recover_hybrid under a
+# non-orthonormal basis; the name is kept for existing callers.
+recover_hybrid_nonortho = recover_hybrid

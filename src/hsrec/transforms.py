@@ -100,17 +100,18 @@ def zigzag_indices(n_v, n_h, count=None):
     """
     if n_v < 1 or n_h < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {n_v}x{n_h}")
-    rows, cols = [], []
-    for d in range(n_v + n_h - 1):
+    total = n_v * n_h if count is None else min(count, n_v * n_h)
+    # walk only the anti-diagonals the first `total` pairs lie on
+    pieces, taken, d = [np.zeros((0, 2), dtype=np.int64)], 0, 0
+    while taken < total:
         lo = max(0, d - n_h + 1)
         hi = min(n_v - 1, d)
-        rng = range(hi, lo - 1, -1) if d % 2 == 0 else range(lo, hi + 1)
-        for i in rng:
-            rows.append(i)
-            cols.append(d - i)
-    order = np.stack([np.array(rows, dtype=np.int64),
-                      np.array(cols, dtype=np.int64)], axis=1)
-    return order if count is None else order[:count]
+        rows = (np.arange(hi, lo - 1, -1) if d % 2 == 0
+                else np.arange(lo, hi + 1))[:total - taken]
+        pieces.append(np.stack([rows, d - rows], axis=1).astype(np.int64))
+        taken += len(rows)
+        d += 1
+    return np.concatenate(pieces)
 
 
 def _haar_last(a, inverse=False):
@@ -199,8 +200,9 @@ class HaarBasis:
 class SpectralBasis:
     """Square basis for band-axis representations, columns = basis vectors.
 
-    The orthonormal flag is detected at construction; non-orthonormal bases
-    carry a cached pseudoinverse for the dictionary-variant solver.
+    The orthonormal flag is detected at construction. A non-orthonormal
+    basis must be invertible (np.linalg.LinAlgError otherwise) and carries
+    its cached inverse for the dictionary route of the hybrid solver.
     """
 
     matrix: np.ndarray
@@ -218,6 +220,9 @@ class SpectralBasis:
         gram_err = np.abs(m.T @ m - np.eye(m.shape[0])).max()
         object.__setattr__(self, "orthonormal", bool(gram_err <= 1e-10))
         if not self.orthonormal:
+            if np.linalg.matrix_rank(m) < m.shape[0]:
+                raise np.linalg.LinAlgError(
+                    "spectral basis is rank-deficient (singular dictionary)")
             object.__setattr__(self, "pinv", np.linalg.pinv(m))
 
     @property
@@ -253,15 +258,15 @@ def learn_spectral_basis(samples):
     return SpectralBasis(v * signs)
 
 
-_MODES = ("analysis", "synthesis", "pinv_analysis", "pinv_synthesis", "gram_inverse")
+_MODES = ("analysis", "synthesis", "pinv_synthesis", "gram_inverse")
 
 
 def basis_apply(basis, m, mode):
     """Apply the basis to an n_s-row matrix.
 
-    modes: analysis (transpose), synthesis (plain), pinv_analysis (inverse),
-    pinv_synthesis (inverse transpose), gram_inverse ((Psi Psi^T)^-1).
-    For orthonormal bases the pinv modes coincide with the transpose modes.
+    modes: analysis (transpose), synthesis (plain), pinv_synthesis (inverse
+    transpose), gram_inverse ((Psi Psi^T)^-1). For orthonormal bases
+    pinv_synthesis is the plain synthesis and gram_inverse returns its input.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -274,20 +279,8 @@ def basis_apply(basis, m, mode):
         return psi.T @ m
     if mode == "synthesis":
         return psi @ m
-    if basis.orthonormal:
-        if mode == "pinv_analysis":
-            return psi.T @ m
-        if mode == "pinv_synthesis":
-            return psi @ m
-        return m  # gram of an orthonormal basis is the identity
-    if mode == "pinv_analysis":
-        return basis.pinv @ m
+    if basis.orthonormal:  # the inverse maps are the plain ones
+        return psi @ m if mode == "pinv_synthesis" else m
     if mode == "pinv_synthesis":
         return basis.pinv.T @ m
-    gram = psi @ psi.T
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            "basis gram matrix is singular (rank-deficient dictionary)") from None
-    return np.linalg.solve(gram, m)
+    return np.linalg.solve(psi @ psi.T, m)

@@ -16,9 +16,9 @@ from hsrec.harness import (ExperimentSpec, PhantomSpec, default_bpdn_config,
                            relative_error, run_experiment,
                            sample_training_columns)
 from hsrec.regularizers import prox_l1, prox_transformed, tv, tv_subgradient
-from hsrec.sensing import (acquire, adjoint, build_spatial_projector,
-                           build_spectral_projector, default_lowpass_counts,
-                           project, rates_to_counts)
+from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
+                           adjoint, default_lowpass_counts, project,
+                           rates_to_counts)
 from hsrec.solvers import (SolverConfig, apg_bpdn, recover_hybrid,
                            recover_hybrid_nonortho)
 from hsrec.transforms import (HaarBasis, SpectralBasis, fwht_sequency, haar2d,
@@ -42,8 +42,8 @@ def _standard_instance(r_p, r_s, sigma, seed):
     n_p, n_s = 1024, 16
     m_p, m_s = rates_to_counts(r_p, r_s, n_p, n_s)
     q_p, q_s = default_lowpass_counts(n_p, n_s, m_p, m_s)
-    pp = build_spatial_projector(32, 32, m_p, q_p, seed=seed)
-    sp = build_spectral_projector(16, m_s, q_s, seed=10_000 + seed)
+    pp = SpatialProjector(32, 32, m_p, q_p, seed=seed)
+    sp = SpectralProjector(16, m_s, q_s, seed=10_000 + seed)
     meas = acquire(x, sp, pp, sigma=sigma, noise_seed=seed)
     basis = learn_spectral_basis(sample_training_columns(x, seed=seed))
     return x, meas, basis
@@ -148,13 +148,13 @@ def test_criterion_4_operator_equivalence():
     for n_v, n_h in shapes:
         n_p = n_v * n_h
         for n_s in (1, 2, 4, 16):
-            sp_mid = build_spectral_projector(
+            sp_mid = SpectralProjector(
                 n_s, max(1, n_s // 2), max(1, n_s // 2) // 2, seed=7)
-            pp_mid = build_spatial_projector(
+            pp_mid = SpatialProjector(
                 n_v, n_h, max(1, n_p // 2), max(1, n_p // 2) // 2, seed=8)
-            pairs = ([(build_spatial_projector(n_v, n_h, m, q, seed=9), sp_mid)
+            pairs = ([(SpatialProjector(n_v, n_h, m, q, seed=9), sp_mid)
                       for m, q in count_cases(n_p)]
-                     + [(pp_mid, build_spectral_projector(n_s, m, q, seed=10))
+                     + [(pp_mid, SpectralProjector(n_s, m, q, seed=10))
                         for m, q in count_cases(n_s)])
             for pp, sp in pairs:
                 s_mat, p_mat = spectral_matrix(sp), spatial_matrix(pp)
@@ -296,8 +296,8 @@ def test_criterion_9_dictionary_route_reduction():
     t0 = time.monotonic()
     gen = np.random.default_rng(104)
     x = gen.normal(size=(8, 64))
-    pp = build_spatial_projector(8, 8, 32, 6, seed=3)
-    sp = build_spectral_projector(8, 4, 1, seed=4)
+    pp = SpatialProjector(8, 8, 32, 6, seed=3)
+    sp = SpectralProjector(8, 4, 1, seed=4)
     meas = acquire(x, sp, pp, sigma=0.01, noise_seed=9)
     q, _ = np.linalg.qr(gen.normal(size=(8, 8)))
     cfg = SolverConfig(gamma1=2e-4, gamma2=2e-4, tau=1e-30, max_iters=20)

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -147,6 +148,25 @@ def test_recover_divergence_exit_code(tmp_path, capsys):
                "--lambda", "100", "--out", str(tmp_path / "r.hsc")])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_recover_rejects_non_finite_measurement_files(tmp_path, capsys):
+    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
+    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
+    raw = meas.read_bytes()
+    header_size = struct.calcsize("<4s7I3Qd")
+    nan_sigma = tmp_path / "nan_sigma.hsm"
+    nan_sigma.write_bytes(raw[:header_size - 8] + struct.pack("<d", np.nan)
+                          + raw[header_size:])
+    nan_payload = tmp_path / "nan_payload.hsm"
+    nan_payload.write_bytes(raw[:header_size] + np.float32(np.nan).tobytes()
+                            + raw[header_size + 4:])
+    for path, message in ((nan_sigma, "noise level"),
+                          (nan_payload, "not finite")):
+        rc = main(["recover", "--meas", str(path), "--method", "hybrid",
+                   "--out", str(tmp_path / "r.hsc")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- eval

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsrec.datacube import (Datacube, as_band_pixel_matrix, cube_from_matrix,
-                            frame, pixel_linear_index)
+                            pixel_linear_index)
 
 
 def random_cube(n_v, n_h, n_s, seed=0):
@@ -76,11 +76,11 @@ def test_frame_access():
     cube = random_cube(3, 4, 2, seed=3)
     zeroed = cube.data.copy()
     zeroed[:, :, 0] = 0.0
-    assert not np.asarray(frame(Datacube(zeroed), 0)).any()
+    assert not np.asarray(Datacube(zeroed).frame(0)).any()
     for k in range(2):
-        assert np.array_equal(np.asarray(frame(cube, k)), cube.data[:, :, k])
+        assert np.array_equal(np.asarray(cube.frame(k)), cube.data[:, :, k])
     with pytest.raises(IndexError):
-        frame(cube, 2)
+        cube.frame(2)
 
 
 def test_frame_view_writes_through():

@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hsrec.datacube import Datacube, as_band_pixel_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
 from hsrec.harness import PhantomSpec, generate_phantom
-from hsrec.sensing import (acquire, adjoint, build_spatial_projector,
-                           build_spectral_projector, project)
+from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
+                           adjoint, project)
 
 
 def _cube():
@@ -85,8 +86,8 @@ def test_cube_missing_file_raises_oserror(tmp_path):
 def _measurements(sigma=0.01):
     cube = generate_phantom(PhantomSpec(4, 8, 4, seed=8))
     x = as_band_pixel_matrix(cube)
-    pp = build_spatial_projector(4, 8, 12, 3, seed=21)
-    sp = build_spectral_projector(4, 2, 1, seed=22)
+    pp = SpatialProjector(4, 8, 12, 3, seed=21)
+    sp = SpectralProjector(4, 2, 1, seed=22)
     return acquire(x, sp, pp, sigma=sigma, noise_seed=17)
 
 
@@ -143,3 +144,50 @@ def test_measurements_read_rejects_corrupt_files(tmp_path):
     short.write_bytes(raw[:-3])
     with pytest.raises(ValueError):
         read_measurements(short)
+
+
+def _with_sigma(raw, sigma):
+    out = bytearray(raw)
+    struct.pack_into("<d", out, struct.calcsize("<4s7I3Q"), sigma)
+    return bytes(out)
+
+
+def test_measurements_read_rejects_bad_noise_level(tmp_path):
+    meas = _measurements()
+    path = tmp_path / "meas.hsm"
+    write_measurements(path, meas)
+    raw = path.read_bytes()
+    for sigma in (float("nan"), float("inf"), -0.5):
+        path.write_bytes(_with_sigma(raw, sigma))
+        with pytest.raises(ValueError, match="noise level"):
+            read_measurements(path)
+    path.write_bytes(_with_sigma(raw, 0.0))
+    assert read_measurements(path).sigma == 0.0
+
+
+def test_measurements_read_rejects_non_finite_payload(tmp_path):
+    meas = _measurements()
+    path = tmp_path / "meas.hsm"
+    write_measurements(path, meas)
+    header = path.read_bytes()[:struct.calcsize("<4s7I3Qd")]
+    for value in (np.nan, np.inf, -np.inf):
+        y = meas.y.astype("<f4")
+        y[1, 5] = value
+        path.write_bytes(header + y.tobytes())
+        with pytest.raises(ValueError, match="not finite"):
+            read_measurements(path)
+
+
+def test_measurements_read_large_declared_grid_is_fast(tmp_path):
+    # 68 bytes declaring a 2048x2048 grid with one structured row per axis:
+    # the reader builds only the one zig-zag coefficient it keeps
+    path = tmp_path / "tiny.hsm"
+    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", 1, 1, 1, 1, 2048, 2048,
+                                 1, 0, 0, 0, 0.0)
+                     + np.ones(1, dtype="<f4").tobytes())
+    assert path.stat().st_size == 68
+    start = time.perf_counter()
+    meas = read_measurements(path)
+    elapsed = time.perf_counter() - start
+    assert meas.spatial.n_p == 2048 * 2048
+    assert elapsed < 0.3

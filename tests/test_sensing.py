@@ -3,10 +3,9 @@ import pytest
 
 import hsrec.sensing as sensing
 from hsrec import rng
-from hsrec.sensing import (Measurements, acquire, adjoint,
-                           build_spatial_projector, build_spectral_projector,
-                           default_lowpass_counts, operator_norm_estimate,
-                           project, rates_to_counts)
+from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
+                           acquire, adjoint, default_lowpass_counts,
+                           operator_norm_estimate, project, rates_to_counts)
 from hsrec.transforms import fwht_sequency, wht2d
 from oracles import spatial_matrix, spectral_matrix
 
@@ -45,44 +44,44 @@ def test_default_lowpass_counts_clamps_with_warning():
 
 def test_projector_count_validation():
     with pytest.raises(ValueError):
-        build_spatial_projector(4, 4, 0, 0, seed=1)
+        SpatialProjector(4, 4, 0, 0, seed=1)
     with pytest.raises(ValueError):
-        build_spatial_projector(4, 4, 17, 0, seed=1)
+        SpatialProjector(4, 4, 17, 0, seed=1)
     with pytest.raises(ValueError):
-        build_spatial_projector(4, 4, 8, 9, seed=1)
+        SpatialProjector(4, 4, 8, 9, seed=1)
     with pytest.raises(ValueError):
-        build_spectral_projector(8, 4, -1, seed=1)
+        SpectralProjector(8, 4, -1, seed=1)
     with pytest.raises(ValueError):
-        build_spatial_projector(3, 4, 2, 0, seed=1)  # non power-of-two frame
+        SpatialProjector(3, 4, 2, 0, seed=1)  # non power-of-two frame
 
 
 def test_project_matches_dense_reference_instance():
     # 8-band 4x4 cube, m_p=6 with 2 low-pass rows, m_s=4 with 1 low-pass row
-    pp = build_spatial_projector(4, 4, 6, 2, seed=11)
-    sp = build_spectral_projector(8, 4, 1, seed=12)
+    pp = SpatialProjector(4, 4, 6, 2, seed=11)
+    sp = SpectralProjector(8, 4, 1, seed=12)
     x = np.random.default_rng(0).normal(size=(8, 16))
     want = spectral_matrix(sp) @ x @ spatial_matrix(pp).T
     assert np.allclose(project(x, sp, pp), want, atol=1e-12)
 
 
 def test_adjoint_matches_dense():
-    pp = build_spatial_projector(4, 8, 12, 3, seed=21)
-    sp = build_spectral_projector(16, 6, 2, seed=22)
+    pp = SpatialProjector(4, 8, 12, 3, seed=21)
+    sp = SpectralProjector(16, 6, 2, seed=22)
     y = np.random.default_rng(1).normal(size=(6, 12))
     want = spectral_matrix(sp).T @ y @ spatial_matrix(pp)
     assert np.allclose(adjoint(y, sp, pp), want, atol=1e-12)
 
 
 def test_zero_maps_to_zero():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=3)
-    sp = build_spectral_projector(8, 4, 1, seed=4)
+    pp = SpatialProjector(4, 4, 6, 2, seed=3)
+    sp = SpectralProjector(8, 4, 1, seed=4)
     assert not project(np.zeros((8, 16)), sp, pp).any()
     assert not adjoint(np.zeros((4, 6)), sp, pp).any()
 
 
 def test_adjoint_inner_product_identity():
-    pp = build_spatial_projector(4, 4, 10, 2, seed=5)
-    sp = build_spectral_projector(8, 4, 1, seed=6)
+    pp = SpatialProjector(4, 4, 10, 2, seed=5)
+    sp = SpectralProjector(8, 4, 1, seed=6)
     gen = np.random.default_rng(2)
     x = gen.normal(size=(8, 16))
     y = gen.normal(size=(4, 10))
@@ -92,8 +91,8 @@ def test_adjoint_inner_product_identity():
 
 
 def test_full_sampling_is_an_isometry():
-    pp = build_spatial_projector(4, 4, 16, 16, seed=7)
-    sp = build_spectral_projector(8, 8, 8, seed=8)
+    pp = SpatialProjector(4, 4, 16, 16, seed=7)
+    sp = SpectralProjector(8, 8, 8, seed=8)
     assert pp.scale == 1.0 and sp.scale == 1.0
     x = np.random.default_rng(3).normal(size=(8, 16))
     y = project(x, sp, pp)
@@ -103,12 +102,12 @@ def test_full_sampling_is_an_isometry():
 
 def test_pure_lowpass_rows_are_walsh_coefficients():
     # q = m: spectral rows are the leading sequency coefficients
-    sp = build_spectral_projector(8, 3, 3, seed=9)
+    sp = SpectralProjector(8, 3, 3, seed=9)
     x = np.random.default_rng(4).normal(size=(8, 5))
     coeff = np.array([fwht_sequency(x[:, c]) for c in range(5)]).T
     assert np.allclose(sp.apply(x), coeff[:3], atol=1e-12)
     # spatial q = m: rows are zig-zag ordered 2-D coefficients
-    pp = build_spatial_projector(4, 4, 5, 5, seed=9)
+    pp = SpatialProjector(4, 4, 5, 5, seed=9)
     frame = np.random.default_rng(5).normal(size=(4, 4))
     cf = wht2d(frame)
     got = pp.apply(frame.flatten(order="F")[None, :])[0]
@@ -117,7 +116,7 @@ def test_pure_lowpass_rows_are_walsh_coefficients():
 
 
 def test_pure_rademacher_projector():
-    sp = build_spectral_projector(8, 4, 0, seed=10)
+    sp = SpectralProjector(8, 4, 0, seed=10)
     mat = spectral_matrix(sp)
     assert set(np.unique(np.round(mat / sp.scale * np.sqrt(8), 9))) == {-1.0, 1.0}
     x = np.random.default_rng(6).normal(size=(8, 3))
@@ -125,14 +124,14 @@ def test_pure_rademacher_projector():
 
 
 def test_adjacent_seeds_differ():
-    a = spectral_matrix(build_spectral_projector(8, 4, 0, seed=0))
-    b = spectral_matrix(build_spectral_projector(8, 4, 0, seed=1))
+    a = spectral_matrix(SpectralProjector(8, 4, 0, seed=0))
+    b = spectral_matrix(SpectralProjector(8, 4, 0, seed=1))
     assert not np.allclose(a, b)
 
 
 def test_scale_normalizes_spectral_norm():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=13)
-    sp = build_spectral_projector(8, 4, 1, seed=14)
+    pp = SpatialProjector(4, 4, 6, 2, seed=13)
+    sp = SpectralProjector(8, 4, 1, seed=14)
     for mat, proj in ((spatial_matrix(pp), pp), (spectral_matrix(sp), sp)):
         top = np.linalg.svd(mat / proj.scale, compute_uv=False)[0]
         assert proj.scale == pytest.approx(1.0 / top, rel=1e-6)
@@ -141,14 +140,14 @@ def test_scale_normalizes_spectral_norm():
 
 
 def test_chunked_apply_matches_materialized(monkeypatch):
-    pp_full = build_spatial_projector(4, 8, 20, 4, seed=15)
+    pp_full = SpatialProjector(4, 8, 20, 4, seed=15)
     x = np.random.default_rng(7).normal(size=(3, 32))
     y = np.random.default_rng(8).normal(size=(3, 20))
     want_apply = pp_full.apply(x)
     want_adj = pp_full.adjoint(y)
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 1)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 64)
-    pp_chunked = build_spatial_projector(4, 8, 20, 4, seed=15)
+    pp_chunked = SpatialProjector(4, 8, 20, 4, seed=15)
     assert pp_chunked.scale == pytest.approx(pp_full.scale, rel=1e-12)
     assert np.allclose(pp_chunked.apply(x), want_apply, atol=1e-12)
     assert np.allclose(pp_chunked.adjoint(y), want_adj, atol=1e-12)
@@ -157,8 +156,8 @@ def test_chunked_apply_matches_materialized(monkeypatch):
 # ---------------------------------------------------------------- acquire
 
 def test_acquire_noiseless_is_exact_projection():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=16)
-    sp = build_spectral_projector(8, 4, 1, seed=17)
+    pp = SpatialProjector(4, 4, 6, 2, seed=16)
+    sp = SpectralProjector(8, 4, 1, seed=17)
     x = np.random.default_rng(9).normal(size=(8, 16))
     meas = acquire(x, sp, pp, sigma=0.0)
     assert np.array_equal(meas.y, project(x, sp, pp))
@@ -166,8 +165,8 @@ def test_acquire_noiseless_is_exact_projection():
 
 
 def test_acquire_deterministic():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=18)
-    sp = build_spectral_projector(8, 4, 1, seed=19)
+    pp = SpatialProjector(4, 4, 6, 2, seed=18)
+    sp = SpectralProjector(8, 4, 1, seed=19)
     x = np.random.default_rng(10).normal(size=(8, 16))
     a = acquire(x, sp, pp, sigma=0.01, noise_seed=42)
     b = acquire(x, sp, pp, sigma=0.01, noise_seed=42)
@@ -177,8 +176,8 @@ def test_acquire_deterministic():
 
 
 def test_acquire_noise_statistics():
-    pp = build_spatial_projector(16, 16, 200, 20, seed=20)
-    sp = build_spectral_projector(512, 512, 512, seed=21)
+    pp = SpatialProjector(16, 16, 200, 20, seed=20)
+    sp = SpectralProjector(512, 512, 512, seed=21)
     x = np.zeros((512, 256))
     meas = acquire(x, sp, pp, sigma=0.01, noise_seed=0)
     noise = meas.y.ravel()  # 102400 pure-noise samples
@@ -188,15 +187,15 @@ def test_acquire_noise_statistics():
 
 
 def test_acquire_rejects_negative_sigma():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=22)
-    sp = build_spectral_projector(8, 4, 1, seed=23)
+    pp = SpatialProjector(4, 4, 6, 2, seed=22)
+    sp = SpectralProjector(8, 4, 1, seed=23)
     with pytest.raises(ValueError):
         acquire(np.zeros((8, 16)), sp, pp, sigma=-0.01)
 
 
 def test_measurements_shape_validation():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=24)
-    sp = build_spectral_projector(8, 4, 1, seed=25)
+    pp = SpatialProjector(4, 4, 6, 2, seed=24)
+    sp = SpectralProjector(8, 4, 1, seed=25)
     with pytest.raises(ValueError):
         Measurements(y=np.zeros((4, 7)), spectral=sp, spatial=pp)
     with pytest.raises(ValueError):
@@ -206,7 +205,7 @@ def test_measurements_shape_validation():
 
 
 def test_operator_norm_estimate_near_one():
-    pp = build_spatial_projector(4, 4, 6, 2, seed=26)
-    sp = build_spectral_projector(8, 4, 1, seed=27)
+    pp = SpatialProjector(4, 4, 6, 2, seed=26)
+    sp = SpectralProjector(8, 4, 1, seed=27)
     est = operator_norm_estimate(sp, pp)
     assert 0.0 < est <= 1.6
