@@ -17,7 +17,7 @@ from .datacube import as_band_pixel_matrix, cube_from_matrix
 from .sensing import (SpatialProjector, SpectralProjector, acquire,
                       default_lowpass_counts, rates_to_counts)
 from .solvers import DivergenceError, SolverConfig, apg_bpdn, recover_hybrid
-from .transforms import (HaarBasis, SpectralBasis, _check_pow2, fwht_sequency,
+from .transforms import (HaarBasis, SpectralBasis, _check_pow2, _walsh_matrix,
                          learn_spectral_basis)
 
 
@@ -50,12 +50,6 @@ def _cmd_acquire(args):
     return 0
 
 
-def _walsh_fallback_basis(n_s):
-    # self-inverse sequency Walsh matrix; column k is the transform of e_k
-    return SpectralBasis(np.column_stack(
-        [fwht_sequency(col) for col in np.eye(n_s)]))
-
-
 def _write_trace(path, trace):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -85,7 +79,7 @@ def _cmd_recover(args):
         basis = learn_spectral_basis(
             harness.sample_training_columns(x_truth, args.basis_sample_seed))
     else:
-        basis = _walsh_fallback_basis(n_s)
+        basis = SpectralBasis(_walsh_matrix(n_s))
     bpdn_defaults = harness.default_bpdn_config()
     hybrid_defaults = harness.default_hybrid_config()
     config = SolverConfig(

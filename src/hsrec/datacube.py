@@ -61,9 +61,19 @@ class Datacube:
         return self.data[:, :, k]
 
 
+def frames_from_matrix(x, n_v, n_h):
+    """View of (..., n_v * n_h) rows as (..., n_v, n_h) frames."""
+    return x.reshape(x.shape[:-1] + (n_h, n_v)).swapaxes(-1, -2)
+
+
+def matrix_from_frames(frames):
+    """Inverse of frames_from_matrix: each frame flattened column-major."""
+    return frames.swapaxes(-1, -2).reshape(frames.shape[:-2] + (-1,))
+
+
 def as_band_pixel_matrix(cube):
     """n_s x n_p matrix; row k is frame k flattened column-major."""
-    return np.transpose(cube.data, (2, 1, 0)).reshape(cube.n_s, cube.n_p)
+    return matrix_from_frames(np.moveaxis(cube.data, 2, 0))
 
 
 def cube_from_matrix(x, n_v, n_h):
@@ -74,5 +84,4 @@ def cube_from_matrix(x, n_v, n_h):
     if x.shape[1] != n_v * n_h:
         raise ValueError(
             f"matrix has {x.shape[1]} pixels, grid {n_v}x{n_h} needs {n_v * n_h}")
-    n_s = x.shape[0]
-    return Datacube(np.transpose(x.reshape(n_s, n_h, n_v), (2, 1, 0)))
+    return Datacube(np.moveaxis(frames_from_matrix(x, n_v, n_h), 0, 2))

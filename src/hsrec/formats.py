@@ -23,6 +23,8 @@ _CUBE_MAGIC = b"HSC1"
 _CUBE_HEADER = struct.Struct("<4s3I")
 _MEAS_MAGIC = b"HSM1"
 _MEAS_HEADER = struct.Struct("<4s7I3Qd")
+# Largest cube a measurement file may declare: 1 GiB of float64 samples.
+_MAX_CUBE_ENTRIES = 1 << 27
 
 
 def write_cube(path, cube):
@@ -67,6 +69,9 @@ def read_measurements(path):
          spectral_seed, spatial_seed, noise_seed, sigma) = _MEAS_HEADER.unpack(header)
         if magic != _MEAS_MAGIC:
             raise ValueError(f"{path}: not a measurement file (bad magic {magic!r})")
+        if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
+            raise ValueError(f"{path}: declared cube {n_v}x{n_h}x{n_s} exceeds "
+                             f"{_MAX_CUBE_ENTRIES} entries")
         payload = fh.read()
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"{path}: noise level must be finite and >= 0, got {sigma}")

@@ -7,6 +7,8 @@ frame together with an analytic subgradient.
 
 import numpy as np
 
+from .datacube import frames_from_matrix, matrix_from_frames
+
 
 def soft_threshold(z, xi):
     """Scalar shrinkage: z-xi if z > xi, z+xi if z < -xi, else 0."""
@@ -108,6 +110,5 @@ def tv_sum_and_subgradient(x, n_v, n_h):
     if x.ndim != 2 or x.shape[1] != n_v * n_h:
         raise ValueError(
             f"matrix shape {x.shape} does not match a {n_v}x{n_h} grid")
-    frames = x.reshape(x.shape[0], n_h, n_v).swapaxes(1, 2)
-    value, g = _tv_value_and_grad(frames)
-    return float(value.sum()), g.swapaxes(1, 2).reshape(x.shape)
+    value, g = _tv_value_and_grad(frames_from_matrix(x, n_v, n_h))
+    return float(value.sum()), matrix_from_frames(g)

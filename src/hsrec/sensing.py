@@ -1,10 +1,12 @@
 """Separable compressive measurement operators.
 
 Each axis gets a projector with two stacked blocks: a low-pass block made of
-leading sequency-ordered Walsh-Hadamard coefficients (zig-zag-selected 2-D
-coefficients on the spatial axis, leading rows on the spectral axis) and a
-seeded Rademacher block with rows scaled to unit norm. Measurements are
-Y = Phi_s X Phi_p^T plus optional Gaussian noise.
+leading sequency-ordered Walsh-Hadamard coefficients and a seeded Rademacher
+block with rows scaled to unit norm. Measurements are Y = Phi_s X Phi_p^T
+plus optional Gaussian noise. Both projectors are one construction: the
+low-pass block keeps the zig-zag-first 2-D coefficients of a frame, and the
+spectral axis is an n_s x 1 frame, whose zig-zag order is the leading rows.
+Axes longer than MAX_WALSH_LENGTH are rejected before anything is built.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .transforms import _check_pow2, _walsh_axis, zigzag_indices
+from .datacube import frames_from_matrix, matrix_from_frames
+from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_indices
 
 # Rademacher blocks larger than this many entries are regenerated in row
 # chunks per call instead of being cached.
@@ -84,41 +87,35 @@ class _RademacherBlock:
             yield rng.rademacher(gen, (take, self.n)) * scale
             done += take
 
-    def _matrix(self):
+    def _blocks(self):
+        """The cached whole block when it is small, else regenerated chunks."""
+        if self.rows * self.n > _MATERIALIZE_LIMIT:
+            return self._generate()
         if self._cache is None:
             # fill in place: the chunks never coexist with the whole block
-            matrix = np.empty((self.rows, self.n))
+            self._cache = np.empty((self.rows, self.n))
             done = 0
             for block in self._generate():
-                matrix[done:done + block.shape[0]] = block
-                done += block.shape[0]
-            self._cache = matrix
-        return self._cache
+                self._cache[done:done + len(block)] = block
+                done += len(block)
+        return (self._cache,)
 
     def apply(self, x):
         """x: (..., n) -> (..., rows)."""
-        if self.rows == 0:
-            return np.zeros(x.shape[:-1] + (0,))
-        if self.rows * self.n <= _MATERIALIZE_LIMIT:
-            return x @ self._matrix().T
         out = np.empty(x.shape[:-1] + (self.rows,))
         done = 0
-        for block in self._generate():
-            out[..., done:done + block.shape[0]] = x @ block.T
-            done += block.shape[0]
+        for block in self._blocks():
+            out[..., done:done + len(block)] = x @ block.T
+            done += len(block)
         return out
 
     def adjoint(self, y):
         """y: (..., rows) -> (..., n)."""
-        if self.rows == 0:
-            return np.zeros(y.shape[:-1] + (self.n,))
-        if self.rows * self.n <= _MATERIALIZE_LIMIT:
-            return y @ self._matrix()
         out = np.zeros(y.shape[:-1] + (self.n,))
         done = 0
-        for block in self._generate():
-            out += y[..., done:done + block.shape[0]] @ block
-            done += block.shape[0]
+        for block in self._blocks():
+            out += y[..., done:done + len(block)] @ block
+            done += len(block)
         return out
 
 
@@ -136,109 +133,78 @@ def _power_norm(apply_fn, adjoint_fn, dim, gen, iterations=_NORM_ITERATIONS):
     return float(np.sqrt(sigma2))
 
 
-def _validate_counts(n, m, q, what):
-    if m < 1 or m > n:
-        raise ValueError(f"{what} projection count must satisfy 1 <= m <= {n}, got {m}")
-    if q < 0 or q > m:
-        raise ValueError(f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
+class _Projector:
+    """Last-axis projector on n_v x n_h frames flattened column-major: q
+    zig-zag 2-D Walsh coefficients over m - q Rademacher rows, all divided
+    by a power-iteration estimate of the stacked matrix's norm."""
+
+    def __init__(self, n_v, n_h, m, q, seed, what, rad_purpose, norm_purpose):
+        n = n_v * n_h
+        if m < 1 or m > n:
+            raise ValueError(
+                f"{what} projection count must satisfy 1 <= m <= {n}, got {m}")
+        if q < 0 or q > m:
+            raise ValueError(
+                f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
+        self.seed = int(seed)
+        self._grid, self._q = (n_v, n_h), q
+        # the zig-zag prefix lies in the leading rows and columns of the grid
+        self._rows, self._cols = zigzag_indices(n_v, n_h, q).T
+        self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
+        self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
+        self._rad = _RademacherBlock(m - q, n, self.seed, rad_purpose)
+        # the norm is estimated on the unscaled map; a single vector passes
+        # through either axis's apply/adjoint unchanged in layout
+        self.scale = 1.0
+        if q < m:
+            gen = rng.stream(self.seed, norm_purpose)
+            self.scale = 1.0 / _power_norm(self.apply, self.adjoint, n, gen)
+
+    def apply(self, x):
+        """x: (..., n) -> (..., m)."""
+        coeff = self._wv @ frames_from_matrix(x, *self._grid) @ self._wh.T
+        low = coeff[..., self._rows, self._cols]
+        return self.scale * np.concatenate([low, self._rad.apply(x)], axis=-1)
+
+    def adjoint(self, y):
+        """y: (..., m) -> (..., n)."""
+        coeff = np.zeros(y.shape[:-1] + (len(self._wv), len(self._wh)))
+        coeff[..., self._rows, self._cols] = y[..., :self._q]
+        low = matrix_from_frames(self._wv.T @ coeff @ self._wh)
+        return self.scale * (low + self._rad.adjoint(y[..., self._q:]))
 
 
-class SpatialProjector:
+class SpatialProjector(_Projector):
     """Pixel-axis projector: q_p zig-zag 2-D WHT coefficients over
-    (m_p - q_p) Rademacher rows, all scaled by the spectral normalization."""
+    (m_p - q_p) Rademacher rows, acting on (bands, n_p) matrices."""
 
     def __init__(self, n_v, n_h, m_p, q_p, seed):
-        _check_pow2(n_v, "frame rows")
-        _check_pow2(n_h, "frame cols")
-        n_p = n_v * n_h
-        _validate_counts(n_p, m_p, q_p, "spatial")
-        self.n_v, self.n_h, self.n_p = n_v, n_h, n_p
+        _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
+        _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
+        self.n_v, self.n_h, self.n_p = n_v, n_h, n_v * n_h
         self.m_p, self.q_p = m_p, q_p
-        self.seed = int(seed)
-        zz = zigzag_indices(n_v, n_h, q_p)
-        self.zigzag_rows = zz[:, 0]
-        self.zigzag_cols = zz[:, 1]
-        self._rad = _RademacherBlock(m_p - q_p, n_p, self.seed,
-                                     rng.SPATIAL_RADEMACHER)
-        if q_p == m_p:
-            self.scale = 1.0
-        else:
-            est = _power_norm(self._apply_raw_vec, self._adjoint_raw_vec, n_p,
-                              rng.stream(self.seed, rng.SPATIAL_NORM))
-            self.scale = 1.0 / est
-
-    def _frames(self, x):
-        return x.reshape(x.shape[0], self.n_h, self.n_v).swapaxes(1, 2)
-
-    def _apply_raw(self, x):
-        """x: (bands, n_p) -> (bands, m_p), unscaled."""
-        coeff = _walsh_axis(_walsh_axis(self._frames(x), 1), 2)
-        low = coeff[:, self.zigzag_rows, self.zigzag_cols]
-        return np.concatenate([low, self._rad.apply(x)], axis=1)
-
-    def _adjoint_raw(self, y):
-        """y: (bands, m_p) -> (bands, n_p), unscaled."""
-        coeff = np.zeros((y.shape[0], self.n_v, self.n_h))
-        coeff[:, self.zigzag_rows, self.zigzag_cols] = y[:, :self.q_p]
-        spread = _walsh_axis(_walsh_axis(coeff, 1), 2)  # transform is self-inverse
-        low = spread.swapaxes(1, 2).reshape(y.shape[0], self.n_p)
-        return low + self._rad.adjoint(y[:, self.q_p:])
-
-    def _apply_raw_vec(self, v):
-        return self._apply_raw(v[None, :])[0]
-
-    def _adjoint_raw_vec(self, v):
-        return self._adjoint_raw(v[None, :])[0]
-
-    def apply(self, x):
-        return self.scale * self._apply_raw(x)
-
-    def adjoint(self, y):
-        return self.scale * self._adjoint_raw(y)
+        super().__init__(n_v, n_h, m_p, q_p, seed, "spatial",
+                         rng.SPATIAL_RADEMACHER, rng.SPATIAL_NORM)
 
 
-class SpectralProjector:
-    """Band-axis projector: q_s leading sequency WHT rows over
-    (m_s - q_s) Rademacher rows, scaled like the spatial projector."""
+class SpectralProjector(_Projector):
+    """Band-axis projector: q_s leading sequency WHT rows (the zig-zag
+    order of an n_s x 1 grid) over (m_s - q_s) Rademacher rows, acting on
+    (n_s, cols) matrices."""
 
     def __init__(self, n_s, m_s, q_s, seed):
-        _check_pow2(n_s, "band count")
-        _validate_counts(n_s, m_s, q_s, "spectral")
+        _check_pow2(n_s, "band count", MAX_WALSH_LENGTH)
         self.n_s, self.m_s, self.q_s = n_s, m_s, q_s
-        self.seed = int(seed)
-        self._rad = _RademacherBlock(m_s - q_s, n_s, self.seed,
-                                     rng.SPECTRAL_RADEMACHER)
-        if q_s == m_s:
-            self.scale = 1.0
-        else:
-            est = _power_norm(self._apply_raw_vec, self._adjoint_raw_vec, n_s,
-                              rng.stream(self.seed, rng.SPECTRAL_NORM))
-            self.scale = 1.0 / est
-
-    def _apply_raw(self, x):
-        """x: (n_s, cols) -> (m_s, cols), unscaled."""
-        low = _walsh_axis(x, 0)[:self.q_s]
-        rad = self._rad.apply(x.T).T
-        return np.concatenate([low, rad], axis=0)
-
-    def _adjoint_raw(self, y):
-        """y: (m_s, cols) -> (n_s, cols), unscaled."""
-        padded = np.zeros((self.n_s, y.shape[1]))
-        padded[:self.q_s] = y[:self.q_s]
-        low = _walsh_axis(padded, 0)
-        return low + self._rad.adjoint(y[self.q_s:].T).T
-
-    def _apply_raw_vec(self, v):
-        return self._apply_raw(v[:, None])[:, 0]
-
-    def _adjoint_raw_vec(self, v):
-        return self._adjoint_raw(v[:, None])[:, 0]
+        super().__init__(n_s, 1, m_s, q_s, seed, "spectral",
+                         rng.SPECTRAL_RADEMACHER, rng.SPECTRAL_NORM)
 
     def apply(self, x):
-        return self.scale * self._apply_raw(x)
+        """x: (n_s, cols) -> (m_s, cols)."""
+        return super().apply(x.T).T
 
     def adjoint(self, y):
-        return self.scale * self._adjoint_raw(y)
+        """y: (m_s, cols) -> (n_s, cols)."""
+        return super().adjoint(y.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,16 +226,12 @@ class Measurements:
         object.__setattr__(self, "y", y)
 
 
-def _check_cube_shape(x, sp, pp):
-    if x.shape != (sp.n_s, pp.n_p):
-        raise ValueError(f"band-by-pixel matrix shape {x.shape} does not match "
-                         f"projectors ({sp.n_s}, {pp.n_p})")
-
-
 def project(x, sp, pp):
     """Phi_s X Phi_p^T via the fast operators."""
     x = np.asarray(x, dtype=np.float64)
-    _check_cube_shape(x, sp, pp)
+    if x.shape != (sp.n_s, pp.n_p):
+        raise ValueError(f"band-by-pixel matrix shape {x.shape} does not match "
+                         f"projectors ({sp.n_s}, {pp.n_p})")
     return pp.apply(sp.apply(x))
 
 

@@ -1,10 +1,14 @@
 """Orthonormal transforms used by the sensing operators and solvers.
 
-Contains the sequency-ordered fast Walsh-Hadamard transform (rows scaled to
-unit norm, so the transform is orthonormal and self-inverse), the JPEG-style
+Contains the sequency-ordered Walsh-Hadamard transform (rows scaled to unit
+norm, so the transform is orthonormal and self-inverse), the JPEG-style
 zig-zag coefficient ordering generalized to rectangles, the full-depth
 orthonormal 2-D Haar wavelet transform, and spectral bases learned from
 pixel samples.
+
+Every Walsh transform is a product with one cached, read-only dense matrix
+per length, capped at MAX_WALSH_LENGTH (2048, a 32 MiB matrix); up to that
+length the dense product is faster than a butterfly in numpy.
 
 Note on scaling: the classic hardware realization of Walsh-Hadamard sensing
 uses +/-1 entries. All transforms here are row-normalized (entries +/-1/sqrt(n))
@@ -12,17 +16,24 @@ instead, which makes every matrix orthonormal and keeps operator norms near
 one; the +/-1 convention is the same operator times sqrt(n).
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datacube import frames_from_matrix, matrix_from_frames
+
 _SQRT2 = np.sqrt(2.0)
+# Longest axis a Walsh transform accepts; its dense matrix takes 32 MiB.
+MAX_WALSH_LENGTH = 2048
 
 
-def _check_pow2(n, what):
+def _check_pow2(n, what, limit=None):
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
+    if limit is not None and n > limit:
+        raise ValueError(f"{what} must be at most {limit}, got {n}")
 
 
 def sequency_row_order(n):
@@ -42,29 +53,20 @@ def sequency_row_order(n):
     return perm
 
 
-def _fwht_natural_last(a):
-    """Unnormalized fast Walsh-Hadamard butterfly along the last axis."""
-    n = a.shape[-1]
-    out = np.array(a, dtype=np.float64)
-    h = 1
-    while h < n:
-        blk = out.reshape(a.shape[:-1] + (n // (2 * h), 2, h))
-        top = blk[..., 0, :] + blk[..., 1, :]
-        bot = blk[..., 0, :] - blk[..., 1, :]
-        out = np.stack((top, bot), axis=-2).reshape(a.shape)
-        h *= 2
-    return out
+@functools.cache
+def _walsh_matrix(n):
+    """Read-only orthonormal sequency-ordered Walsh matrix of length n.
 
-
-def _walsh_last(a):
-    """Sequency-ordered orthonormal transform along the last axis."""
-    n = a.shape[-1]
-    _check_pow2(n, "transform length")
-    return np.take(_fwht_natural_last(a), sequency_row_order(n), axis=-1) / np.sqrt(n)
-
-
-def _walsh_axis(a, axis):
-    return np.moveaxis(_walsh_last(np.moveaxis(a, axis, -1)), -1, axis)
+    Row k is row sequency_row_order(n)[k] of the Sylvester Hadamard matrix
+    divided by sqrt(n). The matrix is symmetric, so it is its own inverse.
+    """
+    _check_pow2(n, "transform length", MAX_WALSH_LENGTH)
+    h = np.full((1, 1), 1.0 / np.sqrt(n))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    w = h[sequency_row_order(n)]
+    w.flags.writeable = False
+    return w
 
 
 def fwht_sequency(v):
@@ -76,7 +78,7 @@ def fwht_sequency(v):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    return _walsh_last(v)
+    return _walsh_matrix(len(v)) @ v
 
 
 def wht2d(frm):
@@ -87,7 +89,7 @@ def wht2d(frm):
     frm = np.asarray(frm, dtype=np.float64)
     if frm.ndim != 2:
         raise ValueError(f"expected a frame, got shape {frm.shape}")
-    return _walsh_axis(_walsh_axis(frm, 0), 1)
+    return _walsh_matrix(frm.shape[0]) @ frm @ _walsh_matrix(frm.shape[1]).T
 
 
 def zigzag_indices(n_v, n_h, count=None):
@@ -179,20 +181,15 @@ class HaarBasis:
         if x.ndim != 2 or x.shape[1] != self.n_v * self.n_h:
             raise ValueError(
                 f"expected (bands, {self.n_v * self.n_h}) matrix, got {x.shape}")
-        # column-major rows: reshape exposes (band, col, row), swap to frames
-        return x.reshape(x.shape[0], self.n_h, self.n_v).swapaxes(1, 2)
-
-    @staticmethod
-    def _flatten(frames):
-        return frames.swapaxes(1, 2).reshape(frames.shape[0], -1)
+        return frames_from_matrix(x, self.n_v, self.n_h)
 
     def analyze(self, x):
         frames = self._frames(x)
-        return self._flatten(_haar_axis(_haar_axis(frames, 1), 2))
+        return matrix_from_frames(_haar_axis(_haar_axis(frames, 1), 2))
 
     def synthesize(self, c):
         frames = self._frames(c)
-        return self._flatten(
+        return matrix_from_frames(
             _haar_axis(_haar_axis(frames, 1, inverse=True), 2, inverse=True))
 
 

@@ -1,5 +1,6 @@
 import csv
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,25 @@ def test_recover_rejects_non_finite_measurement_files(tmp_path, capsys):
                    "--out", str(tmp_path / "r.hsc")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((32768, 32768, 1), "exceeds"),      # 2^30-entry cube
+    ((2048, 2048, 64), "exceeds"),       # every axis in range, cube too large
+    ((4096, 1, 1), "at most 2048"),      # small cube, axis too long
+])
+def test_recover_rejects_oversized_grids_fast(tmp_path, capsys, grid, message):
+    # 68 bytes: one measurement from one Rademacher row per axis
+    path = tmp_path / "hostile.hsm"
+    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", 1, 1, 0, 0, *grid,
+                                 0, 0, 0, 0.0)
+                     + np.ones(1, dtype="<f4").tobytes())
+    start = time.perf_counter()
+    rc = main(["recover", "--meas", str(path), "--method", "hybrid",
+               "--out", str(tmp_path / "r.hsc")])
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- eval

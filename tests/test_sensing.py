@@ -6,7 +6,7 @@ from hsrec import rng
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts,
                            operator_norm_estimate, project, rates_to_counts)
-from hsrec.transforms import fwht_sequency, wht2d
+from hsrec.transforms import fwht_sequency, wht2d, zigzag_indices
 from oracles import spatial_matrix, spectral_matrix
 
 
@@ -111,7 +111,7 @@ def test_pure_lowpass_rows_are_walsh_coefficients():
     frame = np.random.default_rng(5).normal(size=(4, 4))
     cf = wht2d(frame)
     got = pp.apply(frame.flatten(order="F")[None, :])[0]
-    want = [cf[i, j] for i, j in zip(pp.zigzag_rows, pp.zigzag_cols)]
+    want = [cf[i, j] for i, j in zigzag_indices(4, 4, 5)]
     assert np.allclose(got, want, atol=1e-12)
 
 
