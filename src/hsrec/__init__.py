@@ -6,8 +6,8 @@ from .datacube import (Datacube, as_band_pixel_matrix, cube_from_matrix,
 from .formats import read_cube, read_measurements, write_cube, write_measurements
 from .harness import (ExperimentSpec, PhantomSpec, generate_phantom,
                       relative_error, run_experiment)
-from .regularizers import (prox_l1, prox_transformed, soft_threshold, tv,
-                           tv_subgradient, tv_sum_and_subgradient)
+from .regularizers import (prox_l1, prox_transformed, tv, tv_subgradient,
+                           tv_sum_and_subgradient)
 from .sensing import (Measurements, SpatialProjector, SpectralProjector, acquire,
                       adjoint, default_lowpass_counts, operator_norm_estimate,
                       project, rates_to_counts)
@@ -25,7 +25,7 @@ __all__ = [
     "read_cube", "read_measurements", "write_cube", "write_measurements",
     "ExperimentSpec", "PhantomSpec", "generate_phantom", "relative_error",
     "run_experiment",
-    "prox_l1", "prox_transformed", "soft_threshold", "tv", "tv_subgradient",
+    "prox_l1", "prox_transformed", "tv", "tv_subgradient",
     "tv_sum_and_subgradient",
     "Measurements", "SpatialProjector", "SpectralProjector", "acquire",
     "adjoint", "default_lowpass_counts", "operator_norm_estimate", "project",

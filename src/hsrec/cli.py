@@ -8,6 +8,7 @@ Every command is deterministic given its flags, wall-clock timings aside.
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import formats, harness
 from .datacube import as_band_pixel_matrix, cube_from_matrix
 from .sensing import (SpatialProjector, SpectralProjector, acquire,
                       default_lowpass_counts, rates_to_counts)
-from .solvers import DivergenceError, SolverConfig, apg_bpdn, recover_hybrid
+from .solvers import DivergenceError, apg_bpdn, recover_hybrid
 from .transforms import (HaarBasis, SpectralBasis, _check_pow2, _walsh_matrix,
                          learn_spectral_basis)
 
@@ -64,6 +65,11 @@ def _write_trace(path, trace):
             writer.writerow(row)
 
 
+# SolverConfig fields settable from `hsrec recover`; an omitted flag keeps
+# the chosen method's default.
+_CONFIG_FLAGS = ("step_size", "gamma", "gamma1", "gamma2", "tau", "max_iters")
+
+
 def _cmd_recover(args):
     meas = formats.read_measurements(args.meas)
     pp, sp = meas.spatial, meas.spectral
@@ -80,15 +86,11 @@ def _cmd_recover(args):
             harness.sample_training_columns(x_truth, args.basis_sample_seed))
     else:
         basis = SpectralBasis(_walsh_matrix(n_s))
-    bpdn_defaults = harness.default_bpdn_config()
-    hybrid_defaults = harness.default_hybrid_config()
-    config = SolverConfig(
-        step_size=args.step_size,
-        gamma=args.gamma if args.gamma is not None else bpdn_defaults.gamma,
-        gamma1=args.gamma1 if args.gamma1 is not None else hybrid_defaults.gamma1,
-        gamma2=args.gamma2 if args.gamma2 is not None else hybrid_defaults.gamma2,
-        tau=args.tau,
-        max_iters=args.max_iters)
+    defaults = (harness.default_bpdn_config() if args.method == "bpdn"
+                else harness.default_hybrid_config())
+    config = dataclasses.replace(defaults, **{
+        name: getattr(args, name) for name in _CONFIG_FLAGS
+        if getattr(args, name) is not None})
     if args.method == "bpdn":
         x_hat, trace = apg_bpdn(meas, HaarBasis(n_v, n_h), basis, config,
                                 x_truth=x_truth)
@@ -226,9 +228,9 @@ def _build_parser():
                    help="hybrid TV weight")
     p.add_argument("--gamma2", type=float, default=None,
                    help="hybrid spectral l1 weight")
-    p.add_argument("--lambda", dest="step_size", type=float, default=0.25)
-    p.add_argument("--tau", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--lambda", dest="step_size", type=float, default=None)
+    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--basis-sample-seed", type=int, default=0)
     p.add_argument("--truth", default=None,
                    help="ground-truth cube: trains the spectral basis and "

@@ -10,17 +10,6 @@ import numpy as np
 from .datacube import frames_from_matrix, matrix_from_frames
 
 
-def soft_threshold(z, xi):
-    """Scalar shrinkage: z-xi if z > xi, z+xi if z < -xi, else 0."""
-    if xi < 0:
-        raise ValueError(f"threshold weight must be >= 0, got {xi}")
-    if z > xi:
-        return z - xi
-    if z < -xi:
-        return z + xi
-    return 0.0
-
-
 def prox_l1(z, xi):
     """Entrywise soft threshold; minimizes xi*||U||_1 + 0.5*||Z - U||_F^2."""
     if xi < 0:

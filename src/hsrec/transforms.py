@@ -6,9 +6,10 @@ zig-zag coefficient ordering generalized to rectangles, the full-depth
 orthonormal 2-D Haar wavelet transform, and spectral bases learned from
 pixel samples.
 
-Every Walsh transform is a product with one cached, read-only dense matrix
-per length, capped at MAX_WALSH_LENGTH (2048, a 32 MiB matrix); up to that
-length the dense product is faster than a butterfly in numpy.
+Every Walsh and Haar transform is a product with one cached, read-only
+dense matrix per length, capped at MAX_WALSH_LENGTH (2048, a 32 MiB
+matrix); up to that length the dense product is faster than a butterfly in
+numpy.
 
 Note on scaling: the classic hardware realization of Walsh-Hadamard sensing
 uses +/-1 entries. All transforms here are row-normalized (entries +/-1/sqrt(n))
@@ -24,8 +25,7 @@ import numpy as np
 
 from .datacube import frames_from_matrix, matrix_from_frames
 
-_SQRT2 = np.sqrt(2.0)
-# Longest axis a Walsh transform accepts; its dense matrix takes 32 MiB.
+# Longest axis a Walsh or Haar transform accepts; its dense matrix takes 32 MiB.
 MAX_WALSH_LENGTH = 2048
 
 
@@ -67,6 +67,27 @@ def _walsh_matrix(n):
     w = h[sequency_row_order(n)]
     w.flags.writeable = False
     return w
+
+
+@functools.cache
+def _haar_matrix(n):
+    """Read-only orthonormal full-depth Haar analysis matrix of length n.
+
+    Row 0 is constant. Row k = 2^j + t (level j, offset t) is the detail
+    wavelet of width w = n / 2^j on columns [t*w, (t+1)*w): +1/sqrt(w) on
+    its first half, -1/sqrt(w) on its second. So the rows run coarse to
+    fine, left to right within a level, and H^T is the inverse.
+    """
+    _check_pow2(n, "transform length", MAX_WALSH_LENGTH)
+    k = np.arange(n)[:, None]
+    level = np.frexp(np.maximum(k, 1))[1] - 1  # floor(log2 k), exact
+    w = n >> level
+    col = np.arange(n)
+    sign = np.where(col % w < w // 2, 1.0, -1.0)
+    h = np.where(col // w == k - (1 << level), sign, 0.0) / np.sqrt(w)
+    h[0] = 1.0 / np.sqrt(n)
+    h.flags.writeable = False
+    return h
 
 
 def fwht_sequency(v):
@@ -116,33 +137,10 @@ def zigzag_indices(n_v, n_h, count=None):
     return np.concatenate(pieces)
 
 
-def _haar_last(a, inverse=False):
-    """Full-depth orthonormal 1-D Haar along the last axis."""
-    n = a.shape[-1]
-    out = np.array(a, dtype=np.float64)
-    if not inverse:
-        size = n
-        while size > 1:
-            half = size // 2
-            ev = out[..., 0:size:2].copy()
-            od = out[..., 1:size:2].copy()
-            out[..., :half] = (ev + od) / _SQRT2
-            out[..., half:size] = (ev - od) / _SQRT2
-            size = half
-    else:
-        size = 2
-        while size <= n:
-            half = size // 2
-            lo = out[..., :half].copy()
-            hi = out[..., half:size].copy()
-            out[..., 0:size:2] = (lo + hi) / _SQRT2
-            out[..., 1:size:2] = (lo - hi) / _SQRT2
-            size *= 2
-    return out
-
-
-def _haar_axis(a, axis, inverse=False):
-    return np.moveaxis(_haar_last(np.moveaxis(a, axis, -1), inverse), -1, axis)
+def _haar_frames(frames, inverse=False):
+    """Analysis H_v F H_h^T, or synthesis H_v^T C H_h, of (..., n_v, n_h) frames."""
+    hv, hh = _haar_matrix(frames.shape[-2]), _haar_matrix(frames.shape[-1])
+    return hv.T @ frames @ hh if inverse else hv @ frames @ hh.T
 
 
 def haar2d(frm, direction="analysis"):
@@ -154,13 +152,12 @@ def haar2d(frm, direction="analysis"):
     frm = np.asarray(frm, dtype=np.float64)
     if frm.ndim != 2:
         raise ValueError(f"expected a frame, got shape {frm.shape}")
-    _check_pow2(frm.shape[0], "frame rows")
-    _check_pow2(frm.shape[1], "frame cols")
-    if direction == "analysis":
-        return _haar_axis(_haar_axis(frm, 0), 1)
-    if direction == "synthesis":
-        return _haar_axis(_haar_axis(frm, 0, inverse=True), 1, inverse=True)
-    raise ValueError(f"direction must be 'analysis' or 'synthesis', got {direction!r}")
+    _check_pow2(frm.shape[0], "frame rows", MAX_WALSH_LENGTH)
+    _check_pow2(frm.shape[1], "frame cols", MAX_WALSH_LENGTH)
+    if direction not in ("analysis", "synthesis"):
+        raise ValueError(
+            f"direction must be 'analysis' or 'synthesis', got {direction!r}")
+    return _haar_frames(frm, inverse=direction == "synthesis")
 
 
 class HaarBasis:
@@ -171,26 +168,24 @@ class HaarBasis:
     """
 
     def __init__(self, n_v, n_h):
-        _check_pow2(n_v, "frame rows")
-        _check_pow2(n_h, "frame cols")
+        _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
+        _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
         self.n_v = n_v
         self.n_h = n_h
 
-    def _frames(self, x):
+    def _apply(self, x, inverse):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_v * self.n_h:
             raise ValueError(
                 f"expected (bands, {self.n_v * self.n_h}) matrix, got {x.shape}")
-        return frames_from_matrix(x, self.n_v, self.n_h)
+        frames = frames_from_matrix(x, self.n_v, self.n_h)
+        return matrix_from_frames(_haar_frames(frames, inverse))
 
     def analyze(self, x):
-        frames = self._frames(x)
-        return matrix_from_frames(_haar_axis(_haar_axis(frames, 1), 2))
+        return self._apply(x, inverse=False)
 
     def synthesize(self, c):
-        frames = self._frames(c)
-        return matrix_from_frames(
-            _haar_axis(_haar_axis(frames, 1, inverse=True), 2, inverse=True))
+        return self._apply(c, inverse=True)
 
 
 @dataclass(frozen=True, eq=False)

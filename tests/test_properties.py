@@ -2,11 +2,15 @@
 
 The operators must be exact adjoints of each other for every block layout
 (no low-pass rows, a mix, only low-pass rows, full sampling) on both the
-cached and the chunk-regenerated Rademacher path, and the dense Walsh
-matrix must match the independent oracle at every supported length.
+cached and the chunk-regenerated Rademacher path; the dense Walsh and Haar
+matrices must match the independent oracles at every supported length;
+the Haar basis must invert itself frame by frame; and HSC1/HSM1 files must
+round-trip their data (as float32), header fields and operator scales.
 """
 
 import contextlib
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -15,9 +19,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hsrec.sensing as sensing
-from hsrec.sensing import SpatialProjector, SpectralProjector, adjoint, project
-from hsrec.transforms import MAX_WALSH_LENGTH, _walsh_matrix
-from oracles import walsh_matrix
+from hsrec.datacube import Datacube, frames_from_matrix, matrix_from_frames
+from hsrec.formats import (read_cube, read_measurements, write_cube,
+                           write_measurements)
+from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
+                           adjoint, project)
+from hsrec.transforms import (MAX_WALSH_LENGTH, HaarBasis, _haar_matrix,
+                              _walsh_matrix, haar2d)
+from oracles import haar_matrix, walsh_matrix
 
 CASES = ("q=0", "0<q<m", "q=m", "m=n")
 _settings = settings(max_examples=40, deadline=None, database=None)
@@ -116,3 +125,73 @@ def test_walsh_length_is_capped():
         SpatialProjector(4096, 1, 1, 0, seed=0)
     with pytest.raises(ValueError, match="band count must be at most"):
         SpectralProjector(4096, 1, 0, seed=0)
+
+
+@pytest.mark.parametrize("n", [1 << k for k in range(12)])
+def test_haar_matrix_matches_oracle_and_is_orthonormal(n):
+    h = _haar_matrix(n)
+    assert not h.flags.writeable
+    assert np.abs(h - haar_matrix(n)).max() <= 1e-12
+    assert np.abs(h @ h.T - np.eye(n)).max() <= 1e-12
+
+
+def test_haar_length_is_capped():
+    with pytest.raises(ValueError, match="at most 2048"):
+        _haar_matrix(4096)
+    with pytest.raises(ValueError, match="frame rows must be at most"):
+        HaarBasis(4096, 1)
+    with pytest.raises(ValueError, match="frame cols must be at most"):
+        haar2d(np.zeros((1, 4096)))
+
+
+@_settings
+@given(n_v=st.integers(0, 6).map(lambda k: 1 << k), n_h=pow2,
+       bands=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_haar_basis_inverts_and_acts_frame_wise(n_v, n_h, bands, seed):
+    x = np.random.default_rng(seed).normal(size=(bands, n_v * n_h))
+    basis = HaarBasis(n_v, n_h)
+    coeff = basis.analyze(x)
+    assert np.abs(basis.synthesize(coeff) - x).max() <= 1e-12
+    per_frame = matrix_from_frames(np.stack(
+        [haar2d(f) for f in frames_from_matrix(x, n_v, n_h)]))
+    assert np.abs(coeff - per_frame).max() <= 1e-12
+
+
+@contextlib.contextmanager
+def _scratch_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield os.path.join(tmp, "data.bin")
+
+
+@_settings
+@given(n_v=pow2, n_h=pow2, n_s=pow2, seed=st.integers(0, 2**32))
+def test_cube_file_round_trip(n_v, n_h, n_s, seed):
+    data = np.random.default_rng(seed).normal(size=(n_v, n_h, n_s))
+    with _scratch_file() as path:
+        write_cube(path, Datacube(data))
+        cube = read_cube(path)
+    assert cube.data.shape == (n_v, n_h, n_s)
+    assert np.array_equal(cube.data, data.astype(np.float32))
+
+
+@_settings
+@given(n_v=pow2, n_h=pow2, n_s=pow2, spatial=layout, spectral=layout,
+       seeds=st.tuples(*[st.integers(0, 2**64 - 1)] * 3),
+       sigma=st.sampled_from([0.0, 1e-3, 0.5]))
+def test_measurement_file_round_trip(n_v, n_h, n_s, spatial, spectral, seeds,
+                                     sigma):
+    m_p, q_p = _counts(n_v * n_h, *spatial)
+    m_s, q_s = _counts(n_s, *spectral)
+    pp = SpatialProjector(n_v, n_h, m_p, q_p, seeds[0])
+    sp = SpectralProjector(n_s, m_s, q_s, seeds[1])
+    x = np.random.default_rng(seeds[2]).normal(size=(n_s, n_v * n_h))
+    meas = acquire(x, sp, pp, sigma, noise_seed=seeds[2])
+    with _scratch_file() as path:
+        write_measurements(path, meas)
+        got = read_measurements(path)
+    assert np.array_equal(got.y, meas.y.astype(np.float32))
+    assert (got.sigma, got.noise_seed) == (sigma, seeds[2])
+    for new, old, fields in (
+            (got.spatial, pp, ("n_v", "n_h", "m_p", "q_p", "seed", "scale")),
+            (got.spectral, sp, ("n_s", "m_s", "q_s", "seed", "scale"))):
+        assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
