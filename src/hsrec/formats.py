@@ -28,10 +28,15 @@ _MAX_CUBE_ENTRIES = 1 << 27
 
 
 def write_cube(path, cube):
-    x = as_band_pixel_matrix(cube)
+    """Write cube as HSC1; a payload that overflows float32 is rejected
+    before the file is opened, since read_cube would refuse it."""
+    with np.errstate(over="ignore"):
+        x = np.ascontiguousarray(as_band_pixel_matrix(cube), dtype="<f4")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: cube data overflows float32")
     with open(path, "wb") as fh:
         fh.write(_CUBE_HEADER.pack(_CUBE_MAGIC, cube.n_v, cube.n_h, cube.n_s))
-        fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
+        fh.write(x.tobytes())
 
 
 def read_cube(path):

@@ -13,6 +13,10 @@ matrix is divided by a power-iteration estimate of its largest singular
 value, so the combined operator X -> Phi_s X Phi_p^T has norm close to one
 and the solvers' fixed step size is stable at every sampling rate. A purely
 low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
+
+Each Rademacher block draws its Philox stream once and stores the signs
+packed one bit per entry; large blocks are expanded to float64 chunk by
+chunk on every call instead of being held whole.
 """
 
 import math
@@ -25,8 +29,9 @@ from . import rng
 from .datacube import frames_from_matrix, matrix_from_frames
 from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_indices
 
-# Rademacher blocks larger than this many entries are regenerated in row
-# chunks per call instead of being cached.
+# Every Rademacher block is drawn from Philox once and kept as packed sign
+# bits. One of at most this many entries is also cached as float64; a larger
+# one is expanded in row chunks of _CHUNK_ENTRIES on every apply and adjoint.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _NORM_ITERATIONS = 50
@@ -68,54 +73,64 @@ def default_lowpass_counts(n_p, n_s, m_p, m_s):
 
 
 class _RademacherBlock:
-    """Seeded unit-row-norm +/-1/sqrt(n) block, materialized only when small."""
+    """Seeded unit-row-norm +/-1/sqrt(n) block. Philox runs once, on first
+    use; the signs are stored packed one bit per entry, and a block over
+    _MATERIALIZE_LIMIT entries stays packed between calls."""
 
     def __init__(self, rows, n, seed, purpose):
         self.rows = rows
         self.n = n
         self.seed = seed
         self.purpose = purpose
+        self._chunk = max(1, _CHUNK_ENTRIES // n)
+        self._scale = 1.0 / np.sqrt(n)
+        self._signs = None
         self._cache = None
 
-    def _generate(self):
-        gen = rng.stream(self.seed, self.purpose)
-        scale = 1.0 / np.sqrt(self.n)
-        chunk = max(1, _CHUNK_ENTRIES // self.n)
-        done = 0
-        while done < self.rows:
-            take = min(chunk, self.rows - done)
-            yield rng.rademacher(gen, (take, self.n)) * scale
-            done += take
+    def _packed(self):
+        """Row-wise packbits of the negative entries, drawn on first call."""
+        if self._signs is None:
+            gen = rng.stream(self.seed, self.purpose)
+            self._signs = np.empty((self.rows, (self.n + 7) // 8), np.uint8)
+            for lo in range(0, self.rows, self._chunk):
+                hi = min(lo + self._chunk, self.rows)
+                # one expression: no draw outlives its packing
+                self._signs[lo:hi] = np.packbits(
+                    rng.rademacher(gen, (hi - lo, self.n)) < 0, axis=1)
+        return self._signs
+
+    def _expand(self, lo, hi, out):
+        """Rows lo:hi as float64 into out; equal to rademacher * scale."""
+        bits = np.unpackbits(self._packed()[lo:hi], axis=1, count=self.n)
+        np.multiply(bits, -2.0 * self._scale, out=out)
+        out += self._scale
+        return out
 
     def _blocks(self):
-        """The cached whole block when it is small, else regenerated chunks."""
+        """(first row, block) pairs: the cached whole block when it is
+        small, else chunks expanded into one buffer reused per call."""
         if self.rows * self.n > _MATERIALIZE_LIMIT:
-            return self._generate()
+            buf = np.empty((min(self._chunk, self.rows), self.n))
+            for lo in range(0, self.rows, self._chunk):
+                hi = min(lo + self._chunk, self.rows)
+                yield lo, self._expand(lo, hi, buf[:hi - lo])
+            return
         if self._cache is None:
-            # fill in place: the chunks never coexist with the whole block
-            self._cache = np.empty((self.rows, self.n))
-            done = 0
-            for block in self._generate():
-                self._cache[done:done + len(block)] = block
-                done += len(block)
-        return (self._cache,)
+            self._cache = self._expand(0, self.rows, np.empty((self.rows, self.n)))
+        yield 0, self._cache
 
     def apply(self, x):
         """x: (..., n) -> (..., rows)."""
         out = np.empty(x.shape[:-1] + (self.rows,))
-        done = 0
-        for block in self._blocks():
-            out[..., done:done + len(block)] = x @ block.T
-            done += len(block)
+        for lo, block in self._blocks():
+            out[..., lo:lo + len(block)] = x @ block.T
         return out
 
     def adjoint(self, y):
         """y: (..., rows) -> (..., n)."""
         out = np.zeros(y.shape[:-1] + (self.n,))
-        done = 0
-        for block in self._blocks():
-            out += y[..., done:done + len(block)] @ block
-            done += len(block)
+        for lo, block in self._blocks():
+            out += y[..., lo:lo + len(block)] @ block
         return out
 
 

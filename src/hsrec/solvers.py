@@ -166,7 +166,10 @@ def _run(measurements, basis, config, tv_weight, prox_fn, penalty_fn, x_truth):
             snorms.append(float(np.linalg.norm(g)))
             if x_truth is not None:
                 terrs.append(_truth_metric(x_next, x_truth, truth_norm2))
-            if rel > _DIVERGENCE_LIMIT or not np.isfinite(cost):
+            # a steady geometric blow-up can run to max-iters before the
+            # cost overflows; growth far past the first cost catches it
+            if (rel > _DIVERGENCE_LIMIT or not np.isfinite(cost)
+                    or cost > _DIVERGENCE_LIMIT * costs[0]):
                 raise DivergenceError(
                     f"iteration {n} diverged with step size {config.step_size}: "
                     f"relative change {rel:.3e}, cost {cost:.3e}")

@@ -151,6 +151,19 @@ def test_recover_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_recover_slow_blow_up_exits_3_without_a_file(tmp_path, capsys):
+    # the cost grows geometrically and would stay finite in float64 for 50
+    # iterations, but not in the float32 file
+    cube = _make_phantom(tmp_path)
+    meas = _acquire(tmp_path, cube, rp=0.3, rs=0.5)
+    out = tmp_path / "r.hsc"
+    rc = main(["recover", "--meas", str(meas), "--method", "hybrid",
+               "--lambda", "100", "--max-iters", "50", "--out", str(out)])
+    assert rc == 3
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_recover_rejects_non_finite_measurement_files(tmp_path, capsys):
     cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
     meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)

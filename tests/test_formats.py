@@ -50,6 +50,15 @@ def test_cube_values_quantized_to_float32(tmp_path):
     assert np.array_equal(got.data, data.astype(np.float32).astype(np.float64))
 
 
+def test_cube_write_rejects_float32_overflow(tmp_path):
+    data = np.random.default_rng(7).normal(size=(4, 4, 2))
+    data[1, 2, 0] = 1e300  # finite in float64, inf in float32
+    path = tmp_path / "cube.hsc"
+    with pytest.raises(ValueError, match="float32"):
+        write_cube(path, Datacube(data))
+    assert not path.exists()
+
+
 def test_cube_read_rejects_corrupt_files(tmp_path):
     path = tmp_path / "cube.hsc"
     write_cube(path, _cube())

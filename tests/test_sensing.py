@@ -153,6 +153,57 @@ def test_chunked_apply_matches_materialized(monkeypatch):
     assert np.allclose(pp_chunked.adjoint(y), want_adj, atol=1e-12)
 
 
+def test_chunked_block_draws_philox_once(monkeypatch):
+    drawn = []
+    original = rng.rademacher
+
+    def spy(gen, shape):
+        drawn.append(int(np.prod(shape)))
+        return original(gen, shape)
+
+    monkeypatch.setattr(rng, "rademacher", spy)
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 96)
+    pp = SpatialProjector(4, 8, 20, 4, seed=15)
+    gen = np.random.default_rng(11)
+    for _ in range(5):
+        pp.apply(gen.normal(size=(3, 32)))
+        pp.adjoint(gen.normal(size=(3, 20)))
+    assert sum(drawn) == (20 - 4) * 32
+
+
+@pytest.mark.parametrize("make, rows, n, purpose, chunk_rows", [
+    (lambda: SpatialProjector(4, 8, 20, 0, seed=15), 20, 32,
+     rng.SPATIAL_RADEMACHER, 3),
+    # n = 4 is not a multiple of 8: packed rows carry padding bits
+    (lambda: SpectralProjector(4, 3, 0, seed=16), 3, 4,
+     rng.SPECTRAL_RADEMACHER, 2),
+])
+def test_chunked_block_values_are_exact(monkeypatch, make, rows, n, purpose,
+                                        chunk_rows):
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", chunk_rows * n)
+    proj = make()  # q = 0: scale times the Rademacher block alone
+    gen = np.random.default_rng(12)
+    x = gen.normal(size=(5, n))
+    y = gen.normal(size=(5, rows))
+    want_apply, want_adjoint = np.empty((5, rows)), np.zeros((5, n))
+    rad = rng.stream(proj.seed, purpose)  # redrawn as the projector draws it
+    for lo in range(0, rows, chunk_rows):
+        take = min(chunk_rows, rows - lo)
+        block = rng.rademacher(rad, (take, n)) / np.sqrt(n)
+        want_apply[:, lo:lo + take] = x @ block.T
+        want_adjoint += y[:, lo:lo + take] @ block
+
+    def last_axis(fn, v):  # the spectral projector acts on columns
+        return fn(v) if isinstance(proj, SpatialProjector) else fn(v.T).T
+
+    for _ in range(3):  # every call expands the same stored signs
+        assert np.array_equal(last_axis(proj.apply, x), proj.scale * want_apply)
+        assert np.array_equal(last_axis(proj.adjoint, y),
+                              proj.scale * want_adjoint)
+
+
 # ---------------------------------------------------------------- acquire
 
 def test_acquire_noiseless_is_exact_projection():
