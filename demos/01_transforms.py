@@ -9,8 +9,9 @@ from sample spectra.
 
 import numpy as np
 
-from hsrec.transforms import (fwht_sequency, haar2d, learn_spectral_basis,
-                              sequency_row_order, wht2d, zigzag_indices)
+from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
+from hsrec.transforms import (HaarBasis, fwht_sequency, learn_spectral_basis,
+                              sequency_row_order, zigzag_indices)
 
 # A constant vector has all its energy in the zero-sequency coefficient.
 v = np.ones(8)
@@ -27,9 +28,10 @@ print("fwht of an impulse is flat:", coeffs)
 print("transform is its own inverse:",
       np.allclose(fwht_sequency(coeffs), impulse))
 
-# The 2-D version transforms rows and columns independently.
+# The 2-D version transforms columns, then rows, independently.
 frame = np.add.outer(np.arange(4.0), np.arange(4.0))
-cf = wht2d(frame)
+cf = np.apply_along_axis(fwht_sequency, 1,
+                         np.apply_along_axis(fwht_sequency, 0, frame))
 print("\n2-D coefficients of a smooth ramp (energy in the corner):")
 print(np.round(cf, 3))
 
@@ -39,12 +41,15 @@ print("first 6 zig-zag positions on a 4x4 grid:",
       [(int(i), int(j)) for i, j in zigzag_indices(4, 4, 6)])
 
 # Haar analysis concentrates piecewise-constant frames on few coefficients.
+# HaarBasis acts on band-by-pixel matrices, one flattened frame per band.
 steps = np.kron(np.array([[1.0, 3.0], [2.0, 5.0]]), np.ones((4, 4)))
-hc = haar2d(steps)
+haar = HaarBasis(8, 8)
+x = as_band_pixel_matrix(Datacube(steps[:, :, None]))
+hc = haar.analyze(x)
 print("\nHaar coefficients of a 2x2 block image: %d of %d are nonzero"
       % (np.count_nonzero(np.abs(hc) > 1e-12), hc.size))
-print("round trip error:",
-      np.abs(haar2d(hc, direction="synthesis") - steps).max())
+back = cube_from_matrix(haar.synthesize(hc), 8, 8).data[:, :, 0]
+print("round trip error:", np.abs(back - steps).max())
 
 # A spectral basis learned from sample spectra diagonalizes their second
 # moments; for spectra drawn from two atoms only two directions matter.

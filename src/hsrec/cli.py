@@ -284,3 +284,7 @@ def main(argv=None):
 
 def console_entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

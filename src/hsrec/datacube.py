@@ -11,17 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def pixel_linear_index(i, j, n_v):
-    """Column index of pixel (i, j) in the band-by-pixel matrix."""
-    if n_v < 1:
-        raise ValueError(f"n_v must be positive, got {n_v}")
-    if not 0 <= i < n_v:
-        raise IndexError(f"row index {i} outside [0, {n_v})")
-    if j < 0:
-        raise IndexError(f"column index {j} is negative")
-    return i + j * n_v
-
-
 @dataclass(frozen=True, eq=False)
 class Datacube:
     """Immutable-shape cube; data indexed [row, column, band], float64."""

@@ -15,7 +15,7 @@ from . import rng
 from .datacube import Datacube, as_band_pixel_matrix
 from .sensing import (SpatialProjector, SpectralProjector, acquire,
                       default_lowpass_counts, rates_to_counts)
-from .solvers import SolverConfig, apg_bpdn, recover_hybrid
+from .solvers import SolverConfig, apg_bpdn, recover_hybrid, relative_error
 from .transforms import HaarBasis, learn_spectral_basis
 
 
@@ -73,17 +73,6 @@ def generate_phantom(spec):
 
     data = signatures[labels]  # (n_v, n_h, n_s)
     return Datacube(np.ascontiguousarray(data / data.max()))
-
-
-def relative_error(x_true, x_rec):
-    """||x_true - x_rec||_F^2 / ||x_true||_F^2 (note: squared ratio)."""
-    x_true = np.asarray(x_true, dtype=np.float64)
-    x_rec = np.asarray(x_rec, dtype=np.float64)
-    denom = float(np.sum(x_true * x_true))
-    if denom == 0.0:
-        raise ValueError("ground truth is identically zero")
-    diff = x_true - x_rec
-    return float(np.sum(diff * diff)) / denom
 
 
 def default_bpdn_config():

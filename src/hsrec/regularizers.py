@@ -1,8 +1,9 @@
-"""Nonsmooth penalty building blocks.
+"""Nonsmooth penalty building blocks the solvers call.
 
-Soft thresholding (the prox of a weighted entrywise l1 norm), the
-orthonormally transformed prox, and the isotropic total variation of a
-frame together with an analytic subgradient.
+Soft thresholding (the prox of a weighted entrywise l1 norm; the solvers
+take it on transformed coefficients through solvers.prox_transformed), and
+the isotropic total variation of every band's frame together with an
+analytic subgradient.
 """
 
 import numpy as np
@@ -16,28 +17,6 @@ def prox_l1(z, xi):
         raise ValueError(f"threshold weight must be >= 0, got {xi}")
     z = np.asarray(z, dtype=np.float64)
     return np.sign(z) * np.maximum(np.abs(z) - xi, 0.0)
-
-
-def _check_orthonormal(m, name):
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if np.abs(m.T @ m - np.eye(m.shape[0])).max() > 1e-8:
-        raise ValueError(f"{name} is not orthonormal")
-    return m
-
-
-def prox_transformed(z, xi, a, b=None):
-    """Prox of xi*||A^T U B||_1 for orthonormal A, B: A soft(A^T Z B) B^T.
-
-    Omitting B applies the transform on the left only (B = identity).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    a = _check_orthonormal(a, "left transform")
-    if b is None:
-        return a @ prox_l1(a.T @ z, xi)
-    b = _check_orthonormal(b, "right transform")
-    return a @ prox_l1(a.T @ z @ b, xi) @ b.T
 
 
 def _forward_diffs(frames):
@@ -65,35 +44,16 @@ def _tv_value_and_grad(frames):
     return value, g
 
 
-def tv(frm):
-    """Isotropic total variation: sum of forward-difference pair norms."""
-    frm = np.asarray(frm, dtype=np.float64)
-    if frm.ndim != 2:
-        raise ValueError(f"expected a frame, got shape {frm.shape}")
-    value, _ = _tv_value_and_grad(frm)
-    return float(value)
-
-
-def tv_subgradient(frm):
-    """A subgradient of tv at the frame.
-
-    Entry (i, j) sums three contributions: +dv(i-1,j)/||d(i-1,j)|| when
-    i > 0, +dh(i,j-1)/||d(i,j-1)|| when j > 0, and -(dv+dh)(i,j)/||d(i,j)||,
-    each dropped where the pair norm is zero. Equals the gradient wherever
-    tv is differentiable.
-    """
-    frm = np.asarray(frm, dtype=np.float64)
-    if frm.ndim != 2:
-        raise ValueError(f"expected a frame, got shape {frm.shape}")
-    _, g = _tv_value_and_grad(frm)
-    return g
-
-
 def tv_sum_and_subgradient(x, n_v, n_h):
     """Total variation summed over all bands plus the stacked subgradient.
 
     x is a band-by-pixel matrix; returns (sum of per-frame tv, matrix whose
-    row k is the flattened subgradient of frame k).
+    row k is the flattened subgradient of frame k). A frame's tv is the sum
+    of its forward-difference pair norms ||d(i,j)|| = ||(dv, dh)(i,j)||.
+    Subgradient entry (i, j) sums three contributions: +dv(i-1,j)/||d(i-1,j)||
+    when i > 0, +dh(i,j-1)/||d(i,j-1)|| when j > 0, and
+    -(dv+dh)(i,j)/||d(i,j)||, each dropped where the pair norm is zero. It
+    equals the gradient wherever tv is differentiable.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != n_v * n_h:

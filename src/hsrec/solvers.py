@@ -6,9 +6,13 @@ extrapolation, stopping on the relative change of the extrapolated iterate.
 The loop projects each iterate once; the residual and the TV pair it keeps
 give both the iterate's cost and the next gradient step.
 
+Both solvers share one nonsmooth step, prox_transformed: the prox of an l1
+norm on the coefficients W Psi^T x, with Psi a spectral basis and W an
+optional frame-wise spatial basis. The same coefficients give the l1 term
+of the cost.
+
 - apg_bpdn: least squares plus an l1 penalty on coefficients in an
-  orthonormal spectral basis and a frame-wise orthonormal wavelet basis;
-  the prox is soft thresholding in the transformed domain.
+  orthonormal spectral basis and a frame-wise orthonormal wavelet basis.
 - recover_hybrid: least squares plus a total-variation term (handled by a
   subgradient inside the gradient step) and an l1 penalty on spectral-basis
   coefficients only. Any invertible spectral basis works: the
@@ -79,10 +83,6 @@ class Trace:
     def iterations(self):
         return len(self.cost)
 
-    def best_cost(self):
-        """Running minimum of the objective (non-increasing by construction)."""
-        return np.minimum.accumulate(self.cost)
-
 
 def fista_momentum(alpha_prev):
     """Next momentum parameter and extrapolation weight.
@@ -110,26 +110,50 @@ def relative_change(x_new, x_prev):
     return num / den if den > 0.0 else float("inf")
 
 
-def _truth_metric(x, x_truth, truth_norm2):
-    diff = x - x_truth
-    return float(np.sum(diff * diff)) / truth_norm2
+def relative_error(x_true, x_rec):
+    """||x_true - x_rec||_F^2 / ||x_true||_F^2 (note: squared ratio)."""
+    x_true = np.asarray(x_true, dtype=np.float64)
+    x_rec = np.asarray(x_rec, dtype=np.float64)
+    denom = float(np.sum(x_true * x_true))
+    if denom == 0.0:
+        raise ValueError("ground truth is identically zero")
+    diff = x_true - x_rec
+    return float(np.sum(diff * diff)) / denom
 
 
-def _run(measurements, basis, config, tv_weight, prox_fn, penalty_fn, x_truth):
+def _coefficients(x, spectral_basis, spatial_basis):
+    """W Psi^T x: the coefficients the l1 term weighs (W omitted when None)."""
+    coeff = basis_apply(spectral_basis, x, "analysis")
+    return coeff if spatial_basis is None else spatial_basis.analyze(coeff)
+
+
+def prox_transformed(z, xi, spectral_basis, spatial_basis=None):
+    """Band-space prox of xi * ||W Psi^T X||_1: Psi^-T W^T soft(W Psi^T z).
+
+    Psi is the spectral basis and W the frame-wise orthonormal spatial basis
+    (a HaarBasis), the identity when omitted. For an orthonormal Psi this
+    is the Euclidean prox Psi W^T soft(W Psi^T z). For a general invertible
+    Psi it is the coefficient-space prox r -> soft(r), r = Psi^T x, mapped
+    back to band space.
+    """
+    shrunk = prox_l1(_coefficients(z, spectral_basis, spatial_basis), xi)
+    if spatial_basis is not None:
+        shrunk = spatial_basis.synthesize(shrunk)
+    return basis_apply(spectral_basis, shrunk, "pinv_synthesis")
+
+
+def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
+         config, x_truth):
     """The accelerated proximal loop every solver runs.
 
     Each iterate x is projected once and, when tv_weight > 0, TV-differentiated
     once: the residual y - project(x) and the TV pair give both the cost of x
     and the next gradient step from x. The step is preconditioned by
-    (Psi Psi^T)^-1, the identity for an orthonormal basis; penalty_fn(x) is
-    the weighted l1 term of the cost.
+    (Psi Psi^T)^-1, the identity for an orthonormal basis. The l1 term weighs
+    the coefficients W Psi^T x by l1_weight; a zero weight skips its prox.
     """
     y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
-    if x_truth is not None:
-        x_truth = np.asarray(x_truth, dtype=np.float64)
-        truth_norm2 = float(np.sum(x_truth * x_truth))
-        if truth_norm2 == 0.0:
-            raise ValueError("ground truth is identically zero")
+    xi = config.step_size * l1_weight
 
     def data_terms(x):
         resid = y - project(x, sp, pp)
@@ -150,8 +174,11 @@ def _run(measurements, basis, config, tv_weight, prox_fn, penalty_fn, x_truth):
             if tv_grad is not None:
                 g = g - tv_weight * tv_grad
                 tv_grad = None  # freed before the next iterate's is computed
-            x_tilde = prox_fn(
-                x + config.step_size * basis_apply(basis, g, "gram_inverse"))
+            x_tilde = x + config.step_size * basis_apply(spectral_basis, g,
+                                                         "gram_inverse")
+            if l1_weight > 0:
+                x_tilde = prox_transformed(x_tilde, xi, spectral_basis,
+                                           spatial_basis)
             if config.accelerate:
                 alpha, weight = fista_momentum(alpha)
             else:
@@ -159,13 +186,15 @@ def _run(measurements, basis, config, tv_weight, prox_fn, penalty_fn, x_truth):
             x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
             rel = relative_change(x_next, x)
             resid, tv_total, tv_grad = data_terms(x_next)
-            cost = (0.5 * float(np.sum(resid * resid)) + tv_weight * tv_total
-                    + penalty_fn(x_next))
+            cost = 0.5 * float(np.sum(resid * resid)) + tv_weight * tv_total
+            if l1_weight > 0:
+                cost += l1_weight * float(np.abs(_coefficients(
+                    x_next, spectral_basis, spatial_basis)).sum())
             rels.append(rel)
             costs.append(cost)
             snorms.append(float(np.linalg.norm(g)))
             if x_truth is not None:
-                terrs.append(_truth_metric(x_next, x_truth, truth_norm2))
+                terrs.append(relative_error(x_truth, x_next))
             # a steady geometric blow-up can run to max-iters before the
             # cost overflows; growth far past the first cost catches it
             if (rel > _DIVERGENCE_LIMIT or not np.isfinite(cost)
@@ -206,20 +235,8 @@ def apg_bpdn(measurements, spatial_basis, spectral_basis, config, x_truth=None):
     _check_bands(spectral_basis, sp)
     if (spatial_basis.n_v, spatial_basis.n_h) != (pp.n_v, pp.n_h):
         raise ValueError("spatial basis grid does not match the projector")
-    xi = config.step_size * config.gamma
-
-    def analyze(x):
-        return spatial_basis.analyze(basis_apply(spectral_basis, x, "analysis"))
-
-    def prox(z):
-        shrunk = prox_l1(analyze(z), xi)
-        return basis_apply(spectral_basis, spatial_basis.synthesize(shrunk),
-                           "synthesis")
-
-    def penalty(x):
-        return config.gamma * float(np.abs(analyze(x)).sum())
-
-    return _run(measurements, spectral_basis, config, 0.0, prox, penalty, x_truth)
+    return _run(measurements, spectral_basis, spatial_basis, 0.0, config.gamma,
+                config, x_truth)
 
 
 def recover_hybrid(measurements, spectral_basis, config, x_truth=None):
@@ -235,20 +252,8 @@ def recover_hybrid(measurements, spectral_basis, config, x_truth=None):
     step and Psi soft(Psi^T z). Returns (recovered band-by-pixel matrix, Trace).
     """
     _check_bands(spectral_basis, measurements.spectral)
-    xi = config.step_size * config.gamma2
-
-    def prox(z):
-        if config.gamma2 == 0:
-            return z
-        shrunk = prox_l1(basis_apply(spectral_basis, z, "analysis"), xi)
-        return basis_apply(spectral_basis, shrunk, "pinv_synthesis")
-
-    def penalty(x):
-        coeff = basis_apply(spectral_basis, x, "analysis")
-        return config.gamma2 * float(np.abs(coeff).sum())
-
-    return _run(measurements, spectral_basis, config, config.gamma1, prox,
-                penalty, x_truth)
+    return _run(measurements, spectral_basis, None, config.gamma1,
+                config.gamma2, config, x_truth)
 
 
 # The dictionary route of the paper is recover_hybrid under a

@@ -102,17 +102,6 @@ def fwht_sequency(v):
     return _walsh_matrix(len(v)) @ v
 
 
-def wht2d(frm):
-    """Separable 2-D sequency Walsh-Hadamard coefficients of a frame.
-
-    Transforms columns then rows; self-inverse, energy preserving.
-    """
-    frm = np.asarray(frm, dtype=np.float64)
-    if frm.ndim != 2:
-        raise ValueError(f"expected a frame, got shape {frm.shape}")
-    return _walsh_matrix(frm.shape[0]) @ frm @ _walsh_matrix(frm.shape[1]).T
-
-
 def zigzag_indices(n_v, n_h, count=None):
     """(row, col) pairs in JPEG-style zig-zag order over an n_v x n_h grid.
 
@@ -137,29 +126,6 @@ def zigzag_indices(n_v, n_h, count=None):
     return np.concatenate(pieces)
 
 
-def _haar_frames(frames, inverse=False):
-    """Analysis H_v F H_h^T, or synthesis H_v^T C H_h, of (..., n_v, n_h) frames."""
-    hv, hh = _haar_matrix(frames.shape[-2]), _haar_matrix(frames.shape[-1])
-    return hv.T @ frames @ hh if inverse else hv @ frames @ hh.T
-
-
-def haar2d(frm, direction="analysis"):
-    """Full-depth orthonormal 2-D Haar transform of a frame.
-
-    direction "analysis" maps a frame to wavelet coefficients, "synthesis"
-    inverts; the two compose to the identity.
-    """
-    frm = np.asarray(frm, dtype=np.float64)
-    if frm.ndim != 2:
-        raise ValueError(f"expected a frame, got shape {frm.shape}")
-    _check_pow2(frm.shape[0], "frame rows", MAX_WALSH_LENGTH)
-    _check_pow2(frm.shape[1], "frame cols", MAX_WALSH_LENGTH)
-    if direction not in ("analysis", "synthesis"):
-        raise ValueError(
-            f"direction must be 'analysis' or 'synthesis', got {direction!r}")
-    return _haar_frames(frm, inverse=direction == "synthesis")
-
-
 class HaarBasis:
     """Frame-wise orthonormal 2-D Haar acting on band-by-pixel matrices.
 
@@ -178,8 +144,11 @@ class HaarBasis:
         if x.ndim != 2 or x.shape[1] != self.n_v * self.n_h:
             raise ValueError(
                 f"expected (bands, {self.n_v * self.n_h}) matrix, got {x.shape}")
+        # analysis H_v F H_h^T, synthesis H_v^T C H_h, on every frame at once
         frames = frames_from_matrix(x, self.n_v, self.n_h)
-        return matrix_from_frames(_haar_frames(frames, inverse))
+        hv, hh = _haar_matrix(self.n_v), _haar_matrix(self.n_h)
+        return matrix_from_frames(
+            hv.T @ frames @ hh if inverse else hv @ frames @ hh.T)
 
     def analyze(self, x):
         return self._apply(x, inverse=False)
@@ -220,10 +189,6 @@ class SpectralBasis:
     @property
     def n_s(self):
         return self.matrix.shape[0]
-
-
-def identity_basis(n):
-    return SpectralBasis(np.eye(n))
 
 
 def learn_spectral_basis(samples):

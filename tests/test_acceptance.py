@@ -14,15 +14,14 @@ from hsrec.harness import (ExperimentSpec, PhantomSpec, default_bpdn_config,
                            default_hybrid_config, generate_phantom,
                            relative_error, run_experiment,
                            sample_training_columns)
-from hsrec.regularizers import prox_l1, prox_transformed, tv, tv_subgradient
+from hsrec.regularizers import prox_l1, tv_sum_and_subgradient
 from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, default_lowpass_counts, project,
                            rates_to_counts)
-from hsrec.solvers import (SolverConfig, apg_bpdn, recover_hybrid,
-                           recover_hybrid_nonortho)
-from hsrec.transforms import (HaarBasis, SpectralBasis, fwht_sequency, haar2d,
-                              identity_basis, learn_spectral_basis,
-                              zigzag_indices)
+from hsrec.solvers import (SolverConfig, apg_bpdn, prox_transformed,
+                           recover_hybrid, recover_hybrid_nonortho)
+from hsrec.transforms import (HaarBasis, SpectralBasis, fwht_sequency,
+                              learn_spectral_basis, zigzag_indices)
 from oracles import (haar_matrix, prox_l1_grid, prox_transformed_error,
                      spatial_matrix, spectral_matrix)
 
@@ -64,27 +63,47 @@ def test_criterion_1_projection_count_reproduction():
 
 
 def test_criterion_2_prox_against_numeric_minimizer():
+    # both routes of the solvers' prox: spectral only (hybrid) and spectral
+    # plus frame-wise Haar on 2x4 frames (bpdn), whose right transform is
+    # kron(H_4, H_2)^T for column-major frames
     t0 = time.monotonic()
     gen = np.random.default_rng(100)
+    haar = HaarBasis(2, 4)
+    b_haar = np.kron(haar_matrix(4), haar_matrix(2)).T
     worst_plain = 0.0
-    worst_transformed = 0.0
+    worst_spectral = 0.0
+    worst_haar = 0.0
     for k in range(50):
         z = gen.normal(size=(4, 4))
         xi = float(0.05 + 0.4 * gen.random())
         worst_plain = max(worst_plain,
                           np.abs(prox_l1(z, xi) - prox_l1_grid(z, xi)).max())
         qa, _ = np.linalg.qr(gen.normal(size=(4, 4)))
-        qb, _ = np.linalg.qr(gen.normal(size=(4, 4)))
-        worst_transformed = max(worst_transformed, prox_transformed_error(
-            prox_transformed(z, xi, qa, qb), z, xi, qa, qb))
+        basis = SpectralBasis(qa)
+        worst_spectral = max(worst_spectral, prox_transformed_error(
+            prox_transformed(z, xi, basis), z, xi, qa, np.eye(4)))
+        # the draw that gave the old right transform widens z to 2x4 frames,
+        # so z, xi and qa stay the instances this criterion always used
+        z8 = np.hstack([z, gen.normal(size=(4, 4))])
+        worst_haar = max(worst_haar, prox_transformed_error(
+            prox_transformed(z8, xi, basis, haar), z8, xi, qa, b_haar))
     elapsed = time.monotonic() - t0
-    ok = worst_plain <= 1e-3 and worst_transformed <= 1e-3 and elapsed < 10.0
+    ok = (worst_plain <= 1e-3 and worst_spectral <= 1e-3
+          and worst_haar <= 1e-3 and elapsed < 10.0)
     _report(2, "prox oracle over 50 random instances", ok,
-            f"plain {worst_plain:.2e}, transformed {worst_transformed:.2e}, "
-            f"{elapsed:.1f}s")
+            f"plain {worst_plain:.2e}, spectral {worst_spectral:.2e}, "
+            f"spectral+haar {worst_haar:.2e}, {elapsed:.1f}s")
     assert worst_plain <= 1e-3
-    assert worst_transformed <= 1e-3
+    assert worst_spectral <= 1e-3
+    assert worst_haar <= 1e-3
     assert elapsed < 10.0
+
+
+def _frame_tv(frm):
+    """tv and its subgradient of one frame, through the solvers' band sum."""
+    total, sub = tv_sum_and_subgradient(frm.reshape(1, -1, order="F"),
+                                        *frm.shape)
+    return total, sub.reshape(frm.shape, order="F")
 
 
 def test_criterion_3_tv_subgradient_oracle():
@@ -96,20 +115,22 @@ def test_criterion_3_tv_subgradient_oracle():
         # strictly monotone frames keep every difference pair nonzero,
         # so tv is differentiable there
         frm = np.cumsum(np.cumsum(0.5 + gen.random((8, 8)), axis=0), axis=1)
-        g = tv_subgradient(frm)
+        g = _frame_tv(frm)[1]
         fd = np.zeros_like(frm)
         for i in range(8):
             for j in range(8):
                 e = np.zeros_like(frm)
                 e[i, j] = h
-                fd[i, j] = (tv(frm + e) - tv(frm - e)) / (2 * h)
+                fd[i, j] = (_frame_tv(frm + e)[0]
+                            - _frame_tv(frm - e)[0]) / (2 * h)
         worst_rel = max(worst_rel,
                         np.linalg.norm(g - fd) / np.linalg.norm(fd))
     worst_slack = np.inf
     for _ in range(200):
         v = gen.normal(size=(8, 8))
         w = gen.normal(size=(8, 8))
-        slack = tv(w) - tv(v) - float(np.sum(tv_subgradient(v) * (w - v)))
+        tv_v, g_v = _frame_tv(v)
+        slack = _frame_tv(w)[0] - tv_v - float(np.sum(g_v * (w - v)))
         worst_slack = min(worst_slack, slack)
     elapsed = time.monotonic() - t0
     ok = worst_rel <= 1e-5 and worst_slack >= -1e-9 and elapsed < 10.0
@@ -188,9 +209,13 @@ def test_criterion_5_transform_suite():
             ok_sequency &= int(np.sum(signs[1:] != signs[:-1])) == k
     f = gen.normal(size=(16, 16))
     hm = haar_matrix(16)
+    haar = HaarBasis(16, 16)
+    x = f.reshape(1, -1, order="F")
+    coeff = haar.analyze(x)
     ok_haar = bool(
-        np.allclose(haar2d(haar2d(f), direction="synthesis"), f, atol=1e-12)
-        and np.allclose(haar2d(f), hm @ f @ hm.T, atol=1e-12))
+        np.allclose(haar.synthesize(coeff), x, atol=1e-12)
+        and np.allclose(coeff[0].reshape(16, 16, order="F"), hm @ f @ hm.T,
+                        atol=1e-12))
     ok_zigzag = True
     for n_v, n_h in ((4, 4), (8, 2), (1, 16), (16, 16)):
         idx = zigzag_indices(n_v, n_h)
@@ -208,9 +233,10 @@ def test_criterion_5_transform_suite():
 def test_criterion_6_full_sampling_sanity():
     t0 = time.monotonic()
     x, meas, _ = _standard_instance(1.0, 1.0, sigma=0.0, seed=0)
-    x_b, trace_b = apg_bpdn(meas, HaarBasis(32, 32), identity_basis(16),
+    ident = SpectralBasis(np.eye(16))
+    x_b, trace_b = apg_bpdn(meas, HaarBasis(32, 32), ident,
                             SolverConfig(gamma=1e-8))
-    x_h, trace_h = recover_hybrid(meas, identity_basis(16),
+    x_h, trace_h = recover_hybrid(meas, ident,
                                   SolverConfig(gamma1=1e-8, gamma2=1e-8))
     err_b, err_h = relative_error(x, x_b), relative_error(x, x_h)
     elapsed = time.monotonic() - t0
@@ -263,7 +289,7 @@ def test_criterion_8_convergence_diagnostics():
         traces.append(apg_bpdn(meas, HaarBasis(32, 32), basis,
                                default_bpdn_config())[1])
         traces.append(recover_hybrid(meas, basis, default_hybrid_config())[1])
-    monotone = all(np.all(np.diff(t.best_cost()) <= 0.0) for t in traces)
+    monotone = all(np.all(np.diff(t.cost) <= 0.0) for t in traces)
     bounded = all(np.all(np.isfinite(t.subgrad_norm)) for t in traces)
 
     # non-accelerated fixed-step run must flatten out within the budget
@@ -272,13 +298,14 @@ def test_criterion_8_convergence_diagnostics():
         meas, basis,
         SolverConfig(gamma1=2e-4, gamma2=2e-4, tau=1e-16, max_iters=200,
                      accelerate=False))
-    best = plateau_trace.best_cost()
+    # without acceleration the raw cost wobbles; judge its running minimum
+    best = np.minimum.accumulate(plateau_trace.cost)
     improvement = (best[-21] - best[-1]) / best[-21]
     elapsed = time.monotonic() - t0
     ok = (monotone and bounded and plateau_trace.iterations == 200
           and improvement < 1e-6 and elapsed < 120.0)
     _report(8, "convergence diagnostics", ok,
-            f"best-cost monotone {monotone}, subgradients bounded {bounded}, "
+            f"cost monotone {monotone}, subgradients bounded {bounded}, "
             f"final-20 improvement {improvement:.2e}, {elapsed:.1f}s")
     assert monotone and bounded
     assert plateau_trace.iterations == 200

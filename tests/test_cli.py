@@ -1,10 +1,15 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsrec
 from hsrec.cli import main
 from hsrec.datacube import as_band_pixel_matrix
 from hsrec.formats import read_cube, read_measurements
@@ -47,6 +52,19 @@ def test_phantom_single_region_constant_frames(tmp_path):
     path = _make_phantom(tmp_path, regions=1, nv=8, nh=8, ns=4)
     x = as_band_pixel_matrix(read_cube(path))
     assert np.all(x.max(axis=1) == x.min(axis=1))
+
+
+def test_module_entry_runs_a_command(tmp_path):
+    # python -m hsrec.cli is the same command line as the hsrec script
+    out = tmp_path / "cube.hsc"
+    env = dict(os.environ, PYTHONPATH=str(Path(hsrec.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hsrec.cli", "phantom", "--out", str(out),
+         "--nv", "8", "--nh", "8", "--ns", "4"],
+        env=env, cwd=tmp_path, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    cube = read_cube(out)
+    assert (cube.n_v, cube.n_h, cube.n_s) == (8, 8, 4)
 
 
 def test_phantom_rejects_non_power_of_two(tmp_path, capsys):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hsrec.datacube import (Datacube, as_band_pixel_matrix, cube_from_matrix,
-                            pixel_linear_index)
+from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
 
 
 def random_cube(n_v, n_h, n_s, seed=0):
@@ -11,20 +10,12 @@ def random_cube(n_v, n_h, n_s, seed=0):
 
 
 def test_pixel_linear_index_values():
-    assert pixel_linear_index(0, 0, 4) == 0
-    assert pixel_linear_index(2, 3, 4) == 14
-    assert pixel_linear_index(3, 0, 4) == 3
-
-
-def test_pixel_linear_index_bounds():
-    with pytest.raises(IndexError):
-        pixel_linear_index(4, 0, 4)
-    with pytest.raises(IndexError):
-        pixel_linear_index(-1, 0, 4)
-    with pytest.raises(IndexError):
-        pixel_linear_index(0, -1, 4)
-    with pytest.raises(ValueError):
-        pixel_linear_index(0, 0, 0)
+    # pixel (i, j) of an n_v-row frame sits at column i + j * n_v
+    data = np.arange(16, dtype=np.float64).reshape(4, 4, 1)
+    x = as_band_pixel_matrix(Datacube(data))
+    assert x[0, 0] == data[0, 0, 0]
+    assert x[0, 14] == data[2, 3, 0]
+    assert x[0, 3] == data[3, 0, 0]
 
 
 def test_cube_validation():
@@ -58,7 +49,7 @@ def test_matrix_row_is_column_major_frame():
     for i in range(3):
         for j in range(4):
             for k in range(2):
-                assert x[k, pixel_linear_index(i, j, 3)] == cube.data[i, j, k]
+                assert x[k, i + j * 3] == cube.data[i, j, k]
 
 
 def test_matrix_round_trip():

@@ -25,7 +25,7 @@ from hsrec.formats import (read_cube, read_measurements, write_cube,
 from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, project)
 from hsrec.transforms import (MAX_WALSH_LENGTH, HaarBasis, _haar_matrix,
-                              _walsh_matrix, haar2d)
+                              _walsh_matrix)
 from oracles import haar_matrix, walsh_matrix
 
 CASES = ("q=0", "0<q<m", "q=m", "m=n")
@@ -141,7 +141,7 @@ def test_haar_length_is_capped():
     with pytest.raises(ValueError, match="frame rows must be at most"):
         HaarBasis(4096, 1)
     with pytest.raises(ValueError, match="frame cols must be at most"):
-        haar2d(np.zeros((1, 4096)))
+        HaarBasis(1, 4096)
 
 
 @_settings
@@ -152,8 +152,9 @@ def test_haar_basis_inverts_and_acts_frame_wise(n_v, n_h, bands, seed):
     basis = HaarBasis(n_v, n_h)
     coeff = basis.analyze(x)
     assert np.abs(basis.synthesize(coeff) - x).max() <= 1e-12
+    hv, hh = haar_matrix(n_v), haar_matrix(n_h)
     per_frame = matrix_from_frames(np.stack(
-        [haar2d(f) for f in frames_from_matrix(x, n_v, n_h)]))
+        [hv @ f @ hh.T for f in frames_from_matrix(x, n_v, n_h)]))
     assert np.abs(coeff - per_frame).max() <= 1e-12
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hsrec.regularizers import (prox_l1, prox_transformed, tv, tv_subgradient,
-                                tv_sum_and_subgradient)
-from oracles import prox_l1_grid, prox_transformed_error
+from hsrec.regularizers import prox_l1, tv_sum_and_subgradient
+from hsrec.solvers import prox_transformed
+from hsrec.transforms import HaarBasis, SpectralBasis
+from oracles import haar_matrix, prox_l1_grid, prox_transformed_error
 
 
 # ---------------------------------------------------------------- soft threshold
@@ -51,73 +52,76 @@ def test_prox_l1_optimality():
 
 def test_prox_transformed_identity_reduces_to_prox_l1():
     z = np.random.default_rng(3).normal(size=(4, 4))
-    want = prox_l1(z, 0.2)
-    assert np.allclose(prox_transformed(z, 0.2, np.eye(4), np.eye(4)), want,
+    ident = SpectralBasis(np.eye(4))
+    assert np.allclose(prox_transformed(z, 0.2, ident), prox_l1(z, 0.2),
                        atol=1e-12)
-    assert np.allclose(prox_transformed(z, 0.2, np.eye(4)), want, atol=1e-12)
+    # the Haar transform of a one-pixel frame is the identity too
+    z1 = z[:, :1]
+    assert np.allclose(prox_transformed(z1, 0.2, ident, HaarBasis(1, 1)),
+                       prox_l1(z1, 0.2), atol=1e-12)
 
 
 def test_prox_transformed_zero_weight_is_identity():
     gen = np.random.default_rng(4)
     q, _ = np.linalg.qr(gen.normal(size=(4, 4)))
-    z = gen.normal(size=(4, 4))
-    assert np.allclose(prox_transformed(z, 0.0, q, q), z, atol=1e-12)
-
-
-def test_prox_transformed_rejects_non_orthonormal():
-    z = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        prox_transformed(z, 0.1, 2.0 * np.eye(3))
-    with pytest.raises(ValueError):
-        prox_transformed(z, 0.1, np.eye(3), np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        prox_transformed(z, 0.1, np.eye(4)[:3])
+    z = gen.normal(size=(4, 8))
+    assert np.allclose(prox_transformed(z, 0.0, SpectralBasis(q),
+                                        HaarBasis(2, 4)), z, atol=1e-12)
 
 
 def test_prox_transformed_matches_oracle():
     gen = np.random.default_rng(5)
     qa, _ = np.linalg.qr(gen.normal(size=(4, 4)))
-    qb, _ = np.linalg.qr(gen.normal(size=(4, 4)))
-    z = gen.normal(size=(4, 4))
+    z = gen.normal(size=(4, 8))
     xi = 0.15
-    assert prox_transformed_error(prox_transformed(z, xi, qa, qb), z, xi,
-                                  qa, qb) <= 1e-3
+    # HaarBasis(2, 4) maps each column-major 2x4 frame by kron(H_4, H_2)
+    b = np.kron(haar_matrix(4), haar_matrix(2)).T
+    got = prox_transformed(z, xi, SpectralBasis(qa), HaarBasis(2, 4))
+    assert prox_transformed_error(got, z, xi, qa, b) <= 1e-3
 
 
 # ---------------------------------------------------------------- total variation
 
+def _frame_tv(frm):
+    """tv and its subgradient of one frame, through the band-sum entry point."""
+    frm = np.asarray(frm, dtype=np.float64)
+    total, sub = tv_sum_and_subgradient(frm.reshape(1, -1, order="F"),
+                                        *frm.shape)
+    return total, sub.reshape(frm.shape, order="F")
+
+
 def test_tv_flat_frame_is_zero():
-    assert tv(np.full((5, 7), 2.5)) == 0.0
-    assert tv(np.zeros((1, 1))) == 0.0
+    assert _frame_tv(np.full((5, 7), 2.5))[0] == 0.0
+    assert _frame_tv(np.zeros((1, 1)))[0] == 0.0
 
 
 def test_tv_single_step_frame():
     # one horizontal jump of height 1 per row
-    assert tv(np.array([[0.0, 1.0], [0.0, 1.0]])) == pytest.approx(2.0)
+    assert _frame_tv([[0.0, 1.0], [0.0, 1.0]])[0] == pytest.approx(2.0)
 
 
 def test_tv_rejects_non_frames():
     with pytest.raises(ValueError):
-        tv(np.zeros(4))
+        tv_sum_and_subgradient(np.zeros(4), 2, 2)
     with pytest.raises(ValueError):
-        tv_subgradient(np.zeros((2, 2, 2)))
+        tv_sum_and_subgradient(np.zeros((2, 2, 2)), 2, 2)
 
 
 def test_tv_subgradient_flat_frame_is_zero():
-    assert not tv_subgradient(np.full((4, 6), 3.0)).any()
+    assert not _frame_tv(np.full((4, 6), 3.0))[1].any()
 
 
 def test_tv_subgradient_matches_finite_differences():
     # strictly positive pair norms keep tv differentiable at this frame
     gen = np.random.default_rng(6)
     frm = np.cumsum(np.cumsum(1.0 + gen.random((5, 4)), axis=0), axis=1)
-    g = tv_subgradient(frm)
+    g = _frame_tv(frm)[1]
     h = 1e-6
     for i in range(5):
         for j in range(4):
             e = np.zeros_like(frm)
             e[i, j] = h
-            fd = (tv(frm + e) - tv(frm - e)) / (2 * h)
+            fd = (_frame_tv(frm + e)[0] - _frame_tv(frm - e)[0]) / (2 * h)
             assert g[i, j] == pytest.approx(fd, abs=1e-5)
 
 
@@ -125,22 +129,20 @@ def test_tv_subgradient_inequality():
     # tv(w) >= tv(v) + <g, w - v> must hold for every frame w
     gen = np.random.default_rng(7)
     v = gen.normal(size=(4, 4))
-    g = tv_subgradient(v)
-    base = tv(v)
+    base, g = _frame_tv(v)
     for _ in range(50):
         w = gen.normal(size=(4, 4))
-        assert tv(w) >= base + float(np.sum(g * (w - v))) - 1e-10
+        assert _frame_tv(w)[0] >= base + float(np.sum(g * (w - v))) - 1e-10
 
 
 def test_tv_sum_over_bands():
     gen = np.random.default_rng(8)
     x = gen.normal(size=(2, 16))
-    frames = [x[k].reshape(4, 4, order="F") for k in range(2)]
+    per_band = [_frame_tv(x[k].reshape(4, 4, order="F")) for k in range(2)]
     total, sub = tv_sum_and_subgradient(x, 4, 4)
-    assert total == pytest.approx(tv(frames[0]) + tv(frames[1]))
+    assert total == pytest.approx(per_band[0][0] + per_band[1][0])
     for k in range(2):
-        assert np.allclose(sub[k],
-                           tv_subgradient(frames[k]).flatten(order="F"),
+        assert np.allclose(sub[k], per_band[k][1].flatten(order="F"),
                            atol=1e-12)
 
 

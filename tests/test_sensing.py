@@ -6,8 +6,8 @@ from hsrec import rng
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts,
                            operator_norm_estimate, project, rates_to_counts)
-from hsrec.transforms import fwht_sequency, wht2d, zigzag_indices
-from oracles import spatial_matrix, spectral_matrix
+from hsrec.transforms import fwht_sequency, zigzag_indices
+from oracles import spatial_matrix, spectral_matrix, walsh_matrix
 
 
 # ---------------------------------------------------------------- counts
@@ -109,7 +109,7 @@ def test_pure_lowpass_rows_are_walsh_coefficients():
     # spatial q = m: rows are zig-zag ordered 2-D coefficients
     pp = SpatialProjector(4, 4, 5, 5, seed=9)
     frame = np.random.default_rng(5).normal(size=(4, 4))
-    cf = wht2d(frame)
+    cf = walsh_matrix(4) @ frame @ walsh_matrix(4).T
     got = pp.apply(frame.flatten(order="F")[None, :])[0]
     want = [cf[i, j] for i, j in zigzag_indices(4, 4, 5)]
     assert np.allclose(got, want, atol=1e-12)

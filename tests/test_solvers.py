@@ -16,8 +16,7 @@ from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
 from hsrec.solvers import (DivergenceError, SolverConfig, Trace, apg_bpdn,
                            fista_momentum, recover_hybrid,
                            recover_hybrid_nonortho, relative_change)
-from hsrec.transforms import (HaarBasis, SpectralBasis, identity_basis,
-                              learn_spectral_basis)
+from hsrec.transforms import HaarBasis, SpectralBasis, learn_spectral_basis
 from oracles import haar_matrix, spatial_matrix, spectral_matrix
 
 
@@ -179,12 +178,24 @@ def test_each_iterate_is_projected_and_differentiated_once(monkeypatch):
     assert calls == {"project": n + 1, "adjoint": n + 1}
 
 
+def test_zero_l1_weight_skips_the_prox(monkeypatch):
+    _, meas = _small_measurements()
+    ident = SpectralBasis(np.eye(8))
+    calls = _count_calls(monkeypatch, ("prox_l1",))
+    recover_hybrid(meas, ident, SolverConfig(gamma1=2e-4, max_iters=5))
+    apg_bpdn(meas, HaarBasis(8, 8), ident, SolverConfig(max_iters=5))
+    assert not calls
+    apg_bpdn(meas, HaarBasis(8, 8), ident, SolverConfig(gamma=1e-3,
+                                                        tau=1e-30, max_iters=5))
+    assert calls == {"prox_l1": 5}
+
+
 # ---------------------------------------------------------------- apg_bpdn
 
 def test_apg_bpdn_zero_measurements_fixed_point():
     _, meas = _small_measurements()
     zero = acquire(np.zeros((8, 64)), meas.spectral, meas.spatial, sigma=0.0)
-    x_rec, trace = apg_bpdn(zero, HaarBasis(8, 8), identity_basis(8),
+    x_rec, trace = apg_bpdn(zero, HaarBasis(8, 8), SpectralBasis(np.eye(8)),
                             SolverConfig(gamma=1e-3))
     assert not x_rec.any()
     assert trace.iterations == 1
@@ -198,7 +209,7 @@ def test_apg_bpdn_full_sampling_recovers():
     pp = SpatialProjector(8, 8, 64, 64, seed=0)
     sp = SpectralProjector(8, 8, 8, seed=1)
     meas = acquire(x, sp, pp, sigma=0.0)
-    x_rec, _ = apg_bpdn(meas, HaarBasis(8, 8), identity_basis(8),
+    x_rec, _ = apg_bpdn(meas, HaarBasis(8, 8), SpectralBasis(np.eye(8)),
                         SolverConfig(gamma=1e-6))
     assert relative_error(x, x_rec) <= 1e-3
 
@@ -216,9 +227,11 @@ def test_apg_bpdn_rejects_bad_bases():
         apg_bpdn(meas, HaarBasis(8, 8), SpectralBasis(2.0 * np.eye(8)),
                  SolverConfig())
     with pytest.raises(ValueError):
-        apg_bpdn(meas, HaarBasis(8, 8), identity_basis(4), SolverConfig())
+        apg_bpdn(meas, HaarBasis(8, 8), SpectralBasis(np.eye(4)),
+                 SolverConfig())
     with pytest.raises(ValueError):
-        apg_bpdn(meas, HaarBasis(4, 4), identity_basis(8), SolverConfig())
+        apg_bpdn(meas, HaarBasis(4, 4), SpectralBasis(np.eye(8)),
+                 SolverConfig())
 
 
 # ---------------------------------------------------------------- recover_hybrid
@@ -229,7 +242,7 @@ def test_recover_hybrid_pure_least_squares_full_sampling():
     pp = SpatialProjector(8, 8, 64, 64, seed=2)
     sp = SpectralProjector(8, 8, 8, seed=3)
     meas = acquire(x, sp, pp, sigma=0.0)
-    x_rec, trace = recover_hybrid(meas, identity_basis(8),
+    x_rec, trace = recover_hybrid(meas, SpectralBasis(np.eye(8)),
                                   SolverConfig(gamma1=0.0, gamma2=0.0))
     assert relative_error(x, x_rec) <= 1e-3
     assert trace.reason == "threshold"
@@ -242,11 +255,10 @@ def test_recover_hybrid_beats_bpdn_at_low_rates():
     assert relative_error(x, x_h) < relative_error(x, x_b)
 
 
-def test_recover_hybrid_best_cost_non_increasing():
+def test_recover_hybrid_cost_non_increasing():
     _, meas, basis = _desk_measurements()
     _, trace = recover_hybrid(meas, basis, default_hybrid_config())
-    best = trace.best_cost()
-    assert np.all(np.diff(best) <= 0.0)
+    assert np.all(np.diff(trace.cost) <= 0.0)
     assert np.all(np.isfinite(trace.cost))
     assert np.all(np.isfinite(trace.subgrad_norm))
 
@@ -280,7 +292,7 @@ def test_solvers_deterministic():
 def test_divergence_reports_step_size():
     _, meas = _small_measurements()
     with pytest.raises(DivergenceError, match="step size 100"):
-        recover_hybrid(meas, identity_basis(8),
+        recover_hybrid(meas, SpectralBasis(np.eye(8)),
                        SolverConfig(step_size=100.0, gamma1=2e-4, gamma2=2e-4))
 
 
@@ -353,7 +365,7 @@ def test_nonortho_well_conditioned_dictionary_runs():
                                            default_hybrid_config())
     assert trace.reason in ("threshold", "max-iters")
     assert np.all(np.isfinite(trace.cost))
-    assert np.all(np.diff(trace.best_cost()) <= 0.0)
+    assert np.all(np.diff(trace.cost) <= 0.0)
     assert np.isfinite(relative_error(x, x_rec))
 
 
@@ -369,7 +381,8 @@ def test_scalar_problem_matches_hand_rolled_oracle():
     lam, gamma, tau, budget = 0.25, 0.1, 1e-12, 50
     cfg = SolverConfig(step_size=lam, gamma=gamma, tau=tau, max_iters=budget,
                        accelerate=False)
-    x_rec, trace = apg_bpdn(meas, HaarBasis(1, 1), identity_basis(1), cfg)
+    x_rec, trace = apg_bpdn(meas, HaarBasis(1, 1), SpectralBasis(np.eye(1)),
+                            cfg)
 
     y = float(meas.y[0, 0])
     x = y

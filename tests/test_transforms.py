@@ -3,11 +3,30 @@ import warnings
 import numpy as np
 import pytest
 
+from hsrec.sensing import SpatialProjector
 from hsrec.transforms import (HaarBasis, SpectralBasis, basis_apply,
-                              fwht_sequency, haar2d, identity_basis,
-                              learn_spectral_basis, sequency_row_order, wht2d,
-                              zigzag_indices)
+                              fwht_sequency, learn_spectral_basis,
+                              sequency_row_order, zigzag_indices)
 from oracles import haar_matrix, walsh_matrix, zigzag_order
+
+
+def _wht2d(frm):
+    """2-D sequency Walsh coefficients of a frame, read off a fully sampled
+    low-pass spatial projector (unit scale, rows in zig-zag order)."""
+    n_v, n_h = frm.shape
+    pp = SpatialProjector(n_v, n_h, n_v * n_h, n_v * n_h, seed=0)
+    rows, cols = zigzag_indices(n_v, n_h).T
+    coeff = np.empty((n_v, n_h))
+    coeff[rows, cols] = pp.apply(frm.reshape(1, -1, order="F"))[0]
+    return coeff
+
+
+def _haar2d(frm, direction="analysis"):
+    """One frame through HaarBasis, as a one-band matrix."""
+    basis = HaarBasis(*frm.shape)
+    apply = basis.analyze if direction == "analysis" else basis.synthesize
+    out = apply(frm.reshape(1, -1, order="F"))
+    return out[0].reshape(frm.shape, order="F")
 
 
 # ---------------------------------------------------------------- Walsh
@@ -62,24 +81,25 @@ def test_sequency_rows_have_ascending_sign_changes():
 
 
 def test_wht2d_dc_and_zero():
-    assert np.allclose(wht2d(np.ones((4, 4))), np.eye(4)[0][:, None] * [4, 0, 0, 0])
-    assert not wht2d(np.zeros((2, 8))).any()
+    assert np.allclose(_wht2d(np.ones((4, 4))),
+                       np.eye(4)[0][:, None] * [4, 0, 0, 0])
+    assert not _wht2d(np.zeros((2, 8))).any()
 
 
 def test_wht2d_matches_dense():
     gen = np.random.default_rng(3)
     f = gen.normal(size=(8, 8))
     w = walsh_matrix(8)
-    assert np.allclose(wht2d(f), w @ f @ w.T, atol=1e-12)
+    assert np.allclose(_wht2d(f), w @ f @ w.T, atol=1e-12)
     # rectangular frames transform along each axis independently
     g = gen.normal(size=(4, 16))
-    assert np.allclose(wht2d(g), walsh_matrix(4) @ g @ walsh_matrix(16).T,
+    assert np.allclose(_wht2d(g), walsh_matrix(4) @ g @ walsh_matrix(16).T,
                        atol=1e-12)
 
 
 def test_wht2d_involution():
     f = np.random.default_rng(4).normal(size=(8, 16))
-    assert np.allclose(wht2d(wht2d(f)), f, atol=1e-12)
+    assert np.allclose(_wht2d(_wht2d(f)), f, atol=1e-12)
 
 
 # ---------------------------------------------------------------- zig-zag
@@ -117,29 +137,30 @@ def test_zigzag_prefix_and_count():
 # ---------------------------------------------------------------- Haar
 
 def test_haar_constant_frame():
-    coeff = haar2d(np.full((2, 2), 3.0))
+    coeff = _haar2d(np.full((2, 2), 3.0))
     assert np.isclose(coeff[0, 0], 6.0)
     assert np.allclose(coeff.ravel()[1:], 0.0)
 
 
 def test_haar_round_trip():
     f = np.random.default_rng(5).normal(size=(8, 8))
-    assert np.allclose(haar2d(haar2d(f), direction="synthesis"), f, atol=1e-12)
+    assert np.allclose(_haar2d(_haar2d(f), direction="synthesis"), f,
+                       atol=1e-12)
 
 
 def test_haar_matches_dense():
     gen = np.random.default_rng(6)
     f = gen.normal(size=(4, 4))
     hv = haar_matrix(4)
-    assert np.allclose(haar2d(f), hv @ f @ hv.T, atol=1e-12)
+    assert np.allclose(_haar2d(f), hv @ f @ hv.T, atol=1e-12)
     g = gen.normal(size=(8, 2))
-    assert np.allclose(haar2d(g), haar_matrix(8) @ g @ haar_matrix(2).T,
+    assert np.allclose(_haar2d(g), haar_matrix(8) @ g @ haar_matrix(2).T,
                        atol=1e-12)
 
 
 def test_haar_parseval():
     f = np.random.default_rng(7).normal(size=(16, 8))
-    assert np.isclose(np.linalg.norm(haar2d(f)), np.linalg.norm(f))
+    assert np.isclose(np.linalg.norm(_haar2d(f)), np.linalg.norm(f))
 
 
 def test_haar_basis_acts_frame_wise():
@@ -148,7 +169,7 @@ def test_haar_basis_acts_frame_wise():
     x = gen.normal(size=(3, 32))
     out = basis.analyze(x)
     for k in range(3):
-        per_frame = haar2d(x[k].reshape(8, 4).T)
+        per_frame = haar_matrix(4) @ x[k].reshape(8, 4).T @ haar_matrix(8).T
         assert np.allclose(out[k], per_frame.flatten(order="F"), atol=1e-12)
     assert np.allclose(basis.synthesize(out), x, atol=1e-12)
 
@@ -197,7 +218,7 @@ def test_learn_zero_samples_degenerates_to_identity():
 
 
 def test_spectral_basis_orthonormality_flag():
-    assert identity_basis(3).orthonormal
+    assert SpectralBasis(np.eye(3)).orthonormal
     assert not SpectralBasis(2.0 * np.eye(3)).orthonormal
 
 
@@ -205,7 +226,7 @@ def test_spectral_basis_orthonormality_flag():
 
 def test_basis_apply_identity_all_modes():
     m = np.random.default_rng(10).normal(size=(3, 5))
-    ident = identity_basis(3)
+    ident = SpectralBasis(np.eye(3))
     for mode in ("analysis", "synthesis", "pinv_synthesis", "gram_inverse"):
         assert np.allclose(basis_apply(ident, m, mode), m, atol=1e-12)
 
@@ -236,7 +257,7 @@ def test_basis_apply_pinv_consistency():
 
 
 def test_basis_apply_rejects_bad_input():
-    ident = identity_basis(3)
+    ident = SpectralBasis(np.eye(3))
     with pytest.raises(ValueError):
         basis_apply(ident, np.zeros((3, 3)), "no-such-mode")
     with pytest.raises(ValueError):
