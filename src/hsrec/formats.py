@@ -57,11 +57,15 @@ def read_cube(path):
 
 def write_measurements(path, meas):
     sp, pp = meas.spectral, meas.spatial
+    seeds = (sp.seed, pp.seed, meas.noise_seed)
+    # checked before the file is opened, so a bad header leaves no file
+    if not all(0 <= seed < 1 << 64 for seed in seeds):
+        raise ValueError(f"{path}: seeds must lie in [0, 2^64), got {seeds}")
+    header = _MEAS_HEADER.pack(
+        _MEAS_MAGIC, sp.m_s, pp.m_p, sp.q_s, pp.q_p,
+        pp.n_v, pp.n_h, sp.n_s, *seeds, meas.sigma)
     with open(path, "wb") as fh:
-        fh.write(_MEAS_HEADER.pack(
-            _MEAS_MAGIC, sp.m_s, pp.m_p, sp.q_s, pp.q_p,
-            pp.n_v, pp.n_h, sp.n_s,
-            sp.seed, pp.seed, meas.noise_seed, meas.sigma))
+        fh.write(header)
         fh.write(np.ascontiguousarray(meas.y, dtype="<f4").tobytes())
 
 

@@ -106,8 +106,8 @@ class ExperimentSpec:
     hybrid: SolverConfig = field(default_factory=default_hybrid_config)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not self.rates or not self.seeds:
             raise ValueError("rates and seeds must be non-empty")
         for r_p, r_s in self.rates:

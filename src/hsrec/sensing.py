@@ -14,9 +14,10 @@ value, so the combined operator X -> Phi_s X Phi_p^T has norm close to one
 and the solvers' fixed step size is stable at every sampling rate. A purely
 low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
 
-Each Rademacher block draws its Philox stream once and stores the signs
-packed one bit per entry; large blocks are expanded to float64 chunk by
-chunk on every call instead of being held whole.
+Each Rademacher block draws its Philox stream once, in its constructor, and
+stores the signs packed one bit per entry. A small block is also expanded
+to float64 there; a large one is expanded chunk by chunk on every call
+instead of being held whole.
 """
 
 import math
@@ -73,51 +74,43 @@ def default_lowpass_counts(n_p, n_s, m_p, m_s):
 
 
 class _RademacherBlock:
-    """Seeded unit-row-norm +/-1/sqrt(n) block. Philox runs once, on first
-    use; the signs are stored packed one bit per entry, and a block over
-    _MATERIALIZE_LIMIT entries stays packed between calls."""
+    """Seeded unit-row-norm +/-1/sqrt(n) block. The constructor draws Philox
+    once, packs the negative entries row-wise one bit each, and caches a
+    block of at most _MATERIALIZE_LIMIT entries as float64 too."""
 
     def __init__(self, rows, n, seed, purpose):
         self.rows = rows
         self.n = n
-        self.seed = seed
-        self.purpose = purpose
         self._chunk = max(1, _CHUNK_ENTRIES // n)
         self._scale = 1.0 / np.sqrt(n)
-        self._signs = None
+        gen = rng.stream(seed, purpose)
+        self._signs = np.empty((rows, (n + 7) // 8), np.uint8)
+        for lo in range(0, rows, self._chunk):
+            hi = min(lo + self._chunk, rows)
+            # one expression: no draw outlives its packing
+            self._signs[lo:hi] = np.packbits(
+                rng.rademacher(gen, (hi - lo, n)) < 0, axis=1)
         self._cache = None
-
-    def _packed(self):
-        """Row-wise packbits of the negative entries, drawn on first call."""
-        if self._signs is None:
-            gen = rng.stream(self.seed, self.purpose)
-            self._signs = np.empty((self.rows, (self.n + 7) // 8), np.uint8)
-            for lo in range(0, self.rows, self._chunk):
-                hi = min(lo + self._chunk, self.rows)
-                # one expression: no draw outlives its packing
-                self._signs[lo:hi] = np.packbits(
-                    rng.rademacher(gen, (hi - lo, self.n)) < 0, axis=1)
-        return self._signs
+        if rows * n <= _MATERIALIZE_LIMIT:
+            self._cache = self._expand(0, rows, np.empty((rows, n)))
 
     def _expand(self, lo, hi, out):
         """Rows lo:hi as float64 into out; equal to rademacher * scale."""
-        bits = np.unpackbits(self._packed()[lo:hi], axis=1, count=self.n)
+        bits = np.unpackbits(self._signs[lo:hi], axis=1, count=self.n)
         np.multiply(bits, -2.0 * self._scale, out=out)
         out += self._scale
         return out
 
     def _blocks(self):
-        """(first row, block) pairs: the cached whole block when it is
-        small, else chunks expanded into one buffer reused per call."""
-        if self.rows * self.n > _MATERIALIZE_LIMIT:
-            buf = np.empty((min(self._chunk, self.rows), self.n))
-            for lo in range(0, self.rows, self._chunk):
-                hi = min(lo + self._chunk, self.rows)
-                yield lo, self._expand(lo, hi, buf[:hi - lo])
+        """(first row, block) pairs: the cached whole block when there is
+        one, else chunks expanded into one buffer reused per call."""
+        if self._cache is not None:
+            yield 0, self._cache
             return
-        if self._cache is None:
-            self._cache = self._expand(0, self.rows, np.empty((self.rows, self.n)))
-        yield 0, self._cache
+        buf = np.empty((min(self._chunk, self.rows), self.n))
+        for lo in range(0, self.rows, self._chunk):
+            hi = min(lo + self._chunk, self.rows)
+            yield lo, self._expand(lo, hi, buf[:hi - lo])
 
     def apply(self, x):
         """x: (..., n) -> (..., rows)."""
@@ -134,12 +127,12 @@ class _RademacherBlock:
         return out
 
 
-def _power_norm(apply_fn, adjoint_fn, dim, gen, iterations=_NORM_ITERATIONS):
+def _power_norm(apply_fn, adjoint_fn, dim, gen):
     """Largest singular value estimate by power iteration on the gram map."""
     v = rng.gaussian(gen, (dim,))
     v /= np.linalg.norm(v)
     sigma2 = 1.0
-    for _ in range(iterations):
+    for _ in range(_NORM_ITERATIONS):
         w = adjoint_fn(apply_fn(v))
         sigma2 = np.linalg.norm(w)
         if sigma2 == 0.0:
@@ -261,8 +254,9 @@ def adjoint(y, sp, pp):
 
 def acquire(x, sp, pp, sigma, noise_seed=0):
     """Noisy acquisition: project(x) plus i.i.d. zero-mean Gaussian noise."""
-    if sigma < 0:
-        raise ValueError(f"noise standard deviation must be >= 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(
+            f"noise standard deviation must be finite and >= 0, got {sigma}")
     y = project(x, sp, pp)
     if sigma > 0:
         y = y + rng.gaussian(rng.stream(noise_seed, rng.NOISE), y.shape, sigma)
@@ -270,7 +264,7 @@ def acquire(x, sp, pp, sigma, noise_seed=0):
                         noise_seed=int(noise_seed))
 
 
-def operator_norm_estimate(sp, pp, iterations=_NORM_ITERATIONS, seed=0):
+def operator_norm_estimate(sp, pp):
     """Power-iteration estimate of the combined operator's spectral norm."""
     def apply_fn(v):
         return project(v.reshape(sp.n_s, pp.n_p), sp, pp).ravel()
@@ -278,5 +272,5 @@ def operator_norm_estimate(sp, pp, iterations=_NORM_ITERATIONS, seed=0):
     def adjoint_fn(w):
         return adjoint(w.reshape(sp.m_s, pp.m_p), sp, pp).ravel()
 
-    gen = rng.stream(seed, rng.COMBINED_NORM)
-    return _power_norm(apply_fn, adjoint_fn, sp.n_s * pp.n_p, gen, iterations)
+    gen = rng.stream(0, rng.COMBINED_NORM)
+    return _power_norm(apply_fn, adjoint_fn, sp.n_s * pp.n_p, gen)

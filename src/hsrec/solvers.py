@@ -58,13 +58,13 @@ class SolverConfig:
     accelerate: bool = True
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        for name in ("gamma", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        # a nan or inf never stops the loop or reads as a diverged run
+        for name in ("step_size", "gamma", "gamma1", "gamma2", "tau"):
+            value = getattr(self, name)
+            positive = name in ("step_size", "tau")
+            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'> 0' if positive else '>= 0'}, got {value}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

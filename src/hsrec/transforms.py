@@ -3,8 +3,8 @@
 Contains the sequency-ordered Walsh-Hadamard transform (rows scaled to unit
 norm, so the transform is orthonormal and self-inverse), the JPEG-style
 zig-zag coefficient ordering generalized to rectangles, the full-depth
-orthonormal 2-D Haar wavelet transform, and spectral bases learned from
-pixel samples.
+orthonormal 2-D Haar wavelet transform, and spectral bases (learned from
+pixel samples or given) whose constructor builds every basis_apply map.
 
 Every Walsh and Haar transform is a product with one cached, read-only
 dense matrix per length, capped at MAX_WALSH_LENGTH (2048, a 32 MiB
@@ -162,14 +162,15 @@ class SpectralBasis:
     """Square basis for band-axis representations, columns = basis vectors.
 
     The orthonormal flag is detected at construction. A non-orthonormal
-    basis must be invertible (np.linalg.LinAlgError otherwise) and carries
-    its cached inverse for the dictionary route of the hybrid solver.
+    basis must be invertible (np.linalg.LinAlgError otherwise). The
+    constructor also builds the matrix of every basis_apply mode, so a call
+    is one product: for a non-orthonormal Psi the inverse maps come from
+    pinv(Psi), for an orthonormal one they are the plain maps.
     """
 
     matrix: np.ndarray
-    degenerate: bool = False
     orthonormal: bool = field(init=False, default=False)
-    pinv: np.ndarray = field(init=False, default=None, repr=False)
+    _maps: dict = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -180,11 +181,15 @@ class SpectralBasis:
         object.__setattr__(self, "matrix", m)
         gram_err = np.abs(m.T @ m - np.eye(m.shape[0])).max()
         object.__setattr__(self, "orthonormal", bool(gram_err <= 1e-10))
+        # None stands for the identity: gram_inverse returns its input
+        maps = {"analysis": m.T, "pinv_synthesis": m, "gram_inverse": None}
         if not self.orthonormal:
             if np.linalg.matrix_rank(m) < m.shape[0]:
                 raise np.linalg.LinAlgError(
                     "spectral basis is rank-deficient (singular dictionary)")
-            object.__setattr__(self, "pinv", np.linalg.pinv(m))
+            pinv = np.linalg.pinv(m)
+            maps.update(pinv_synthesis=pinv.T, gram_inverse=pinv.T @ pinv)
+        object.__setattr__(self, "_maps", maps)
 
     @property
     def n_s(self):
@@ -196,8 +201,8 @@ def learn_spectral_basis(samples):
 
     Eigenvectors of the n_s x n_s Gram matrix of the samples, ordered by
     descending eigenvalue, signs fixed so the largest-magnitude entry of
-    each column is positive. All-zero input falls back to the identity with
-    the degenerate flag set.
+    each column is positive. All-zero input falls back to the identity, with
+    a warning.
     """
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 2 or s.shape[1] < 1:
@@ -207,7 +212,7 @@ def learn_spectral_basis(samples):
     n_s = s.shape[0]
     if not np.any(s):
         warnings.warn("all-zero spectral samples; falling back to identity basis")
-        return SpectralBasis(np.eye(n_s), degenerate=True)
+        return SpectralBasis(np.eye(n_s))
     w, v = np.linalg.eigh(s @ s.T)
     v = v[:, ::-1]  # descending eigenvalue order
     peaks = np.abs(v).argmax(axis=0)
@@ -215,29 +220,19 @@ def learn_spectral_basis(samples):
     return SpectralBasis(v * signs)
 
 
-_MODES = ("analysis", "synthesis", "pinv_synthesis", "gram_inverse")
-
-
 def basis_apply(basis, m, mode):
     """Apply the basis to an n_s-row matrix.
 
-    modes: analysis (transpose), synthesis (plain), pinv_synthesis (inverse
-    transpose), gram_inverse ((Psi Psi^T)^-1). For orthonormal bases
-    pinv_synthesis is the plain synthesis and gram_inverse returns its input.
+    modes: analysis (Psi^T), pinv_synthesis (Psi^-T) and gram_inverse
+    ((Psi Psi^T)^-1). For an orthonormal basis pinv_synthesis is Psi and
+    gram_inverse returns its input.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if mode not in basis._maps:
+        raise ValueError(
+            f"unknown mode {mode!r}; expected one of {tuple(basis._maps)}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != basis.n_s:
         raise ValueError(
             f"expected ({basis.n_s}, cols) matrix for this basis, got {m.shape}")
-    psi = basis.matrix
-    if mode == "analysis":
-        return psi.T @ m
-    if mode == "synthesis":
-        return psi @ m
-    if basis.orthonormal:  # the inverse maps are the plain ones
-        return psi @ m if mode == "pinv_synthesis" else m
-    if mode == "pinv_synthesis":
-        return basis.pinv.T @ m
-    return np.linalg.solve(psi @ psi.T, m)
+    op = basis._maps[mode]
+    return m if op is None else op @ m

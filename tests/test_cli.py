@@ -93,11 +93,26 @@ def test_acquire_five_percent_spectral_rate(tmp_path):
 
 
 def test_acquire_rejects_negative_sigma(tmp_path, capsys):
+    # the reader would refuse nan or inf, and nan would add no noise at all
     cube = _make_phantom(tmp_path)
+    out = tmp_path / "m.hsm"
+    for sigma in ("-1", "nan", "inf"):
+        rc = main(["acquire", "--cube", str(cube), "--rp", "0.5", "--rs", "0.5",
+                   "--sigma", sigma, "--out", str(out)])
+        assert rc == 2
+        assert "finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_acquire_rejects_seeds_the_header_cannot_store(tmp_path, capsys, seed):
+    cube = _make_phantom(tmp_path)
+    out = tmp_path / "m.hsm"
     rc = main(["acquire", "--cube", str(cube), "--rp", "0.5", "--rs", "0.5",
-               "--sigma", "-1", "--out", str(tmp_path / "m.hsm")])
+               "--seed", seed, "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_acquire_lowpass_overrides(tmp_path):

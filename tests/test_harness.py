@@ -99,8 +99,9 @@ def test_sample_training_columns_floor_is_band_count():
 
 def test_experiment_spec_validation():
     phantom = PhantomSpec(8, 8, 4)
-    with pytest.raises(ValueError):
-        ExperimentSpec(phantom, sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentSpec(phantom, sigma=sigma)
     with pytest.raises(ValueError):
         ExperimentSpec(phantom, rates=())
     with pytest.raises(ValueError):

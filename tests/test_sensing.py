@@ -240,8 +240,9 @@ def test_acquire_noise_statistics():
 def test_acquire_rejects_negative_sigma():
     pp = SpatialProjector(4, 4, 6, 2, seed=22)
     sp = SpectralProjector(8, 4, 1, seed=23)
-    with pytest.raises(ValueError):
-        acquire(np.zeros((8, 16)), sp, pp, sigma=-0.01)
+    for sigma in (-0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            acquire(np.zeros((8, 16)), sp, pp, sigma=sigma)
 
 
 def test_measurements_shape_validation():

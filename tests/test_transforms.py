@@ -177,9 +177,10 @@ def test_haar_basis_acts_frame_wise():
 # ---------------------------------------------------------------- spectral basis
 
 def test_learn_axis_aligned():
-    basis = learn_spectral_basis(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nonzero samples: no identity fallback
+        basis = learn_spectral_basis(np.array([[2.0, 0.0], [0.0, 1.0]]))
     assert np.allclose(basis.matrix, np.eye(2))
-    assert not basis.degenerate
 
 
 def test_learn_rank_one():
@@ -212,7 +213,6 @@ def test_learn_zero_samples_degenerates_to_identity():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         basis = learn_spectral_basis(np.zeros((4, 10)))
-    assert basis.degenerate
     assert np.array_equal(basis.matrix, np.eye(4))
     assert any("identity" in str(w.message) for w in caught)
 
@@ -227,7 +227,7 @@ def test_spectral_basis_orthonormality_flag():
 def test_basis_apply_identity_all_modes():
     m = np.random.default_rng(10).normal(size=(3, 5))
     ident = SpectralBasis(np.eye(3))
-    for mode in ("analysis", "synthesis", "pinv_synthesis", "gram_inverse"):
+    for mode in ("analysis", "pinv_synthesis", "gram_inverse"):
         assert np.allclose(basis_apply(ident, m, mode), m, atol=1e-12)
 
 
@@ -237,29 +237,41 @@ def test_basis_apply_orthonormal_round_trip():
     basis = SpectralBasis(q)
     m = gen.normal(size=(4, 6))
     assert np.allclose(
-        basis_apply(basis, basis_apply(basis, m, "analysis"), "synthesis"),
+        basis_apply(basis, basis_apply(basis, m, "analysis"), "pinv_synthesis"),
         m, atol=1e-12)
+    # the inverse maps of an orthonormal basis are exactly the plain ones
+    assert np.array_equal(basis_apply(basis, m, "pinv_synthesis"), q @ m)
+    assert np.array_equal(basis_apply(basis, m, "gram_inverse"), m)
 
 
 def test_basis_apply_pinv_consistency():
     gen = np.random.default_rng(12)
-    psi = np.eye(4) + 0.25 * gen.normal(size=(4, 4))
-    basis = SpectralBasis(psi)
-    m = gen.normal(size=(4, 6))
-    assert np.allclose(
-        basis_apply(basis, basis_apply(basis, m, "analysis"), "pinv_synthesis"),
-        m, atol=1e-9)
-    # the inverse modes match explicit inverse maps
-    assert np.allclose(basis_apply(basis, m, "pinv_synthesis"),
-                       np.linalg.inv(psi).T @ m, atol=1e-9)
-    assert np.allclose(basis_apply(basis, m, "gram_inverse"),
-                       np.linalg.solve(psi @ psi.T, m), atol=1e-9)
+
+    def close(got, want):  # relative to 1e-9 in the Frobenius norm
+        return np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    for cond in (1.5, 10.0, 100.0, 1000.0):
+        u, _ = np.linalg.qr(gen.normal(size=(4, 4)))
+        v, _ = np.linalg.qr(gen.normal(size=(4, 4)))
+        psi = u @ np.diag(np.geomspace(1.0, 1.0 / cond, 4)) @ v.T
+        basis = SpectralBasis(psi)
+        assert not basis.orthonormal
+        m = gen.normal(size=(4, 6))
+        assert close(basis_apply(basis, basis_apply(basis, m, "analysis"),
+                                 "pinv_synthesis"), m)
+        # the inverse modes match explicit inverse maps
+        assert close(basis_apply(basis, m, "pinv_synthesis"),
+                     np.linalg.inv(psi).T @ m)
+        assert close(basis_apply(basis, m, "gram_inverse"),
+                     np.linalg.solve(psi @ psi.T, m))
 
 
 def test_basis_apply_rejects_bad_input():
     ident = SpectralBasis(np.eye(3))
     with pytest.raises(ValueError):
         basis_apply(ident, np.zeros((3, 3)), "no-such-mode")
+    with pytest.raises(ValueError):
+        basis_apply(ident, np.zeros((3, 3)), "synthesis")
     with pytest.raises(ValueError):
         basis_apply(ident, np.zeros((4, 3)), "analysis")
 
