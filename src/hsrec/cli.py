@@ -66,11 +66,14 @@ def _write_trace(path, trace):
 
 
 # SolverConfig fields settable from `hsrec recover`; an omitted flag keeps
-# the chosen method's default.
+# the method's default, and a weight the method ignores is an error.
 _CONFIG_FLAGS = ("step_size", "gamma", "gamma1", "gamma2", "tau", "max_iters")
 
 
 def _cmd_recover(args):
+    for flag in ("gamma1", "gamma2") if args.method == "bpdn" else ("gamma",):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to --method {args.method}")
     meas = formats.read_measurements(args.meas)
     pp, sp = meas.spatial, meas.spectral
     n_v, n_h, n_s = pp.n_v, pp.n_h, sp.n_s

@@ -8,8 +8,6 @@ the noise, and the basis sampler without any stream colliding.
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 # purpose tags (high word of the Philox key)
 PHANTOM = 0
 SPECTRAL_RADEMACHER = 1
@@ -22,8 +20,10 @@ COMBINED_NORM = 7
 
 
 def stream(seed, purpose=0):
-    """Independent Generator for (seed, purpose)."""
-    key = (int(seed) & _MASK64) | (int(purpose) << 64)
+    """Independent Generator for (seed, purpose); seed must lie in [0, 2^64)."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise ValueError(f"seeds must lie in [0, 2^64), got {seed}")
+    key = int(seed) | (int(purpose) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

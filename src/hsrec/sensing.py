@@ -231,6 +231,9 @@ class Measurements:
         if y.shape != expected:
             raise ValueError(f"measurement shape {y.shape} does not match "
                              f"projector output {expected}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise standard deviation must be finite and "
+                             f">= 0, got {self.sigma}")
         object.__setattr__(self, "y", y)
 
 
@@ -254,9 +257,6 @@ def adjoint(y, sp, pp):
 
 def acquire(x, sp, pp, sigma, noise_seed=0):
     """Noisy acquisition: project(x) plus i.i.d. zero-mean Gaussian noise."""
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(
-            f"noise standard deviation must be finite and >= 0, got {sigma}")
     y = project(x, sp, pp)
     if sigma > 0:
         y = y + rng.gaussian(rng.stream(noise_seed, rng.NOISE), y.shape, sigma)

@@ -7,19 +7,18 @@ The loop projects each iterate once; the residual and the TV pair it keeps
 give both the iterate's cost and the next gradient step.
 
 Both solvers share one nonsmooth step, prox_transformed: the prox of an l1
-norm on the coefficients W Psi^T x, with Psi a spectral basis and W an
-optional frame-wise spatial basis. The same coefficients give the l1 term
-of the cost.
+norm on the coefficients W Psi^T x, with Psi any invertible spectral basis
+and W an optional frame-wise spatial basis. The same coefficients give the
+l1 term of the cost. For a non-orthonormal Psi the coefficient-space
+iteration runs in band space through a preconditioned step and an
+inverse-transpose synthesis, the plain maps for an orthonormal basis.
 
-- apg_bpdn: least squares plus an l1 penalty on coefficients in an
-  orthonormal spectral basis and a frame-wise orthonormal wavelet basis.
+- apg_bpdn: least squares plus an l1 penalty on coefficients in the
+  spectral basis and a frame-wise orthonormal wavelet basis.
 - recover_hybrid: least squares plus a total-variation term (handled by a
   subgradient inside the gradient step) and an l1 penalty on spectral-basis
-  coefficients only. Any invertible spectral basis works: the
-  coefficient-space iteration of a non-orthonormal dictionary runs in band
-  space through a preconditioned step and an inverse-transpose synthesis,
-  both of which reduce to the plain maps for an orthonormal basis.
-  recover_hybrid_nonortho is the same function under its older name.
+  coefficients only. recover_hybrid_nonortho is the same function under
+  its older name.
 """
 
 import math
@@ -153,6 +152,12 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     the coefficients W Psi^T x by l1_weight; a zero weight skips its prox.
     """
     y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
+    if spectral_basis.n_s != sp.n_s:
+        raise ValueError(f"spectral basis size {spectral_basis.n_s} does not "
+                         f"match projector bands {sp.n_s}")
+    if (spatial_basis is not None
+            and (spatial_basis.n_v, spatial_basis.n_h) != (pp.n_v, pp.n_h)):
+        raise ValueError("spatial basis grid does not match the projector")
     xi = config.step_size * l1_weight
 
     def data_terms(x):
@@ -215,26 +220,13 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
         reason=reason)
 
 
-def _check_bands(basis, sp):
-    if basis.n_s != sp.n_s:
-        raise ValueError(f"spectral basis size {basis.n_s} does not "
-                         f"match projector bands {sp.n_s}")
-
-
 def apg_bpdn(measurements, spatial_basis, spectral_basis, config, x_truth=None):
     """Accelerated proximal-gradient BPDN baseline.
 
     Minimizes the least-squares data term plus config.gamma times the l1
-    norm of the coefficients in the given orthonormal spatial wavelet and
-    spectral bases. Returns (recovered band-by-pixel matrix, Trace).
+    norm of W Psi^T X: W a frame-wise orthonormal wavelet basis, Psi any
+    invertible spectral basis. Returns (recovered band-by-pixel matrix, Trace).
     """
-    sp, pp = measurements.spectral, measurements.spatial
-    if not spectral_basis.orthonormal:
-        raise ValueError("apg_bpdn requires an orthonormal spectral basis; "
-                         "recover_hybrid accepts general dictionaries")
-    _check_bands(spectral_basis, sp)
-    if (spatial_basis.n_v, spatial_basis.n_h) != (pp.n_v, pp.n_h):
-        raise ValueError("spatial basis grid does not match the projector")
     return _run(measurements, spectral_basis, spatial_basis, 0.0, config.gamma,
                 config, x_truth)
 
@@ -251,7 +243,6 @@ def recover_hybrid(measurements, spectral_basis, config, x_truth=None):
     Psi^-T soft(Psi^T z). For an orthonormal Psi both reduce to the plain
     step and Psi soft(Psi^T z). Returns (recovered band-by-pixel matrix, Trace).
     """
-    _check_bands(spectral_basis, measurements.spectral)
     return _run(measurements, spectral_basis, None, config.gamma1,
                 config.gamma2, config, x_truth)
 

@@ -1,10 +1,11 @@
-"""Orthonormal transforms used by the sensing operators and solvers.
+"""Transforms used by the sensing operators and solvers.
 
 Contains the sequency-ordered Walsh-Hadamard transform (rows scaled to unit
 norm, so the transform is orthonormal and self-inverse), the JPEG-style
 zig-zag coefficient ordering generalized to rectangles, the full-depth
 orthonormal 2-D Haar wavelet transform, and spectral bases (learned from
-pixel samples or given) whose constructor builds every basis_apply map.
+pixel samples or given; any invertible matrix) whose constructor builds
+every basis_apply map.
 
 Every Walsh and Haar transform is a product with one cached, read-only
 dense matrix per length, capped at MAX_WALSH_LENGTH (2048, a 32 MiB
@@ -161,15 +162,13 @@ class HaarBasis:
 class SpectralBasis:
     """Square basis for band-axis representations, columns = basis vectors.
 
-    The orthonormal flag is detected at construction. A non-orthonormal
-    basis must be invertible (np.linalg.LinAlgError otherwise). The
-    constructor also builds the matrix of every basis_apply mode, so a call
+    Any invertible matrix is a basis (np.linalg.LinAlgError otherwise).
+    The constructor builds the matrix of every basis_apply mode, so a call
     is one product: for a non-orthonormal Psi the inverse maps come from
     pinv(Psi), for an orthonormal one they are the plain maps.
     """
 
     matrix: np.ndarray
-    orthonormal: bool = field(init=False, default=False)
     _maps: dict = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -179,11 +178,10 @@ class SpectralBasis:
         if not np.all(np.isfinite(m)):
             raise ValueError("spectral basis must be finite")
         object.__setattr__(self, "matrix", m)
-        gram_err = np.abs(m.T @ m - np.eye(m.shape[0])).max()
-        object.__setattr__(self, "orthonormal", bool(gram_err <= 1e-10))
+        orthonormal = np.abs(m.T @ m - np.eye(m.shape[0])).max() <= 1e-10
         # None stands for the identity: gram_inverse returns its input
         maps = {"analysis": m.T, "pinv_synthesis": m, "gram_inverse": None}
-        if not self.orthonormal:
+        if not orthonormal:
             if np.linalg.matrix_rank(m) < m.shape[0]:
                 raise np.linalg.LinAlgError(
                     "spectral basis is rank-deficient (singular dictionary)")

@@ -74,6 +74,19 @@ def test_phantom_rejects_non_power_of_two(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--seed", "-1"],
+    ["sweep", "--rates", "0.5:0.5", "--seeds", "-1"],
+], ids=["phantom", "sweep"])
+def test_commands_reject_seeds_outside_64_bits(tmp_path, capsys, argv):
+    # -1 used to alias 2^64 - 1 and run
+    out = tmp_path / "out"
+    rc = main(argv + ["--nv", "8", "--nh", "8", "--ns", "4", "--out", str(out)])
+    assert rc == 2
+    assert "seeds must lie in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- acquire
 
 def test_acquire_full_sampling_preserves_norm(tmp_path):
@@ -173,6 +186,27 @@ def test_recover_dictionary_method(tmp_path):
                "--truth", str(cube), "--max-iters", "40", "--out", str(out)])
     assert rc == 0
     assert read_cube(out).data.shape == (8, 8, 4)
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("hybrid", ["--gamma", "5"]),
+    ("hybrid-dict", ["--gamma", "5"]),
+    ("bpdn", ["--gamma1", "5"]),
+    ("bpdn", ["--gamma1", "5", "--gamma2", "7"]),
+    ("bpdn", ["--gamma2", "7"]),
+], ids=["hybrid-gamma", "dict-gamma", "bpdn-gamma1", "bpdn-gamma1-gamma2",
+        "bpdn-gamma2"])
+def test_recover_rejects_weights_the_method_ignores(tmp_path, capsys, method,
+                                                     flags):
+    # the run would otherwise write the same bytes as one without the flag
+    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
+    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
+    out = tmp_path / "r.hsc"
+    rc = main(["recover", "--meas", str(meas), "--method", method, *flags,
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{flags[0]} does not apply" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_recover_divergence_exit_code(tmp_path, capsys):

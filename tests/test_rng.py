@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hsrec import rng
 
@@ -7,6 +8,13 @@ def test_stream_is_deterministic():
     a = rng.stream(123, rng.NOISE).random(8)
     b = rng.stream(123, rng.NOISE).random(8)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_stream_rejects_seeds_outside_64_bits(seed):
+    # a mask would alias -1 onto 2^64 - 1 and 2^64 onto 0
+    with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\^64\)"):
+        rng.stream(seed, rng.NOISE)
 
 
 def test_streams_are_purpose_separated():

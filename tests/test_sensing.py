@@ -245,6 +245,15 @@ def test_acquire_rejects_negative_sigma():
             acquire(np.zeros((8, 16)), sp, pp, sigma=sigma)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_measurements_reject_bad_sigma(sigma):
+    # built directly, it would be written as a file the HSM1 reader refuses
+    pp = SpatialProjector(4, 4, 6, 2, seed=24)
+    sp = SpectralProjector(8, 4, 1, seed=25)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        Measurements(y=np.zeros((4, 6)), spectral=sp, spatial=pp, sigma=sigma)
+
+
 def test_measurements_shape_validation():
     pp = SpatialProjector(4, 4, 6, 2, seed=24)
     sp = SpectralProjector(8, 4, 1, seed=25)

@@ -229,9 +229,6 @@ def test_apg_bpdn_desk_scale_terminates_by_threshold():
 def test_apg_bpdn_rejects_bad_bases():
     _, meas = _small_measurements()
     with pytest.raises(ValueError):
-        apg_bpdn(meas, HaarBasis(8, 8), SpectralBasis(2.0 * np.eye(8)),
-                 SolverConfig())
-    with pytest.raises(ValueError):
         apg_bpdn(meas, HaarBasis(8, 8), SpectralBasis(np.eye(4)),
                  SolverConfig())
     with pytest.raises(ValueError):
@@ -314,24 +311,41 @@ def test_nonortho_matches_orthonormal_route():
     assert np.array_equal(trace_orth.cost, trace_gen.cost)
 
 
-def test_nonortho_matches_coefficient_space_iteration():
+def _solve_dictionary(method, meas, basis, l1_weight, **config):
+    """One solve on a general spectral basis: recover_hybrid with TV weight
+    2e-4, or apg_bpdn with the Haar spatial basis."""
+    if method == "bpdn":
+        return apg_bpdn(meas, HaarBasis(8, 8), basis,
+                        SolverConfig(gamma=l1_weight, **config))
+    return recover_hybrid_nonortho(
+        meas, basis, SolverConfig(gamma1=2e-4, gamma2=l1_weight, **config))
+
+
+@pytest.mark.parametrize("method", ["hybrid", "bpdn"])
+def test_nonortho_matches_coefficient_space_iteration(method):
     # the band-space iteration is FISTA on the coefficients r = Psi^T x:
-    # gradient step through Psi^-1, soft threshold, x = Psi^-T r
+    # gradient step through Psi^-1, soft threshold (of the Haar coefficients
+    # W r for bpdn), x = Psi^-T r
     _, meas = _small_measurements()
     sp, pp = meas.spectral, meas.spatial
     psi = np.eye(8) + 0.2 * np.random.default_rng(42).normal(size=(8, 8))
-    cfg = SolverConfig(gamma1=2e-4, gamma2=2e-4, tau=1e-30, max_iters=20)
-    x_got, _ = recover_hybrid(meas, SpectralBasis(psi), cfg)
+    x_got, _ = _solve_dictionary(method, meas, SpectralBasis(psi), 2e-4,
+                                 tau=1e-30, max_iters=20)
 
+    step, haar = SolverConfig().step_size, HaarBasis(8, 8)
     inv = np.linalg.inv(psi)
     x = adjoint(meas.y, sp, pp)
     r = r_tilde_prev = psi.T @ x
     alpha = 1.0
-    for _ in range(cfg.max_iters):
-        g = (adjoint(meas.y - project(x, sp, pp), sp, pp)
-             - cfg.gamma1 * tv_sum_and_subgradient(x, 8, 8)[1])
-        r_tilde = prox_l1(r + cfg.step_size * inv @ g,
-                          cfg.step_size * cfg.gamma2)
+    for _ in range(20):
+        g = adjoint(meas.y - project(x, sp, pp), sp, pp)
+        if method == "hybrid":
+            g = g - 2e-4 * tv_sum_and_subgradient(x, 8, 8)[1]
+        z = r + step * inv @ g
+        if method == "bpdn":
+            r_tilde = haar.synthesize(prox_l1(haar.analyze(z), step * 2e-4))
+        else:
+            r_tilde = prox_l1(z, step * 2e-4)
         alpha, weight = fista_momentum(alpha)
         r = r_tilde + weight * (r_tilde - r_tilde_prev)
         r_tilde_prev = r_tilde
@@ -339,18 +353,19 @@ def test_nonortho_matches_coefficient_space_iteration():
     assert np.abs(x_got - x).max() <= 1e-10 * np.abs(x).max()
 
 
-def test_nonortho_scaled_identity_equivalence():
+@pytest.mark.parametrize("method", ["hybrid", "bpdn"])
+def test_nonortho_scaled_identity_equivalence(method):
     # scaling the dictionary by c is absorbed exactly by rescaling the
     # step size by 1/c^2 and the l1 weight by c
     _, meas = _small_measurements()
     c = 2.0
-    x_scaled, _ = recover_hybrid_nonortho(
-        meas, SpectralBasis(c * np.eye(8)),
-        SolverConfig(step_size=0.25, gamma1=2e-4, gamma2=2e-4))
-    x_plain, _ = recover_hybrid_nonortho(
-        meas, SpectralBasis(np.eye(8)),
-        SolverConfig(step_size=0.25 / c ** 2, gamma1=2e-4, gamma2=c * 2e-4))
+    x_scaled, trace_scaled = _solve_dictionary(
+        method, meas, SpectralBasis(c * np.eye(8)), 2e-4, step_size=0.25)
+    x_plain, trace_plain = _solve_dictionary(
+        method, meas, SpectralBasis(np.eye(8)), c * 2e-4,
+        step_size=0.25 / c ** 2)
     assert np.array_equal(x_scaled, x_plain)
+    assert np.array_equal(trace_scaled.cost, trace_plain.cost)
 
 
 def test_nonortho_rejects_rank_deficient_dictionary():
