@@ -1,11 +1,15 @@
 """Print a SHA-256 digest of every solver's iterate and cost trace.
 
 Runs apg_bpdn, recover_hybrid and recover_hybrid_nonortho with the default
-configs on the 32x32x16 reference phantom (sigma 0.01, truth-trained basis)
-at rates (0.3, 0.25) and (0.5, 0.5), for each measurement seed. One line per
-run: method, rates, seed, iterations, stop reason, then the digests of the
-returned matrix and of Trace.cost. Two source trees give the same numbers
-exactly when their outputs match line for line:
+configs (sigma 0.01, truth-trained basis) on the 32x32x16 reference phantom
+at rates (0.3, 0.25) and (0.5, 0.5) and on a 64x64x32 phantom at (0.5, 0.25)
+and (0.3, 0.25), for each measurement seed. The 64x64x32 spatial Rademacher
+block at r_p = 0.5 has more than _MATERIALIZE_LIMIT entries, so that case
+runs the chunked path; the others run the cached one. One line per run:
+method, grid, rates, seed, iterations, stop reason, the repr of both
+projectors' scales, then the digests of the returned matrix and of
+Trace.cost. Two source trees give the same numbers exactly when their
+outputs match line for line:
 
     PYTHONPATH=src python3 scripts/solver_digest.py --seeds 0,1,2 > a.txt
     PYTHONPATH=/other/tree/src python3 scripts/solver_digest.py --seeds 0,1,2 > b.txt
@@ -18,7 +22,8 @@ import hashlib
 from hsrec import harness, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
-RATES = ((0.3, 0.25), (0.5, 0.5))
+CASES = (((32, 32, 16), ((0.3, 0.25), (0.5, 0.5))),
+         ((64, 64, 32), ((0.5, 0.25), (0.3, 0.25))))
 
 
 def _digest(a):
@@ -29,28 +34,34 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0,1,2")
     args = parser.parse_args()
-    x = as_band_pixel_matrix(
-        harness.generate_phantom(harness.PhantomSpec(32, 32, 16, seed=0)))
     hybrid, bpdn = harness.default_hybrid_config(), harness.default_bpdn_config()
-    for r_p, r_s in RATES:
-        m_p, m_s = sensing.rates_to_counts(r_p, r_s, 1024, 16)
-        q_p, q_s = sensing.default_lowpass_counts(1024, 16, m_p, m_s)
-        for seed in (int(tok) for tok in args.seeds.split(",")):
-            pp = sensing.SpatialProjector(32, 32, m_p, q_p, seed)
-            sp = sensing.SpectralProjector(16, m_s, q_s, seed)
-            meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=seed)
-            basis = transforms.learn_spectral_basis(
-                harness.sample_training_columns(x, seed))
-            runs = {
-                "bpdn": lambda: solvers.apg_bpdn(
-                    meas, transforms.HaarBasis(32, 32), basis, bpdn),
-                "hybrid": lambda: solvers.recover_hybrid(meas, basis, hybrid),
-                "dict": lambda: solvers.recover_hybrid_nonortho(meas, basis, hybrid),
-            }
-            for method, solve in runs.items():
-                x_hat, trace = solve()
-                print(f"{method} {r_p},{r_s} seed={seed} iters={trace.iterations} "
-                      f"{trace.reason} x={_digest(x_hat)} cost={_digest(trace.cost)}")
+    for (n_v, n_h, n_s), rates in CASES:
+        x = as_band_pixel_matrix(harness.generate_phantom(
+            harness.PhantomSpec(n_v, n_h, n_s, seed=0)))
+        n_p = n_v * n_h
+        for r_p, r_s in rates:
+            m_p, m_s = sensing.rates_to_counts(r_p, r_s, n_p, n_s)
+            q_p, q_s = sensing.default_lowpass_counts(n_p, n_s, m_p, m_s)
+            for seed in (int(tok) for tok in args.seeds.split(",")):
+                pp = sensing.SpatialProjector(n_v, n_h, m_p, q_p, seed)
+                sp = sensing.SpectralProjector(n_s, m_s, q_s, seed)
+                meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=seed)
+                basis = transforms.learn_spectral_basis(
+                    harness.sample_training_columns(x, seed))
+                runs = {
+                    "bpdn": lambda: solvers.apg_bpdn(
+                        meas, transforms.HaarBasis(n_v, n_h), basis, bpdn),
+                    "hybrid": lambda: solvers.recover_hybrid(
+                        meas, basis, hybrid),
+                    "dict": lambda: solvers.recover_hybrid_nonortho(
+                        meas, basis, hybrid),
+                }
+                for method, solve in runs.items():
+                    x_hat, trace = solve()
+                    print(f"{method} {n_v}x{n_h}x{n_s} {r_p},{r_s} "
+                          f"seed={seed} iters={trace.iterations} {trace.reason} "
+                          f"scales={pp.scale!r},{sp.scale!r} "
+                          f"x={_digest(x_hat)} cost={_digest(trace.cost)}")
 
 
 if __name__ == "__main__":

@@ -74,6 +74,8 @@ def _cmd_recover(args):
     for flag in ("gamma1", "gamma2") if args.method == "bpdn" else ("gamma",):
         if getattr(args, flag) is not None:
             raise ValueError(f"--{flag} does not apply to --method {args.method}")
+    if args.basis_sample_seed is not None and not args.truth:
+        raise ValueError("--basis-sample-seed does not apply without --truth")
     meas = formats.read_measurements(args.meas)
     pp, sp = meas.spatial, meas.spectral
     n_v, n_h, n_s = pp.n_v, pp.n_h, sp.n_s
@@ -86,7 +88,7 @@ def _cmd_recover(args):
                 f"{truth_cube.n_s}, measurements describe {n_v}x{n_h}x{n_s}")
         x_truth = as_band_pixel_matrix(truth_cube)
         basis = learn_spectral_basis(
-            harness.sample_training_columns(x_truth, args.basis_sample_seed))
+            harness.sample_training_columns(x_truth, args.basis_sample_seed or 0))
     else:
         basis = SpectralBasis(_walsh_matrix(n_s))
     defaults = (harness.default_bpdn_config() if args.method == "bpdn"
@@ -234,7 +236,7 @@ def _build_parser():
     p.add_argument("--lambda", dest="step_size", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--basis-sample-seed", type=int, default=0)
+    p.add_argument("--basis-sample-seed", type=int, default=None)
     p.add_argument("--truth", default=None,
                    help="ground-truth cube: trains the spectral basis and "
                         "adds a rel_error trace column")

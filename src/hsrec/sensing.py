@@ -16,8 +16,8 @@ low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
 
 Each Rademacher block draws its Philox stream once, in its constructor, and
 stores the signs packed one bit per entry. A small block is also expanded
-to float64 there; a large one is expanded chunk by chunk on every call
-instead of being held whole.
+to float64 there; a large one is expanded chunk by chunk instead of being
+held whole: once per apply, adjoint and power-iteration (Gram) step.
 """
 
 import math
@@ -32,7 +32,7 @@ from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_ind
 
 # Every Rademacher block is drawn from Philox once and kept as packed sign
 # bits. One of at most this many entries is also cached as float64; a larger
-# one is expanded in row chunks of _CHUNK_ENTRIES on every apply and adjoint.
+# one is expanded in _CHUNK_ENTRIES row chunks once per apply, adjoint, gram.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _NORM_ITERATIONS = 50
@@ -126,14 +126,21 @@ class _RademacherBlock:
             out += y[..., lo:lo + len(block)] @ block
         return out
 
+    def gram(self, v):
+        """adjoint(apply(v)) bit for bit, expanding each chunk once."""
+        out = np.zeros(v.shape)
+        for _, block in self._blocks():
+            out += (v @ block.T) @ block
+        return out
 
-def _power_norm(apply_fn, adjoint_fn, dim, gen):
-    """Largest singular value estimate by power iteration on the gram map."""
+
+def _power_norm(gram_fn, dim, gen):
+    """Largest singular value estimate by power iteration on a Gram map."""
     v = rng.gaussian(gen, (dim,))
     v /= np.linalg.norm(v)
     sigma2 = 1.0
     for _ in range(_NORM_ITERATIONS):
-        w = adjoint_fn(apply_fn(v))
+        w = gram_fn(v)
         sigma2 = np.linalg.norm(w)
         if sigma2 == 0.0:
             return 0.0
@@ -161,25 +168,33 @@ class _Projector:
         self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
         self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
         self._rad = _RademacherBlock(m - q, n, self.seed, rad_purpose)
-        # the norm is estimated on the unscaled map; a single vector passes
-        # through either axis's apply/adjoint unchanged in layout
         self.scale = 1.0
         if q < m:
             gen = rng.stream(self.seed, norm_purpose)
-            self.scale = 1.0 / _power_norm(self.apply, self.adjoint, n, gen)
+            self.scale = 1.0 / _power_norm(self._gram, n, gen)
+
+    def _low(self, x):
+        coeff = self._wv @ frames_from_matrix(x, *self._grid) @ self._wh.T
+        return coeff[..., self._rows, self._cols]
+
+    def _low_adjoint(self, y):
+        coeff = np.zeros(y.shape[:-1] + (len(self._wv), len(self._wh)))
+        coeff[..., self._rows, self._cols] = y
+        return matrix_from_frames(self._wv.T @ coeff @ self._wh)
+
+    def _gram(self, v):
+        """Unscaled Phi^T Phi v, summed as adjoint(apply(v)) at scale 1."""
+        return self._low_adjoint(self._low(v)) + self._rad.gram(v)
 
     def apply(self, x):
         """x: (..., n) -> (..., m)."""
-        coeff = self._wv @ frames_from_matrix(x, *self._grid) @ self._wh.T
-        low = coeff[..., self._rows, self._cols]
-        return self.scale * np.concatenate([low, self._rad.apply(x)], axis=-1)
+        return self.scale * np.concatenate([self._low(x), self._rad.apply(x)],
+                                           axis=-1)
 
     def adjoint(self, y):
         """y: (..., m) -> (..., n)."""
-        coeff = np.zeros(y.shape[:-1] + (len(self._wv), len(self._wh)))
-        coeff[..., self._rows, self._cols] = y[..., :self._q]
-        low = matrix_from_frames(self._wv.T @ coeff @ self._wh)
-        return self.scale * (low + self._rad.adjoint(y[..., self._q:]))
+        return self.scale * (self._low_adjoint(y[..., :self._q])
+                             + self._rad.adjoint(y[..., self._q:]))
 
 
 class SpatialProjector(_Projector):
@@ -266,11 +281,8 @@ def acquire(x, sp, pp, sigma, noise_seed=0):
 
 def operator_norm_estimate(sp, pp):
     """Power-iteration estimate of the combined operator's spectral norm."""
-    def apply_fn(v):
-        return project(v.reshape(sp.n_s, pp.n_p), sp, pp).ravel()
-
-    def adjoint_fn(w):
-        return adjoint(w.reshape(sp.m_s, pp.m_p), sp, pp).ravel()
+    def gram(v):
+        return adjoint(project(v.reshape(sp.n_s, pp.n_p), sp, pp), sp, pp).ravel()
 
     gen = rng.stream(0, rng.COMBINED_NORM)
-    return _power_norm(apply_fn, adjoint_fn, sp.n_s * pp.n_p, gen)
+    return _power_norm(gram, sp.n_s * pp.n_p, gen)

@@ -209,6 +209,26 @@ def test_recover_rejects_weights_the_method_ignores(tmp_path, capsys, method,
     assert not out.exists()
 
 
+def test_recover_basis_sample_seed_needs_truth(tmp_path, capsys):
+    # without --truth no basis is trained, so the seed would change nothing
+    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
+    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
+    out = tmp_path / "r.hsc"
+    rc = main(["recover", "--meas", str(meas), "--basis-sample-seed", "7",
+               "--max-iters", "20", "--out", str(out)])
+    assert rc == 2
+    assert "--basis-sample-seed does not apply" in capsys.readouterr().err
+    assert not out.exists()
+    # with --truth the omitted flag still draws with seed 0
+    written = []
+    for extra in ([], ["--basis-sample-seed", "0"]):
+        path = tmp_path / f"r{len(written)}.hsc"
+        assert main(["recover", "--meas", str(meas), "--truth", str(cube),
+                     "--max-iters", "20", "--out", str(path), *extra]) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_recover_divergence_exit_code(tmp_path, capsys):
     cube = _make_phantom(tmp_path)
     meas = _acquire(tmp_path, cube)

@@ -2,10 +2,12 @@
 
 The operators must be exact adjoints of each other for every block layout
 (no low-pass rows, a mix, only low-pass rows, full sampling) on both the
-cached and the chunk-regenerated Rademacher path; the dense Walsh and Haar
-matrices must match the independent oracles at every supported length;
-the Haar basis must invert itself frame by frame; and HSC1/HSM1 files must
-round-trip their data (as float32), header fields and operator scales.
+cached and the chunk-regenerated Rademacher path, and the fused Gram map
+the norm estimate runs on must equal adjoint(apply(v)) bit for bit; the
+dense Walsh and Haar matrices must match the independent oracles at every
+supported length; the Haar basis must invert itself frame by frame; and
+HSC1/HSM1 files must round-trip their data (as float32), header fields and
+operator scales.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hsrec.sensing as sensing
+from hsrec import rng
 from hsrec.datacube import Datacube, frames_from_matrix, matrix_from_frames
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
@@ -105,6 +108,47 @@ def test_combined_operator_is_adjoint(n_v, n_h, n_s, spatial, spectral,
         _assert_adjoint(lambda x: project(x, sp, pp), lambda y: adjoint(y, sp, pp),
                         gen.normal(size=(n_s, n_v * n_h)),
                         gen.normal(size=(m_s, m_p)))
+
+
+def _reference_norm(proj, n, purpose):
+    """The power iteration on apply/adjoint at scale 1, written out."""
+    scale, proj.scale = proj.scale, 1.0
+    gen = rng.stream(proj.seed, purpose)
+    v = rng.gaussian(gen, (n,))
+    v /= np.linalg.norm(v)
+    sigma2 = 1.0
+    for _ in range(sensing._NORM_ITERATIONS):
+        w = proj.adjoint(proj.apply(v))
+        sigma2 = np.linalg.norm(w)
+        v = w / sigma2
+    proj.scale = scale
+    return float(np.sqrt(sigma2))
+
+
+@_settings
+@given(axis=st.sampled_from(("spatial", "spectral")), n_v=pow2,
+       n_h=st.integers(0, 6).map(lambda k: 1 << k), layout=layout,
+       chunk_rows=chunks, seed=st.integers(0, 2**32), bands=st.integers(1, 3))
+def test_gram_is_adjoint_of_apply_bit_for_bit(axis, n_v, n_h, layout,
+                                              chunk_rows, seed, bands):
+    n = n_v * n_h if axis == "spatial" else n_h
+    m, q = _counts(n, *layout)
+    with _paths(chunk_rows, n):
+        if axis == "spatial":
+            proj = SpatialProjector(n_v, n_h, m, q, seed)
+            purpose = rng.SPATIAL_NORM
+        else:
+            proj = SpectralProjector(n, m, q, seed)
+            purpose = rng.SPECTRAL_NORM
+        rad = proj._rad
+        gen = np.random.default_rng(seed)
+        for shape in ((n,), (bands, n)):  # the power iteration's, a batch
+            v = gen.normal(size=shape)
+            assert np.array_equal(rad.gram(v), rad.adjoint(rad.apply(v)))
+        if q < m:
+            assert proj.scale == 1.0 / _reference_norm(proj, n, purpose)
+        else:
+            assert proj.scale == 1.0
 
 
 @pytest.mark.parametrize("n", [1 << k for k in range(12)])

@@ -172,6 +172,27 @@ def test_chunked_block_draws_philox_once(monkeypatch):
     assert sum(drawn) == (20 - 4) * 32
 
 
+@pytest.mark.parametrize("limit, expansions", [
+    (0, sensing._NORM_ITERATIONS * 6),  # 16 rows in chunks of 3: 6 chunks
+    (sensing._MATERIALIZE_LIMIT, 1),  # cached once, in the constructor
+], ids=["chunked", "cached"])
+def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
+                                                          expansions):
+    calls = []
+    original = sensing._RademacherBlock._expand
+
+    def spy(self, lo, hi, out):
+        calls.append((lo, hi))
+        return original(self, lo, hi, out)
+
+    monkeypatch.setattr(sensing._RademacherBlock, "_expand", spy)
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * 32)
+    pp = SpatialProjector(4, 8, 20, 4, seed=15)
+    assert pp.scale != 1.0
+    assert len(calls) == expansions
+
+
 @pytest.mark.parametrize("make, rows, n, purpose, chunk_rows", [
     (lambda: SpatialProjector(4, 8, 20, 0, seed=15), 20, 32,
      rng.SPATIAL_RADEMACHER, 3),
