@@ -179,7 +179,7 @@ def _cmd_sweep(args):
         seeds=tuple(int(tok) for tok in args.seeds.split(",")))
     rows = harness.run_experiment(spec, cube=cube)
     fields = ["method", "r_p", "r_s", "seed", "relative_error", "iterations",
-              "wall_time_s"]
+              "wall_time_s", "reason"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()

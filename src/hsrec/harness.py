@@ -127,8 +127,8 @@ def run_experiment(spec, cube=None):
     """Run both solvers over the rate/seed grid; returns one row per run.
 
     Row keys: method, r_p, r_s, seed, relative_error, iterations,
-    wall_time_s. The phantom is fixed; projectors, noise, and the basis
-    training sample are re-drawn per seed.
+    wall_time_s, reason (the solver's stop reason). The phantom is fixed;
+    projectors, noise, and the basis training sample are re-drawn per seed.
     """
     if cube is None:
         cube = generate_phantom(spec.phantom)
@@ -158,5 +158,6 @@ def run_experiment(spec, cube=None):
                     "relative_error": relative_error(x_true, x_hat),
                     "iterations": trace.iterations,
                     "wall_time_s": time.perf_counter() - start,
+                    "reason": trace.reason,
                 })
     return rows

@@ -15,9 +15,11 @@ and the solvers' fixed step size is stable at every sampling rate. A purely
 low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
 
 Each Rademacher block draws its Philox stream once, in its constructor, and
-stores the signs packed one bit per entry. A small block is also expanded
-to float64 there; a large one is expanded chunk by chunk instead of being
-held whole: once per apply, adjoint and power-iteration (Gram) step.
+stores the signs packed one bit per entry. The spectral projector expands
+its block once, under its Walsh rows, into one dense m_s x n_s matrix M
+(at most 2048 x 2048) and applies M as a single product. A small spatial
+block is also cached as float64; a large one is expanded chunk by chunk
+instead of being held whole: once per apply, adjoint and Gram step.
 """
 
 import math
@@ -168,10 +170,14 @@ class _Projector:
         self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
         self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
         self._rad = _RademacherBlock(m - q, n, self.seed, rad_purpose)
+        self._stack()
         self.scale = 1.0
         if q < m:
             gen = rng.stream(self.seed, norm_purpose)
             self.scale = 1.0 / _power_norm(self._gram, n, gen)
+
+    def _stack(self):
+        """Hook between the Rademacher draw and the norm estimate."""
 
     def _low(self, x):
         coeff = self._wv @ frames_from_matrix(x, *self._grid) @ self._wh.T
@@ -211,9 +217,8 @@ class SpatialProjector(_Projector):
 
 
 class SpectralProjector(_Projector):
-    """Band-axis projector: q_s leading sequency WHT rows (the zig-zag
-    order of an n_s x 1 grid) over (m_s - q_s) Rademacher rows, acting on
-    (n_s, cols) matrices."""
+    """Band-axis projector: q_s leading sequency WHT rows over (m_s - q_s)
+    Rademacher rows, one dense matrix M acting on (n_s, cols) matrices."""
 
     def __init__(self, n_s, m_s, q_s, seed):
         _check_pow2(n_s, "band count", MAX_WALSH_LENGTH)
@@ -221,13 +226,22 @@ class SpectralProjector(_Projector):
         super().__init__(n_s, 1, m_s, q_s, seed, "spectral",
                          rng.SPECTRAL_RADEMACHER, rng.SPECTRAL_NORM)
 
+    def _stack(self):
+        self._m = np.empty((self.m_s, self.n_s))
+        self._m[:self.q_s] = _walsh_matrix(self.n_s)[:self.q_s]
+        self._rad._expand(0, self._rad.rows, self._m[self.q_s:])
+        self._rad._cache = None  # M holds the only float64 copy of R
+
+    def _gram(self, v):
+        return self._m.T @ (self._m @ v)
+
     def apply(self, x):
         """x: (n_s, cols) -> (m_s, cols)."""
-        return super().apply(x.T).T
+        return self.scale * (self._m @ x)
 
     def adjoint(self, y):
         """y: (m_s, cols) -> (n_s, cols)."""
-        return super().adjoint(y.T).T
+        return self.scale * (self._m.T @ y)
 
 
 @dataclass(frozen=True, eq=False)

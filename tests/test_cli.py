@@ -363,11 +363,19 @@ def test_sweep_single_pair_two_rows(tmp_path):
     rows = _run_sweep(tmp_path, "0.5:0.5", "0")
     assert len(rows) == 2
     assert {r["method"] for r in rows} == {"bpdn", "hybrid"}
+    assert list(rows[0]) == ["method", "r_p", "r_s", "seed", "relative_error",
+                             "iterations", "wall_time_s", "reason"]
 
 
 def test_sweep_grid_cardinality(tmp_path):
     rows = _run_sweep(tmp_path, "0.3:0.25,0.5:0.5,0.75:0.75", "0,1")
     assert len(rows) == 12
+    # the stop reason column: bpdn reaches tau on some runs, hybrid on none
+    assert {r["reason"] for r in rows} == {"threshold", "max-iters"}
+    for row in rows:
+        assert (row["reason"] == "max-iters") == (row["iterations"] == "200")
+        if row["method"] == "hybrid":
+            assert row["reason"] == "max-iters"
 
 
 def test_sweep_repeated_seeds_identical_errors(tmp_path):

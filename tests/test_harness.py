@@ -122,11 +122,12 @@ def test_run_experiment_row_grid():
     rows = run_experiment(spec)
     assert len(rows) == 2 * 2 * 2  # methods x rates x seeds
     keys = {"method", "r_p", "r_s", "seed", "relative_error", "iterations",
-            "wall_time_s"}
+            "wall_time_s", "reason"}
     for row in rows:
         assert keys <= set(row)
         assert row["method"] in ("bpdn", "hybrid")
-        assert row["iterations"] <= 30
+        # 30 iterations stop no run of this grid on the threshold
+        assert (row["iterations"], row["reason"]) == (30, "max-iters")
         assert row["relative_error"] >= 0.0
         assert row["wall_time_s"] >= 0.0
     assert {(r["r_p"], r["r_s"]) for r in rows} == {(0.5, 0.5), (0.75, 0.75)}
@@ -157,6 +158,7 @@ def test_run_experiment_full_sampling_near_exact():
         hybrid=SolverConfig(gamma1=1e-8, gamma2=1e-8))
     for row in run_experiment(spec):
         assert row["relative_error"] <= 1e-3
+        assert row["reason"] == "threshold"
 
 
 def test_default_configs():

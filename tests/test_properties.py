@@ -4,10 +4,11 @@ The operators must be exact adjoints of each other for every block layout
 (no low-pass rows, a mix, only low-pass rows, full sampling) on both the
 cached and the chunk-regenerated Rademacher path, and the fused Gram map
 the norm estimate runs on must equal adjoint(apply(v)) bit for bit; the
-dense Walsh and Haar matrices must match the independent oracles at every
-supported length; the Haar basis must invert itself frame by frame; and
-HSC1/HSM1 files must round-trip their data (as float32), header fields and
-operator scales.
+spectral projector's dense matrix must be the oracle Walsh rows over the
+redrawn Rademacher rows, held once; the dense Walsh and Haar matrices must
+match the independent oracles at every supported length; the Haar basis
+must invert itself frame by frame; and HSC1/HSM1 files must round-trip
+their data (as float32), header fields and operator scales.
 """
 
 import contextlib
@@ -149,6 +150,25 @@ def test_gram_is_adjoint_of_apply_bit_for_bit(axis, n_v, n_h, layout,
             assert proj.scale == 1.0 / _reference_norm(proj, n, purpose)
         else:
             assert proj.scale == 1.0
+
+
+@_settings
+@given(n_s=st.integers(0, 6).map(lambda k: 1 << k), layout=layout,
+       chunk_rows=chunks, seed=st.integers(0, 2**32))
+def test_spectral_matrix_is_walsh_rows_over_redrawn_rademacher(
+        n_s, layout, chunk_rows, seed):
+    m, q = _counts(n_s, *layout)
+    with _paths(chunk_rows, n_s):
+        sp = SpectralProjector(n_s, m, q, seed)
+    gen = rng.stream(seed, rng.SPECTRAL_RADEMACHER)
+    redraw = rng.rademacher(gen, (m - q, n_s)) / np.sqrt(n_s)
+    assert np.array_equal(sp._m, np.vstack([walsh_matrix(n_s)[:q], redraw]))
+    # M is the only float64 copy of the Rademacher rows the projector owns
+    assert sp._rad._cache is None
+    owned = [a for obj in (sp, sp._rad) for a in vars(obj).values()
+             if isinstance(a, np.ndarray) and a.dtype == np.float64
+             and a.flags.owndata]
+    assert len(owned) == 1 and owned[0] is sp._m
 
 
 @pytest.mark.parametrize("n", [1 << k for k in range(12)])

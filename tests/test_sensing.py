@@ -196,9 +196,6 @@ def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
 @pytest.mark.parametrize("make, rows, n, purpose, chunk_rows", [
     (lambda: SpatialProjector(4, 8, 20, 0, seed=15), 20, 32,
      rng.SPATIAL_RADEMACHER, 3),
-    # n = 4 is not a multiple of 8: packed rows carry padding bits
-    (lambda: SpectralProjector(4, 3, 0, seed=16), 3, 4,
-     rng.SPECTRAL_RADEMACHER, 2),
 ])
 def test_chunked_block_values_are_exact(monkeypatch, make, rows, n, purpose,
                                         chunk_rows):
@@ -216,13 +213,26 @@ def test_chunked_block_values_are_exact(monkeypatch, make, rows, n, purpose,
         want_apply[:, lo:lo + take] = x @ block.T
         want_adjoint += y[:, lo:lo + take] @ block
 
-    def last_axis(fn, v):  # the spectral projector acts on columns
-        return fn(v) if isinstance(proj, SpatialProjector) else fn(v.T).T
-
     for _ in range(3):  # every call expands the same stored signs
-        assert np.array_equal(last_axis(proj.apply, x), proj.scale * want_apply)
-        assert np.array_equal(last_axis(proj.adjoint, y),
-                              proj.scale * want_adjoint)
+        assert np.array_equal(proj.apply(x), proj.scale * want_apply)
+        assert np.array_equal(proj.adjoint(y), proj.scale * want_adjoint)
+
+
+def test_spectral_matrix_values_are_exact(monkeypatch):
+    # Rademacher rows drawn one per chunk, and n = 4 is not a multiple of
+    # 8: packed rows carry padding bits
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 1 * 4)
+    sp = SpectralProjector(4, 3, 1, seed=16)
+    redraw = rng.rademacher(rng.stream(sp.seed, rng.SPECTRAL_RADEMACHER), (2, 4))
+    mat = np.vstack([walsh_matrix(4)[:1], redraw / np.sqrt(4)])
+    assert np.array_equal(sp._m, mat)  # Walsh row over the redrawn rows
+    gen = np.random.default_rng(12)
+    x = gen.normal(size=(4, 5))
+    y = gen.normal(size=(3, 5))
+    for _ in range(3):  # one dense product, the same every call
+        assert np.array_equal(sp.apply(x), sp.scale * (mat @ x))
+        assert np.array_equal(sp.adjoint(y), sp.scale * (mat.T @ y))
 
 
 # ---------------------------------------------------------------- acquire
