@@ -4,6 +4,11 @@ Every random draw in the package comes through here. Streams are keyed by a
 64-bit user seed plus a purpose tag in the high word of the 128-bit Philox
 key, so the same master seed can feed the phantom, both Rademacher blocks,
 the noise, and the basis sampler without any stream colliding.
+
+Each Rademacher sign is the top bit of one raw 64-bit Philox word: a clear
+top bit is -1. Generator.random() maps a word w to (w >> 11) * 2^-53, so
+this is exactly random() < 0.5 on the same stream positions, without the
+float64 temporaries.
 """
 
 import numpy as np
@@ -27,10 +32,16 @@ def stream(seed, purpose=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def negative_signs(gen, shape):
+    """Boolean mask of the -1 entries of a Rademacher draw. One raw word per
+    entry, so drawing a matrix in row chunks consumes the stream exactly
+    like drawing it whole."""
+    return gen.bit_generator.random_raw(shape) < np.uint64(1 << 63)
+
+
 def rademacher(gen, shape):
-    """+/-1 array. One uniform draw per entry, so generating a matrix in
-    row chunks consumes the stream exactly like generating it whole."""
-    return np.where(gen.random(shape) < 0.5, -1.0, 1.0)
+    """+/-1 array with the signs of negative_signs(gen, shape)."""
+    return np.where(negative_signs(gen, shape), -1.0, 1.0)
 
 
 def gaussian(gen, shape, sigma=1.0):

@@ -15,7 +15,8 @@ and the solvers' fixed step size is stable at every sampling rate. A purely
 low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
 
 Each Rademacher block draws its Philox stream once, in its constructor, and
-stores the signs packed one bit per entry. The spectral projector expands
+stores the signs packed one bit per entry; each sign is the top bit of one
+raw Philox word (rng.negative_signs). The spectral projector expands
 its block once, under its Walsh rows, into one dense m_s x n_s matrix M
 (at most 2048 x 2048) and applies M as a single product. A small spatial
 block is also cached as float64; a large one is expanded chunk by chunk
@@ -76,9 +77,9 @@ def default_lowpass_counts(n_p, n_s, m_p, m_s):
 
 
 class _RademacherBlock:
-    """Seeded unit-row-norm +/-1/sqrt(n) block. The constructor draws Philox
-    once, packs the negative entries row-wise one bit each, and caches a
-    block of at most _MATERIALIZE_LIMIT entries as float64 too."""
+    """Seeded unit-row-norm +/-1/sqrt(n) block. The constructor draws one raw
+    Philox word per entry, packs the negative signs row-wise one bit each,
+    and caches a block of at most _MATERIALIZE_LIMIT entries as float64 too."""
 
     def __init__(self, rows, n, seed, purpose):
         self.rows = rows
@@ -91,7 +92,7 @@ class _RademacherBlock:
             hi = min(lo + self._chunk, rows)
             # one expression: no draw outlives its packing
             self._signs[lo:hi] = np.packbits(
-                rng.rademacher(gen, (hi - lo, n)) < 0, axis=1)
+                rng.negative_signs(gen, (hi - lo, n)), axis=1)
         self._cache = None
         if rows * n <= _MATERIALIZE_LIMIT:
             self._cache = self._expand(0, rows, np.empty((rows, n)))

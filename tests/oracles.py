@@ -44,6 +44,12 @@ def zigzag_order(n_v, n_h):
     return cells
 
 
+def rademacher_draw(gen, shape):
+    """+/-1 entries from uniform doubles: -1 where random() < 0.5. The
+    library reads the top bit of each raw word, which must agree."""
+    return np.where(gen.random(shape) < 0.5, -1.0, 1.0)
+
+
 def spatial_matrix(pp):
     """Dense m_p x n_p matrix equal to the fast spatial projector."""
     n = pp.n_v * pp.n_h
@@ -53,8 +59,7 @@ def spatial_matrix(pp):
         rows[r] = np.outer(wv[i], wh[j]).flatten(order="F")
     if pp.m_p > pp.q_p:
         gen = rng.stream(pp.seed, rng.SPATIAL_RADEMACHER)
-        draw = gen.random((pp.m_p - pp.q_p, n))
-        rows[pp.q_p:] = np.where(draw < 0.5, -1.0, 1.0) / np.sqrt(n)
+        rows[pp.q_p:] = rademacher_draw(gen, (pp.m_p - pp.q_p, n)) / np.sqrt(n)
     return pp.scale * rows
 
 
@@ -64,8 +69,8 @@ def spectral_matrix(sp):
     rows[:sp.q_s] = walsh_matrix(sp.n_s)[:sp.q_s]
     if sp.m_s > sp.q_s:
         gen = rng.stream(sp.seed, rng.SPECTRAL_RADEMACHER)
-        draw = gen.random((sp.m_s - sp.q_s, sp.n_s))
-        rows[sp.q_s:] = np.where(draw < 0.5, -1.0, 1.0) / np.sqrt(sp.n_s)
+        draw = rademacher_draw(gen, (sp.m_s - sp.q_s, sp.n_s))
+        rows[sp.q_s:] = draw / np.sqrt(sp.n_s)
     return sp.scale * rows
 
 

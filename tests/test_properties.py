@@ -30,7 +30,7 @@ from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, project)
 from hsrec.transforms import (MAX_WALSH_LENGTH, HaarBasis, _haar_matrix,
                               _walsh_matrix)
-from oracles import haar_matrix, walsh_matrix
+from oracles import haar_matrix, rademacher_draw, walsh_matrix
 
 CASES = ("q=0", "0<q<m", "q=m", "m=n")
 _settings = settings(max_examples=40, deadline=None, database=None)
@@ -161,7 +161,7 @@ def test_spectral_matrix_is_walsh_rows_over_redrawn_rademacher(
     with _paths(chunk_rows, n_s):
         sp = SpectralProjector(n_s, m, q, seed)
     gen = rng.stream(seed, rng.SPECTRAL_RADEMACHER)
-    redraw = rng.rademacher(gen, (m - q, n_s)) / np.sqrt(n_s)
+    redraw = rademacher_draw(gen, (m - q, n_s)) / np.sqrt(n_s)
     assert np.array_equal(sp._m, np.vstack([walsh_matrix(n_s)[:q], redraw]))
     # M is the only float64 copy of the Rademacher rows the projector owns
     assert sp._rad._cache is None

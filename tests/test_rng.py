@@ -43,6 +43,24 @@ def test_rademacher_draws_are_chunk_invariant():
     assert np.array_equal(whole, parts)
 
 
+@pytest.mark.parametrize("shape", [(300, 77), (7, 1), (3, 5)])
+def test_negative_signs_match_uniform_draws_and_leave_the_same_state(shape):
+    # the top bit of a raw word is clear exactly when random() < 0.5 on it
+    raw = rng.stream(11, rng.SPATIAL_RADEMACHER)
+    uniform = rng.stream(11, rng.SPATIAL_RADEMACHER)
+    mask = rng.negative_signs(raw, shape)
+    assert mask.dtype == bool and mask.shape == shape
+    assert np.array_equal(mask, uniform.random(shape) < 0.5)
+    assert raw.random() == uniform.random()
+
+
+def test_negative_signs_are_chunk_invariant():
+    whole = rng.negative_signs(rng.stream(4, rng.SPECTRAL_RADEMACHER), (9, 13))
+    gen = rng.stream(4, rng.SPECTRAL_RADEMACHER)
+    parts = [rng.negative_signs(gen, (rows, 13)) for rows in (1, 3, 5)]
+    assert np.array_equal(whole, np.concatenate(parts, axis=0))
+
+
 def test_gaussian_moments_and_determinism():
     gen = rng.stream(9, rng.NOISE)
     x = rng.gaussian(gen, (100000,), sigma=0.01)

@@ -7,7 +7,8 @@ from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts,
                            operator_norm_estimate, project, rates_to_counts)
 from hsrec.transforms import fwht_sequency, zigzag_indices
-from oracles import spatial_matrix, spectral_matrix, walsh_matrix
+from oracles import (rademacher_draw, spatial_matrix, spectral_matrix,
+                     walsh_matrix)
 
 
 # ---------------------------------------------------------------- counts
@@ -155,13 +156,13 @@ def test_chunked_apply_matches_materialized(monkeypatch):
 
 def test_chunked_block_draws_philox_once(monkeypatch):
     drawn = []
-    original = rng.rademacher
+    original = rng.negative_signs
 
     def spy(gen, shape):
         drawn.append(int(np.prod(shape)))
         return original(gen, shape)
 
-    monkeypatch.setattr(rng, "rademacher", spy)
+    monkeypatch.setattr(rng, "negative_signs", spy)
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 96)
     pp = SpatialProjector(4, 8, 20, 4, seed=15)
@@ -209,7 +210,7 @@ def test_chunked_block_values_are_exact(monkeypatch, make, rows, n, purpose,
     rad = rng.stream(proj.seed, purpose)  # redrawn as the projector draws it
     for lo in range(0, rows, chunk_rows):
         take = min(chunk_rows, rows - lo)
-        block = rng.rademacher(rad, (take, n)) / np.sqrt(n)
+        block = rademacher_draw(rad, (take, n)) / np.sqrt(n)
         want_apply[:, lo:lo + take] = x @ block.T
         want_adjoint += y[:, lo:lo + take] @ block
 
@@ -224,7 +225,7 @@ def test_spectral_matrix_values_are_exact(monkeypatch):
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 1 * 4)
     sp = SpectralProjector(4, 3, 1, seed=16)
-    redraw = rng.rademacher(rng.stream(sp.seed, rng.SPECTRAL_RADEMACHER), (2, 4))
+    redraw = rademacher_draw(rng.stream(sp.seed, rng.SPECTRAL_RADEMACHER), (2, 4))
     mat = np.vstack([walsh_matrix(4)[:1], redraw / np.sqrt(4)])
     assert np.array_equal(sp._m, mat)  # Walsh row over the redrawn rows
     gen = np.random.default_rng(12)
