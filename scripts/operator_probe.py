@@ -1,15 +1,16 @@
 """Time the sensing operator at paper scale and print one JSON line.
 
-At 128x128x32 and rates (0.3, 0.25) by default, this builds the spatial
-projector once and times the build whole and split in two: the Rademacher
-block's constructor (the Philox draw, the sign packing and, for a block of
-at most _MATERIALIZE_LIMIT entries, its float64 cache) and the 50-step
-power-iteration norm estimate on the built projector. It then times
-`project`, `adjoint` and one hybrid iteration on the default weights; the
-iteration is the difference of a 1-iteration and a (1 + k)-iteration solve,
-divided by k, so the solver's setup is not counted. Every time except the
-whole build and the norm estimate is the median of --repeats runs. Fix the
-BLAS thread count in the environment for comparable numbers:
+At rates (0.3, 0.25) and seed 1, on 128x128x32 unless --grid names
+another size, this builds the spatial projector once and times the build
+whole and split in two: the Rademacher block's constructor (the Philox
+draw, the sign packing and, for a block of at most _MATERIALIZE_LIMIT
+entries, its float64 cache) and the 50-step power-iteration norm estimate
+on the built projector. It then times `project`, `adjoint` and one hybrid
+iteration on the default weights; the iteration is the difference of a
+1-iteration and a (1 + k)-iteration solve, divided by k = 2, so the
+solver's setup is not counted. Every time except the whole build and the
+norm estimate is the median of 5 runs. Fix the BLAS thread count in the
+environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
     PYTHONPATH=src python3 scripts/operator_probe.py --grid 32x32x16
@@ -25,28 +26,29 @@ from hsrec import harness, rng, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 
+RATES = (0.3, 0.25)
+SEED = 1
+REPEATS = 5
+EXTRA_ITERS = 2
+
+
 def _seconds(fn):
     start = time.perf_counter()
     out = fn()
     return time.perf_counter() - start, out
 
 
-def _median_seconds(fn, repeats):
-    return statistics.median(_seconds(fn)[0] for _ in range(repeats))
+def _median_seconds(fn):
+    return statistics.median(_seconds(fn)[0] for _ in range(REPEATS))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", default="128x128x32",
                         help="n_v x n_h x n_s (default 128x128x32)")
-    parser.add_argument("--rates", default="0.3,0.25", help="r_p,r_s")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--iters", type=int, default=2,
-                        help="k, the extra hybrid iterations timed")
     args = parser.parse_args()
     n_v, n_h, n_s = (int(tok) for tok in args.grid.split("x"))
-    r_p, r_s = (float(tok) for tok in args.rates.split(","))
+    r_p, r_s = RATES
     n_p = n_v * n_h
     m_p, m_s = sensing.rates_to_counts(r_p, r_s, n_p, n_s)
     q_p, q_s = sensing.default_lowpass_counts(n_p, n_s, m_p, m_s)
@@ -54,22 +56,21 @@ def main():
         harness.PhantomSpec(n_v, n_h, n_s, seed=0)))
 
     build_s, pp = _seconds(
-        lambda: sensing.SpatialProjector(n_v, n_h, m_p, q_p, args.seed))
+        lambda: sensing.SpatialProjector(n_v, n_h, m_p, q_p, SEED))
     draw_s = _median_seconds(lambda: sensing._RademacherBlock(
-        m_p - q_p, n_p, args.seed, rng.SPATIAL_RADEMACHER), args.repeats)
+        m_p - q_p, n_p, SEED, rng.SPATIAL_RADEMACHER))
     norm_s, norm = _seconds(lambda: sensing._power_norm(
-        pp._gram, n_p, rng.stream(args.seed, rng.SPATIAL_NORM)))
+        pp._gram, n_p, rng.stream(SEED, rng.SPATIAL_NORM)))
     if q_p < m_p and 1.0 / norm != pp.scale:
         raise SystemExit("the timed norm estimate is not the projector's")
 
-    sp = sensing.SpectralProjector(n_s, m_s, q_s, args.seed)
-    meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=args.seed)
-    project_s = _median_seconds(lambda: sensing.project(x, sp, pp), args.repeats)
-    adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp),
-                                args.repeats)
+    sp = sensing.SpectralProjector(n_s, m_s, q_s, SEED)
+    meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=SEED)
+    project_s = _median_seconds(lambda: sensing.project(x, sp, pp))
+    adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp))
 
     basis = transforms.learn_spectral_basis(
-        harness.sample_training_columns(x, args.seed))
+        harness.sample_training_columns(x, SEED))
 
     def solve(iters):
         # a tiny tau: every run goes to max_iters
@@ -77,15 +78,15 @@ def main():
                                      max_iters=iters, tau=1e-300)
         return lambda: solvers.recover_hybrid(meas, basis, config)
 
-    one = _median_seconds(solve(1), args.repeats)
-    more = _median_seconds(solve(1 + args.iters), args.repeats)
+    one = _median_seconds(solve(1))
+    more = _median_seconds(solve(1 + EXTRA_ITERS))
     print(json.dumps({
-        "grid": args.grid, "rates": [r_p, r_s], "seed": args.seed,
+        "grid": args.grid, "rates": [r_p, r_s], "seed": SEED,
         "counts": {"m_p": m_p, "q_p": q_p, "m_s": m_s, "q_s": q_s},
         "rademacher_entries": (m_p - q_p) * n_p,
         "spatial_build_s": build_s, "draw_s": draw_s, "norm_s": norm_s,
         "project_s": project_s, "adjoint_s": adjoint_s,
-        "hybrid_iter_s": (more - one) / args.iters, "repeats": args.repeats,
+        "hybrid_iter_s": (more - one) / EXTRA_ITERS, "repeats": REPEATS,
     }))
 
 

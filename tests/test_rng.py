@@ -36,11 +36,11 @@ def test_rademacher_values_and_balance():
 
 def test_rademacher_draws_are_chunk_invariant():
     # consuming the same stream in pieces must reproduce the one-shot draw
-    whole = rng.rademacher(rng.stream(5, rng.SPATIAL_RADEMACHER), (6, 8))
-    gen = rng.stream(5, rng.SPATIAL_RADEMACHER)
-    parts = np.concatenate([rng.rademacher(gen, (2, 8)),
-                            rng.rademacher(gen, (4, 8))], axis=0)
-    assert np.array_equal(whole, parts)
+    for draw in (rng.rademacher, rng.negative_signs):
+        whole = draw(rng.stream(5, rng.SPATIAL_RADEMACHER), (6, 8))
+        gen = rng.stream(5, rng.SPATIAL_RADEMACHER)
+        parts = np.concatenate([draw(gen, (2, 8)), draw(gen, (4, 8))], axis=0)
+        assert np.array_equal(whole, parts)
 
 
 @pytest.mark.parametrize("shape", [(300, 77), (7, 1), (3, 5)])
@@ -52,13 +52,6 @@ def test_negative_signs_match_uniform_draws_and_leave_the_same_state(shape):
     assert mask.dtype == bool and mask.shape == shape
     assert np.array_equal(mask, uniform.random(shape) < 0.5)
     assert raw.random() == uniform.random()
-
-
-def test_negative_signs_are_chunk_invariant():
-    whole = rng.negative_signs(rng.stream(4, rng.SPECTRAL_RADEMACHER), (9, 13))
-    gen = rng.stream(4, rng.SPECTRAL_RADEMACHER)
-    parts = [rng.negative_signs(gen, (rows, 13)) for rows in (1, 3, 5)]
-    assert np.array_equal(whole, np.concatenate(parts, axis=0))
 
 
 def test_gaussian_moments_and_determinism():
