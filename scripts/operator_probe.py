@@ -5,12 +5,13 @@ another size, this builds the spatial projector once and times the build
 whole and split in two: the Rademacher block's constructor (the Philox
 draw, the sign packing and, for a block of at most _MATERIALIZE_LIMIT
 entries, its float64 cache) and the 50-step power-iteration norm estimate
-on the built projector. It then times `project`, `adjoint` and one hybrid
-iteration on the default weights; the iteration is the difference of a
-1-iteration and a (1 + k)-iteration solve, divided by k = 2, so the
-solver's setup is not counted. Every time except the whole build and the
-norm estimate is the median of 5 runs. Fix the BLAS thread count in the
-environment for comparable numbers:
+on the built projector. It then times `project`, `adjoint`, one fused
+`residual_and_adjoint` pass (the solvers' per-iterate operator call) and
+one hybrid iteration on the default weights; the iteration is the
+difference of a 1-iteration and a (1 + k)-iteration solve, divided by
+k = 2, so the solver's setup is not counted. Every time except the whole
+build and the norm estimate is the median of 5 runs. Fix the BLAS thread
+count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
     PYTHONPATH=src python3 scripts/operator_probe.py --grid 32x32x16
@@ -68,6 +69,8 @@ def main():
     meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=SEED)
     project_s = _median_seconds(lambda: sensing.project(x, sp, pp))
     adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp))
+    residual_adjoint_s = _median_seconds(
+        lambda: sensing.residual_and_adjoint(meas.y, x, sp, pp))
 
     basis = transforms.learn_spectral_basis(
         harness.sample_training_columns(x, SEED))
@@ -86,6 +89,7 @@ def main():
         "rademacher_entries": (m_p - q_p) * n_p,
         "spatial_build_s": build_s, "draw_s": draw_s, "norm_s": norm_s,
         "project_s": project_s, "adjoint_s": adjoint_s,
+        "residual_adjoint_s": residual_adjoint_s,
         "hybrid_iter_s": (more - one) / EXTRA_ITERS, "repeats": REPEATS,
     }))
 

@@ -16,11 +16,14 @@ low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
 
 Each Rademacher block draws its Philox stream once, in its constructor, and
 stores the signs packed one bit per entry; each sign is the top bit of one
-raw Philox word (rng.negative_signs). The spectral projector expands
-its block once, under its Walsh rows, into one dense m_s x n_s matrix M
-(at most 2048 x 2048) and applies M as a single product. A small spatial
-block is also cached as float64; a large one is expanded chunk by chunk
-instead of being held whole: once per apply, adjoint and Gram step.
+raw Philox word (rng.negative_signs). The spectral projector copies its
+block's float64 cache, under its Walsh rows, into one dense m_s x n_s
+matrix M (at most 2048 x 2048), drops the cache and applies M as a single
+product. A small spatial block is also cached as float64; a large one is
+expanded chunk by chunk instead of being held whole: once per apply or
+adjoint, once per Gram step, and once per residual_and_adjoint, the fused
+pass the solvers make per iterate, which runs both products of a chunk
+while it is expanded.
 """
 
 import math
@@ -35,7 +38,8 @@ from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_ind
 
 # Every Rademacher block is drawn from Philox once and kept as packed sign
 # bits. One of at most this many entries is also cached as float64; a larger
-# one is expanded in _CHUNK_ENTRIES row chunks once per apply, adjoint, gram.
+# one is expanded in _CHUNK_ENTRIES row chunks once per apply, adjoint, gram
+# and fused residual-and-adjoint pass.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _NORM_ITERATIONS = 50
@@ -99,10 +103,11 @@ class _RademacherBlock:
 
     def _expand(self, lo, hi, out):
         """Rows lo:hi as float64 into out; equal to rademacher * scale."""
-        bits = np.unpackbits(self._signs[lo:hi], axis=1, count=self.n)
-        np.multiply(bits, -2.0 * self._scale, out=out)
-        out += self._scale
-        return out
+        signs = np.unpackbits(self._signs[lo:hi], axis=1,
+                              count=self.n).view(np.int8)
+        signs *= -2
+        signs += 1  # 1 - 2b in place: +1 or -1, one float64 pass below
+        return np.multiply(signs, self._scale, out=out)
 
     def _blocks(self):
         """(first row, block) pairs: the cached whole block when there is
@@ -127,6 +132,17 @@ class _RademacherBlock:
         out = np.zeros(y.shape[:-1] + (self.n,))
         for lo, block in self._blocks():
             out += y[..., lo:lo + len(block)] @ block
+        return out
+
+    def residual_and_adjoint(self, y, x, scale, resid):
+        """Write y - scale * apply(x) into resid and return adjoint(resid),
+        bit for bit, expanding each chunk once for both products."""
+        out = np.zeros(x.shape[:-1] + (self.n,))
+        for lo, block in self._blocks():
+            hi = lo + len(block)
+            np.subtract(y[..., lo:hi], scale * (x @ block.T),
+                        out=resid[..., lo:hi])
+            out += resid[..., lo:hi] @ block
         return out
 
     def gram(self, v):
@@ -203,6 +219,16 @@ class _Projector:
         return self.scale * (self._low_adjoint(y[..., :self._q])
                              + self._rad.adjoint(y[..., self._q:]))
 
+    def residual_and_adjoint(self, y, x):
+        """(y - apply(x), adjoint(y - apply(x))) bit for bit, with one pass
+        over the Rademacher block for both."""
+        q = self._q
+        resid = np.empty(y.shape)
+        resid[..., :q] = y[..., :q] - self.scale * self._low(x)
+        back = self._rad.residual_and_adjoint(y[..., q:], x, self.scale,
+                                              resid[..., q:])
+        return resid, self.scale * (self._low_adjoint(resid[..., :q]) + back)
+
 
 class SpatialProjector(_Projector):
     """Pixel-axis projector: q_p zig-zag 2-D WHT coefficients over
@@ -230,8 +256,12 @@ class SpectralProjector(_Projector):
     def _stack(self):
         self._m = np.empty((self.m_s, self.n_s))
         self._m[:self.q_s] = _walsh_matrix(self.n_s)[:self.q_s]
-        self._rad._expand(0, self._rad.rows, self._m[self.q_s:])
-        self._rad._cache = None  # M holds the only float64 copy of R
+        rad = self._rad
+        if rad._cache is None:  # a block over _MATERIALIZE_LIMIT
+            rad._expand(0, rad.rows, self._m[self.q_s:])
+        else:
+            self._m[self.q_s:] = rad._cache
+        rad._cache = None  # M holds the only float64 copy of R
 
     def _gram(self, v):
         return self._m.T @ (self._m @ v)
@@ -267,22 +297,39 @@ class Measurements:
         object.__setattr__(self, "y", y)
 
 
-def project(x, sp, pp):
-    """Phi_s X Phi_p^T via the fast operators."""
+def _check_cube(x, sp, pp):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (sp.n_s, pp.n_p):
         raise ValueError(f"band-by-pixel matrix shape {x.shape} does not match "
                          f"projectors ({sp.n_s}, {pp.n_p})")
-    return pp.apply(sp.apply(x))
+    return x
 
 
-def adjoint(y, sp, pp):
-    """Phi_s^T Y Phi_p via the fast operators."""
+def _check_measurements(y, sp, pp):
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (sp.m_s, pp.m_p):
         raise ValueError(f"measurement shape {y.shape} does not match "
                          f"projector output ({sp.m_s}, {pp.m_p})")
-    return sp.adjoint(pp.adjoint(y))
+    return y
+
+
+def project(x, sp, pp):
+    """Phi_s X Phi_p^T via the fast operators."""
+    return pp.apply(sp.apply(_check_cube(x, sp, pp)))
+
+
+def adjoint(y, sp, pp):
+    """Phi_s^T Y Phi_p via the fast operators."""
+    return sp.adjoint(pp.adjoint(_check_measurements(y, sp, pp)))
+
+
+def residual_and_adjoint(y, x, sp, pp):
+    """(y - project(x), adjoint(y - project(x))) bit for bit, expanding each
+    chunk of a chunked spatial Rademacher block once instead of twice."""
+    x = _check_cube(x, sp, pp)
+    y = _check_measurements(y, sp, pp)
+    resid, z = pp.residual_and_adjoint(y, sp.apply(x))
+    return resid, sp.adjoint(z)
 
 
 def acquire(x, sp, pp, sigma, noise_seed=0):

@@ -3,8 +3,10 @@
 One loop, _run, serves every solver: a gradient (or subgradient) step on
 the data term at the extrapolated iterate, a prox step, then FISTA
 extrapolation, stopping on the relative change of the extrapolated iterate.
-The loop projects each iterate once; the residual and the TV pair it keeps
-give both the iterate's cost and the next gradient step.
+Each iterate takes one fused operator pass, sensing.residual_and_adjoint,
+which expands each chunk of a chunked spatial Rademacher block once: the
+residual, its adjoint and the TV pair give both the iterate's cost and the
+next gradient step.
 
 Both solvers share one nonsmooth step, prox_transformed: the prox of an l1
 norm on the coefficients W Psi^T x, with Psi any invertible spectral basis
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .regularizers import prox_l1, tv_sum_and_subgradient
-from .sensing import adjoint, project
+from .sensing import adjoint, residual_and_adjoint
 from .transforms import basis_apply
 
 _DIVERGENCE_LIMIT = 1e6
@@ -145,9 +147,10 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
          config, x_truth):
     """The accelerated proximal loop every solver runs.
 
-    Each iterate x is projected once and, when tv_weight > 0, TV-differentiated
-    once: the residual y - project(x) and the TV pair give both the cost of x
-    and the next gradient step from x. The step is preconditioned by
+    Each iterate x takes one residual_and_adjoint pass and, when
+    tv_weight > 0, one TV differentiation: the residual y - project(x), its
+    adjoint and the TV pair give both the cost of x and the next gradient
+    step from x. The step is preconditioned by
     (Psi Psi^T)^-1, the identity for an orthonormal basis. The l1 term weighs
     the coefficients W Psi^T x by l1_weight; a zero weight skips its prox.
     """
@@ -161,13 +164,13 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     xi = config.step_size * l1_weight
 
     def data_terms(x):
-        resid = y - project(x, sp, pp)
+        resid, g = residual_and_adjoint(y, x, sp, pp)
         if tv_weight > 0:
-            return (resid, *tv_sum_and_subgradient(x, pp.n_v, pp.n_h))
-        return resid, 0.0, None
+            return (resid, g, *tv_sum_and_subgradient(x, pp.n_v, pp.n_h))
+        return resid, g, 0.0, None
 
     x = adjoint(y, sp, pp)
-    resid, _, tv_grad = data_terms(x)
+    resid, g, _, tv_grad = data_terms(x)
     x_tilde_prev = x
     alpha = 1.0
     rels, costs, snorms, terrs = [], [], [], []
@@ -175,10 +178,10 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     # overflow warnings on a diverging run are expected; the guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, config.max_iters + 1):
-            g = adjoint(resid, sp, pp)
             if tv_grad is not None:
                 g = g - tv_weight * tv_grad
                 tv_grad = None  # freed before the next iterate's is computed
+            snorms.append(float(np.linalg.norm(g)))
             x_tilde = x + config.step_size * basis_apply(spectral_basis, g,
                                                          "gram_inverse")
             if l1_weight > 0:
@@ -190,14 +193,13 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
                 weight = 0.0
             x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
             rel = relative_change(x_next, x)
-            resid, tv_total, tv_grad = data_terms(x_next)
+            resid, g, tv_total, tv_grad = data_terms(x_next)
             cost = 0.5 * float(np.sum(resid * resid)) + tv_weight * tv_total
             if l1_weight > 0:
                 cost += l1_weight * float(np.abs(_coefficients(
                     x_next, spectral_basis, spatial_basis)).sum())
             rels.append(rel)
             costs.append(cost)
-            snorms.append(float(np.linalg.norm(g)))
             if x_truth is not None:
                 terrs.append(relative_error(x_truth, x_next))
             # a steady geometric blow-up can run to max-iters before the

@@ -2,8 +2,9 @@
 
 The operators must be exact adjoints of each other for every block layout
 (no low-pass rows, a mix, only low-pass rows, full sampling) on both the
-cached and the chunk-regenerated Rademacher path, and the fused Gram map
-the norm estimate runs on must equal adjoint(apply(v)) bit for bit; the
+cached and the chunk-regenerated Rademacher path; the fused Gram map the
+norm estimate runs on must equal adjoint(apply(v)) bit for bit, and the
+solvers' fused pass must equal y - project(x) and its adjoint; the
 spectral projector's dense matrix must be the oracle Walsh rows over the
 redrawn Rademacher rows, held once; the dense Walsh and Haar matrices must
 match the independent oracles at every supported length; the Haar basis
@@ -18,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hsrec.sensing as sensing
@@ -109,6 +110,35 @@ def test_combined_operator_is_adjoint(n_v, n_h, n_s, spatial, spectral,
         _assert_adjoint(lambda x: project(x, sp, pp), lambda y: adjoint(y, sp, pp),
                         gen.normal(size=(n_s, n_v * n_h)),
                         gen.normal(size=(m_s, m_p)))
+
+
+@_settings
+@given(n_v=pow2, n_h=pow2, n_s=pow2, spatial=layout, spectral=layout,
+       chunk_rows=chunks, seed=st.integers(0, 2**32))
+@example(n_v=4, n_h=4, n_s=4, spatial=("q=0", 0.5), spectral=("0<q<m", 0.5),
+         chunk_rows=3, seed=1)
+@example(n_v=4, n_h=4, n_s=4, spatial=("q=0", 0.5), spectral=("q=0", 0.5),
+         chunk_rows=None, seed=2)
+@example(n_v=4, n_h=2, n_s=2, spatial=("q=m", 0.5), spectral=("m=n", 0.5),
+         chunk_rows=2, seed=3)
+@example(n_v=2, n_h=8, n_s=8, spatial=("q=m", 0.9), spectral=("q=m", 0.5),
+         chunk_rows=None, seed=4)
+def test_residual_and_adjoint_is_both_calls_bit_for_bit(
+        n_v, n_h, n_s, spatial, spectral, chunk_rows, seed):
+    m_p, q_p = _counts(n_v * n_h, *spatial)
+    m_s, q_s = _counts(n_s, *spectral)
+    with _paths(chunk_rows, n_v * n_h):
+        pp = SpatialProjector(n_v, n_h, m_p, q_p, seed)
+        sp = SpectralProjector(n_s, m_s, q_s, seed + 1)
+        if q_p < m_p:
+            assert (pp._rad._cache is None) == (chunk_rows is not None)
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=(n_s, n_v * n_h))
+        y = gen.normal(size=(m_s, m_p))
+        resid, grad = sensing.residual_and_adjoint(y, x, sp, pp)
+        want = y - project(x, sp, pp)
+        assert np.array_equal(resid, want)
+        assert np.array_equal(grad, adjoint(want, sp, pp))
 
 
 def _reference_norm(proj, n, purpose):

@@ -236,6 +236,55 @@ def test_spectral_matrix_values_are_exact(monkeypatch):
         assert np.array_equal(sp.adjoint(y), sp.scale * (mat.T @ y))
 
 
+@pytest.mark.parametrize("rows, n, purpose", [
+    (5, 1, rng.SPECTRAL_RADEMACHER),  # spectral widths under one packed byte
+    (6, 2, rng.SPECTRAL_RADEMACHER),
+    (7, 4, rng.SPECTRAL_RADEMACHER),
+    (9, 4096, rng.SPATIAL_RADEMACHER),
+])
+def test_expand_matches_written_out_signs(rows, n, purpose):
+    block = sensing._RademacherBlock(rows, n, seed=17, purpose=purpose)
+    negative = np.unpackbits(block._signs, axis=1, count=n)
+    s = 1.0 / np.sqrt(n)
+    want = np.where(negative, -s, s)
+    for lo, hi in ((0, rows), (1, rows - 1), (rows - 1, rows), (2, 2)):
+        got = block._expand(lo, hi, np.empty((hi - lo, n)))
+        assert got.tobytes() == want[lo:hi].tobytes()
+        assert np.array_equal(np.signbit(got), negative[lo:hi].astype(bool))
+    assert block._cache.tobytes() == want.tobytes()
+
+
+def test_spectral_build_expands_its_rows_once(monkeypatch):
+    # M takes its Rademacher rows from the constructor's float64 cache;
+    # only a block over _MATERIALIZE_LIMIT is expanded into M instead
+    calls = []
+    original = sensing._RademacherBlock._expand
+
+    def spy(self, lo, hi, out):
+        calls.append((lo, hi))
+        return original(self, lo, hi, out)
+
+    monkeypatch.setattr(sensing._RademacherBlock, "_expand", spy)
+    sp = SpectralProjector(64, 32, 3, seed=18)
+    assert calls == [(0, 29)]
+    assert sp._rad._cache is None
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    expanded = SpectralProjector(64, 32, 3, seed=18)
+    assert calls == [(0, 29), (0, 29)]
+    assert expanded._m.tobytes() == sp._m.tobytes()
+    assert expanded.scale == sp.scale
+
+
+def test_residual_and_adjoint_checks_shapes():
+    pp = SpatialProjector(4, 4, 8, 2, seed=19)
+    sp = SpectralProjector(4, 2, 1, seed=20)
+    x, y = np.zeros((4, 16)), np.zeros((2, 8))
+    with pytest.raises(ValueError, match="band-by-pixel matrix shape"):
+        sensing.residual_and_adjoint(y, x[:, :8], sp, pp)
+    with pytest.raises(ValueError, match="measurement shape"):
+        sensing.residual_and_adjoint(y[:, :4], x, sp, pp)
+
+
 # ---------------------------------------------------------------- acquire
 
 def test_acquire_noiseless_is_exact_projection():

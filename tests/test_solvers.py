@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import hsrec.sensing as sensing
 import hsrec.solvers as solvers
 from hsrec.datacube import as_band_pixel_matrix
 from hsrec.harness import (PhantomSpec, default_bpdn_config,
@@ -166,21 +167,51 @@ def _count_calls(monkeypatch, names):
 
 
 def test_each_iterate_is_projected_and_differentiated_once(monkeypatch):
-    # one adjoint gives the start; then each iterate costs one project, one
-    # TV pair and one adjoint, shared between its cost and the next step
+    # one adjoint gives the start; then each iterate costs one fused
+    # residual-and-adjoint pass and one TV pair, shared between its cost
+    # and the next step
     _, meas, basis = _desk_measurements()
-    names = ("project", "adjoint", "tv_sum_and_subgradient")
+    names = ("residual_and_adjoint", "adjoint", "tv_sum_and_subgradient")
     n = 7
     calls = _count_calls(monkeypatch, names)
     _, trace = recover_hybrid(meas, basis, SolverConfig(
         gamma1=2e-4, gamma2=2e-4, tau=1e-30, max_iters=n))
     assert trace.iterations == n
-    assert calls == dict.fromkeys(names, n + 1)
+    assert calls == {"residual_and_adjoint": n + 1, "adjoint": 1,
+                     "tv_sum_and_subgradient": n + 1}
     calls = _count_calls(monkeypatch, names)
     _, trace = apg_bpdn(meas, HaarBasis(16, 16), basis, SolverConfig(
         gamma=1e-3, tau=1e-30, max_iters=n))
     assert trace.iterations == n
-    assert calls == {"project": n + 1, "adjoint": n + 1}
+    assert calls == {"residual_and_adjoint": n + 1, "adjoint": 1}
+
+
+def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
+    # a chunked spatial block: the start adjoint and n + 1 fused passes
+    # expand each chunk n + 2 times; the spectral rows live in M
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 5 * 256)
+    _, meas, basis = _desk_measurements()
+    rad = meas.spatial._rad
+    assert rad._cache is None and rad._chunk == 5
+    calls = Counter()
+    original = sensing._RademacherBlock._expand
+
+    def spy(self, lo, hi, out):
+        assert self is rad
+        calls[lo] += 1
+        return original(self, lo, hi, out)
+
+    monkeypatch.setattr(sensing._RademacherBlock, "_expand", spy)
+    n = 4
+    for solve in (
+            lambda config: recover_hybrid(meas, basis, config),
+            lambda config: apg_bpdn(meas, HaarBasis(16, 16), basis, config)):
+        calls.clear()
+        _, trace = solve(SolverConfig(gamma=1e-3, gamma1=2e-4, gamma2=2e-4,
+                                      tau=1e-30, max_iters=n))
+        assert trace.iterations == n
+        assert calls == dict.fromkeys(range(0, rad.rows, rad._chunk), n + 2)
 
 
 def test_zero_l1_weight_skips_the_prox(monkeypatch):
