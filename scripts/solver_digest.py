@@ -8,22 +8,31 @@ block at r_p = 0.5 has more than _MATERIALIZE_LIMIT entries, so that case
 runs the chunked path; the others run the cached one. One line per run:
 method, grid, rates, seed, iterations, stop reason, the repr of both
 projectors' scales, then the digests of the returned matrix and of
-Trace.cost. Two source trees give the same numbers exactly when their
-outputs match line for line:
+Trace.cost. Then, per seed, one line for a SpectralProjector(2048, 1843,
+460, seed) build: its 1383 Rademacher rows are drawn in three chunks, a
+boundary no smaller case crosses, and the line gives the digest of
+sp.apply(I) and the repr of its scale. Two source trees give the same
+numbers exactly when their outputs match line for line under the same BLAS
+thread count (a scale may differ in the last bit across thread counts):
 
-    PYTHONPATH=src python3 scripts/solver_digest.py --seeds 0,1,2 > a.txt
-    PYTHONPATH=/other/tree/src python3 scripts/solver_digest.py --seeds 0,1,2 > b.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
+        python3 scripts/solver_digest.py --seeds 0,1,2 > a.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=/other/tree/src \
+        python3 scripts/solver_digest.py --seeds 0,1,2 > b.txt
     diff a.txt b.txt
 """
 
 import argparse
 import hashlib
 
+import numpy as np
+
 from hsrec import harness, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 CASES = (((32, 32, 16), ((0.3, 0.25), (0.5, 0.5))),
          ((64, 64, 32), ((0.5, 0.25), (0.3, 0.25))))
+SPECTRAL_BUILD = (2048, 1843, 460)  # n_s, m_s, q_s
 
 
 def _digest(a):
@@ -34,6 +43,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0,1,2")
     args = parser.parse_args()
+    seeds = [int(tok) for tok in args.seeds.split(",")]
     hybrid, bpdn = harness.default_hybrid_config(), harness.default_bpdn_config()
     for (n_v, n_h, n_s), rates in CASES:
         x = as_band_pixel_matrix(harness.generate_phantom(
@@ -42,7 +52,7 @@ def main():
         for r_p, r_s in rates:
             m_p, m_s = sensing.rates_to_counts(r_p, r_s, n_p, n_s)
             q_p, q_s = sensing.default_lowpass_counts(n_p, n_s, m_p, m_s)
-            for seed in (int(tok) for tok in args.seeds.split(",")):
+            for seed in seeds:
                 pp = sensing.SpatialProjector(n_v, n_h, m_p, q_p, seed)
                 sp = sensing.SpectralProjector(n_s, m_s, q_s, seed)
                 meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=seed)
@@ -62,6 +72,11 @@ def main():
                           f"seed={seed} iters={trace.iterations} {trace.reason} "
                           f"scales={pp.scale!r},{sp.scale!r} "
                           f"x={_digest(x_hat)} cost={_digest(trace.cost)}")
+    n_s, m_s, q_s = SPECTRAL_BUILD
+    for seed in seeds:
+        sp = sensing.SpectralProjector(n_s, m_s, q_s, seed)
+        print(f"spectral {n_s},{m_s},{q_s} seed={seed} "
+              f"M={_digest(sp.apply(np.eye(n_s)))} scale={sp.scale!r}")
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ def _cmd_recover(args):
     if args.method == "bpdn":
         x_hat, trace = apg_bpdn(meas, HaarBasis(n_v, n_h), basis, config,
                                 x_truth=x_truth)
-    else:  # "hybrid-dict" names the same solver
+    else:
         x_hat, trace = recover_hybrid(meas, basis, config, x_truth=x_truth)
     formats.write_cube(args.out, cube_from_matrix(x_hat, n_v, n_h))
     if args.trace:
@@ -225,8 +225,7 @@ def _build_parser():
 
     p = sub.add_parser("recover", help="recover a datacube from measurements")
     p.add_argument("--meas", required=True)
-    p.add_argument("--method", choices=("bpdn", "hybrid", "hybrid-dict"),
-                   default="hybrid")
+    p.add_argument("--method", choices=("bpdn", "hybrid"), default="hybrid")
     p.add_argument("--gamma", type=float, default=None,
                    help="bpdn l1 weight")
     p.add_argument("--gamma1", type=float, default=None,

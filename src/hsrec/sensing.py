@@ -1,29 +1,28 @@
 """Separable compressive measurement operators.
 
-Each axis gets a projector with two stacked blocks: a low-pass block made of
-leading sequency-ordered Walsh-Hadamard coefficients and a seeded Rademacher
-block with rows scaled to unit norm. Measurements are Y = Phi_s X Phi_p^T
-plus optional Gaussian noise. Both projectors are one construction: the
-low-pass block keeps the zig-zag-first 2-D coefficients of a frame, and the
-spectral axis is an n_s x 1 frame, whose zig-zag order is the leading rows.
-Axes longer than MAX_WALSH_LENGTH are rejected before anything is built.
+Measurements are Y = Phi_s X Phi_p^T plus optional Gaussian noise. Each
+axis stacks a low-pass block of leading sequency-ordered Walsh-Hadamard
+coefficients over a seeded Rademacher block with rows scaled to unit norm;
+each Rademacher sign is the top bit of one raw Philox word
+(rng.negative_signs). Axes longer than MAX_WALSH_LENGTH, and counts that
+break 1 <= m <= n or 0 <= q <= m, are rejected before anything is built.
+
+The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
+2048): its q_s leading Walsh rows over Rademacher rows drawn in row chunks
+straight into M, applied as a single product. The spatial projector keeps
+the zig-zag-first 2-D Walsh coefficients of each n_v x n_h frame, and its
+Rademacher block draws its stream once, in its constructor, and stores the
+signs packed one bit per entry. A small spatial block is also cached as
+float64; a large one is expanded chunk by chunk instead of being held
+whole: once per apply or adjoint, once per Gram step, and once per
+residual_and_adjoint, the fused pass the solvers make per iterate, which
+runs both products of a chunk while it is expanded.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
 value, so the combined operator X -> Phi_s X Phi_p^T has norm close to one
 and the solvers' fixed step size is stable at every sampling rate. A purely
 low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
-
-Each Rademacher block draws its Philox stream once, in its constructor, and
-stores the signs packed one bit per entry; each sign is the top bit of one
-raw Philox word (rng.negative_signs). The spectral projector copies its
-block's float64 cache, under its Walsh rows, into one dense m_s x n_s
-matrix M (at most 2048 x 2048), drops the cache and applies M as a single
-product. A small spatial block is also cached as float64; a large one is
-expanded chunk by chunk instead of being held whole: once per apply or
-adjoint, once per Gram step, and once per residual_and_adjoint, the fused
-pass the solvers make per iterate, which runs both products of a chunk
-while it is expanded.
 """
 
 import math
@@ -36,10 +35,11 @@ from . import rng
 from .datacube import frames_from_matrix, matrix_from_frames
 from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_indices
 
-# Every Rademacher block is drawn from Philox once and kept as packed sign
-# bits. One of at most this many entries is also cached as float64; a larger
-# one is expanded in _CHUNK_ENTRIES row chunks once per apply, adjoint, gram
-# and fused residual-and-adjoint pass.
+# Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
+# spatial block is kept as packed sign bits; one of at most
+# _MATERIALIZE_LIMIT entries is also cached as float64, a larger one is
+# expanded in row chunks once per apply, adjoint, gram and fused
+# residual-and-adjoint pass.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _NORM_ITERATIONS = 50
@@ -167,37 +167,40 @@ def _power_norm(gram_fn, dim, gen):
     return float(np.sqrt(sigma2))
 
 
-class _Projector:
-    """Last-axis projector on n_v x n_h frames flattened column-major: q
-    zig-zag 2-D Walsh coefficients over m - q Rademacher rows, all divided
-    by a power-iteration estimate of the stacked matrix's norm."""
+def _check_counts(n, m, q, what):
+    if m < 1 or m > n:
+        raise ValueError(
+            f"{what} projection count must satisfy 1 <= m <= {n}, got {m}")
+    if q < 0 or q > m:
+        raise ValueError(
+            f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
 
-    def __init__(self, n_v, n_h, m, q, seed, what, rad_purpose, norm_purpose):
-        n = n_v * n_h
-        if m < 1 or m > n:
-            raise ValueError(
-                f"{what} projection count must satisfy 1 <= m <= {n}, got {m}")
-        if q < 0 or q > m:
-            raise ValueError(
-                f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
-        self.seed = int(seed)
-        self._grid, self._q = (n_v, n_h), q
+
+class SpatialProjector:
+    """Pixel-axis projector on n_v x n_h frames flattened column-major: q_p
+    zig-zag 2-D WHT coefficients over (m_p - q_p) Rademacher rows, all
+    divided by a power-iteration estimate of the stacked matrix's norm,
+    acting on (bands, n_p) matrices."""
+
+    def __init__(self, n_v, n_h, m_p, q_p, seed):
+        _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
+        _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
+        self.n_v, self.n_h, self.n_p = n_v, n_h, n_v * n_h
+        _check_counts(self.n_p, m_p, q_p, "spatial")
+        self.m_p, self.q_p, self.seed = m_p, q_p, int(seed)
         # the zig-zag prefix lies in the leading rows and columns of the grid
-        self._rows, self._cols = zigzag_indices(n_v, n_h, q).T
+        self._rows, self._cols = zigzag_indices(n_v, n_h, q_p).T
         self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
         self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
-        self._rad = _RademacherBlock(m - q, n, self.seed, rad_purpose)
-        self._stack()
+        self._rad = _RademacherBlock(m_p - q_p, self.n_p, self.seed,
+                                     rng.SPATIAL_RADEMACHER)
         self.scale = 1.0
-        if q < m:
-            gen = rng.stream(self.seed, norm_purpose)
-            self.scale = 1.0 / _power_norm(self._gram, n, gen)
-
-    def _stack(self):
-        """Hook between the Rademacher draw and the norm estimate."""
+        if q_p < m_p:
+            gen = rng.stream(self.seed, rng.SPATIAL_NORM)
+            self.scale = 1.0 / _power_norm(self._gram, self.n_p, gen)
 
     def _low(self, x):
-        coeff = self._wv @ frames_from_matrix(x, *self._grid) @ self._wh.T
+        coeff = self._wv @ frames_from_matrix(x, self.n_v, self.n_h) @ self._wh.T
         return coeff[..., self._rows, self._cols]
 
     def _low_adjoint(self, y):
@@ -210,19 +213,19 @@ class _Projector:
         return self._low_adjoint(self._low(v)) + self._rad.gram(v)
 
     def apply(self, x):
-        """x: (..., n) -> (..., m)."""
+        """x: (..., n_p) -> (..., m_p)."""
         return self.scale * np.concatenate([self._low(x), self._rad.apply(x)],
                                            axis=-1)
 
     def adjoint(self, y):
-        """y: (..., m) -> (..., n)."""
-        return self.scale * (self._low_adjoint(y[..., :self._q])
-                             + self._rad.adjoint(y[..., self._q:]))
+        """y: (..., m_p) -> (..., n_p)."""
+        return self.scale * (self._low_adjoint(y[..., :self.q_p])
+                             + self._rad.adjoint(y[..., self.q_p:]))
 
     def residual_and_adjoint(self, y, x):
         """(y - apply(x), adjoint(y - apply(x))) bit for bit, with one pass
         over the Rademacher block for both."""
-        q = self._q
+        q = self.q_p
         resid = np.empty(y.shape)
         resid[..., :q] = y[..., :q] - self.scale * self._low(x)
         back = self._rad.residual_and_adjoint(y[..., q:], x, self.scale,
@@ -230,41 +233,29 @@ class _Projector:
         return resid, self.scale * (self._low_adjoint(resid[..., :q]) + back)
 
 
-class SpatialProjector(_Projector):
-    """Pixel-axis projector: q_p zig-zag 2-D WHT coefficients over
-    (m_p - q_p) Rademacher rows, acting on (bands, n_p) matrices."""
-
-    def __init__(self, n_v, n_h, m_p, q_p, seed):
-        _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
-        _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
-        self.n_v, self.n_h, self.n_p = n_v, n_h, n_v * n_h
-        self.m_p, self.q_p = m_p, q_p
-        super().__init__(n_v, n_h, m_p, q_p, seed, "spatial",
-                         rng.SPATIAL_RADEMACHER, rng.SPATIAL_NORM)
-
-
-class SpectralProjector(_Projector):
-    """Band-axis projector: q_s leading sequency WHT rows over (m_s - q_s)
-    Rademacher rows, one dense matrix M acting on (n_s, cols) matrices."""
+class SpectralProjector:
+    """Band-axis projector: one dense m_s x n_s matrix M, q_s leading
+    sequency WHT rows over (m_s - q_s) Rademacher rows, divided by a
+    power-iteration estimate of its norm, acting on (n_s, cols) matrices."""
 
     def __init__(self, n_s, m_s, q_s, seed):
         _check_pow2(n_s, "band count", MAX_WALSH_LENGTH)
-        self.n_s, self.m_s, self.q_s = n_s, m_s, q_s
-        super().__init__(n_s, 1, m_s, q_s, seed, "spectral",
-                         rng.SPECTRAL_RADEMACHER, rng.SPECTRAL_NORM)
-
-    def _stack(self):
-        self._m = np.empty((self.m_s, self.n_s))
-        self._m[:self.q_s] = _walsh_matrix(self.n_s)[:self.q_s]
-        rad = self._rad
-        if rad._cache is None:  # a block over _MATERIALIZE_LIMIT
-            rad._expand(0, rad.rows, self._m[self.q_s:])
-        else:
-            self._m[self.q_s:] = rad._cache
-        rad._cache = None  # M holds the only float64 copy of R
-
-    def _gram(self, v):
-        return self._m.T @ (self._m @ v)
+        _check_counts(n_s, m_s, q_s, "spectral")
+        self.n_s, self.m_s, self.q_s, self.seed = n_s, m_s, q_s, int(seed)
+        gen = rng.stream(self.seed, rng.SPECTRAL_RADEMACHER)
+        self._m = np.empty((m_s, n_s))
+        self._m[:q_s] = _walsh_matrix(n_s)[:q_s]
+        s = 1.0 / np.sqrt(n_s)
+        chunk = max(1, _CHUNK_ENTRIES // n_s)
+        for lo in range(q_s, m_s, chunk):  # the Rademacher rows, +/-s
+            hi = min(lo + chunk, m_s)
+            self._m[lo:hi] = np.where(rng.negative_signs(gen, (hi - lo, n_s)),
+                                      -s, s)
+        self.scale = 1.0
+        if q_s < m_s:
+            gen = rng.stream(self.seed, rng.SPECTRAL_NORM)
+            self.scale = 1.0 / _power_norm(
+                lambda v: self._m.T @ (self._m @ v), n_s, gen)
 
     def apply(self, x):
         """x: (n_s, cols) -> (m_s, cols)."""

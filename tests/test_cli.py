@@ -178,23 +178,21 @@ def test_recover_hybrid_beats_bpdn_with_truth(tmp_path):
     assert finals["hybrid"] < finals["bpdn"]
 
 
-def test_recover_dictionary_method(tmp_path):
-    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
-    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
-    out = tmp_path / "rec.hsc"
-    rc = main(["recover", "--meas", str(meas), "--method", "hybrid-dict",
-               "--truth", str(cube), "--max-iters", "40", "--out", str(out)])
-    assert rc == 0
-    assert read_cube(out).data.shape == (8, 8, 4)
+def test_recover_has_no_dictionary_alias(tmp_path, capsys):
+    # hybrid-dict ran the hybrid code path with the same orthonormal basis
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--meas", str(tmp_path / "m.hsm"),
+              "--method", "hybrid-dict", "--out", str(tmp_path / "r.hsc")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method, flags", [
     ("hybrid", ["--gamma", "5"]),
-    ("hybrid-dict", ["--gamma", "5"]),
     ("bpdn", ["--gamma1", "5"]),
     ("bpdn", ["--gamma1", "5", "--gamma2", "7"]),
     ("bpdn", ["--gamma2", "7"]),
-], ids=["hybrid-gamma", "dict-gamma", "bpdn-gamma1", "bpdn-gamma1-gamma2",
+], ids=["hybrid-gamma", "bpdn-gamma1", "bpdn-gamma1-gamma2",
         "bpdn-gamma2"])
 def test_recover_rejects_weights_the_method_ignores(tmp_path, capsys, method,
                                                      flags):

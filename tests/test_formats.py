@@ -200,3 +200,16 @@ def test_measurements_read_large_declared_grid_is_fast(tmp_path):
     elapsed = time.perf_counter() - start
     assert meas.spatial.n_p == 2048 * 2048
     assert elapsed < 0.3
+
+
+def test_measurements_read_checks_spectral_counts_before_building(tmp_path):
+    # a header-only file whose m_s * m_p = 0 samples match its empty payload:
+    # the counts are rejected before a (2^32 - 1) x 2048 M is allocated
+    path = tmp_path / "counts.hsm"
+    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", 2**32 - 1, 0, 0, 0,
+                                 1, 1, 2048, 0, 0, 0, 0.0))
+    start = time.perf_counter()
+    with pytest.raises(ValueError,
+                       match="spectral projection count must satisfy"):
+        read_measurements(path)
+    assert time.perf_counter() - start < 0.3

@@ -168,14 +168,14 @@ def test_gram_is_adjoint_of_apply_bit_for_bit(axis, n_v, n_h, layout,
         if axis == "spatial":
             proj = SpatialProjector(n_v, n_h, m, q, seed)
             purpose = rng.SPATIAL_NORM
+            rad = proj._rad
+            gen = np.random.default_rng(seed)
+            for shape in ((n,), (bands, n)):  # the power iteration's, a batch
+                v = gen.normal(size=shape)
+                assert np.array_equal(rad.gram(v), rad.adjoint(rad.apply(v)))
         else:
             proj = SpectralProjector(n, m, q, seed)
             purpose = rng.SPECTRAL_NORM
-        rad = proj._rad
-        gen = np.random.default_rng(seed)
-        for shape in ((n,), (bands, n)):  # the power iteration's, a batch
-            v = gen.normal(size=shape)
-            assert np.array_equal(rad.gram(v), rad.adjoint(rad.apply(v)))
         if q < m:
             assert proj.scale == 1.0 / _reference_norm(proj, n, purpose)
         else:
@@ -193,12 +193,11 @@ def test_spectral_matrix_is_walsh_rows_over_redrawn_rademacher(
     gen = rng.stream(seed, rng.SPECTRAL_RADEMACHER)
     redraw = rademacher_draw(gen, (m - q, n_s)) / np.sqrt(n_s)
     assert np.array_equal(sp._m, np.vstack([walsh_matrix(n_s)[:q], redraw]))
-    # M is the only float64 copy of the Rademacher rows the projector owns
-    assert sp._rad._cache is None
-    owned = [a for obj in (sp, sp._rad) for a in vars(obj).values()
-             if isinstance(a, np.ndarray) and a.dtype == np.float64
-             and a.flags.owndata]
-    assert len(owned) == 1 and owned[0] is sp._m
+    # M is the only float64 array the projector holds: no block, no cache
+    assert not hasattr(sp, "_rad")
+    held = [a for a in vars(sp).values()
+            if isinstance(a, np.ndarray) and a.dtype == np.float64]
+    assert len(held) == 1 and held[0] is sp._m
 
 
 @pytest.mark.parametrize("n", [1 << k for k in range(12)])

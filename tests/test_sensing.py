@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from hsrec import rng
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts,
                            operator_norm_estimate, project, rates_to_counts)
-from hsrec.transforms import fwht_sequency, zigzag_indices
+from hsrec.transforms import _walsh_matrix, fwht_sequency, zigzag_indices
 from oracles import (rademacher_draw, spatial_matrix, spectral_matrix,
                      walsh_matrix)
 
@@ -44,16 +47,27 @@ def test_default_lowpass_counts_clamps_with_warning():
 # ---------------------------------------------------------------- projectors
 
 def test_projector_count_validation():
-    with pytest.raises(ValueError):
-        SpatialProjector(4, 4, 0, 0, seed=1)
-    with pytest.raises(ValueError):
-        SpatialProjector(4, 4, 17, 0, seed=1)
-    with pytest.raises(ValueError):
-        SpatialProjector(4, 4, 8, 9, seed=1)
-    with pytest.raises(ValueError):
-        SpectralProjector(8, 4, -1, seed=1)
-    with pytest.raises(ValueError):
-        SpatialProjector(3, 4, 2, 0, seed=1)  # non power-of-two frame
+    for make, message in (
+            (lambda: SpatialProjector(4, 4, 0, 0, seed=1),
+             "spatial projection count must satisfy 1 <= m <= 16, got 0"),
+            (lambda: SpatialProjector(4, 4, 17, 0, seed=1),
+             "spatial projection count must satisfy 1 <= m <= 16, got 17"),
+            (lambda: SpatialProjector(4, 4, 8, 9, seed=1),
+             "spatial low-pass count must satisfy 0 <= q <= m=8, got 9"),
+            (lambda: SpatialProjector(4, 4, 8, -1, seed=1),
+             "spatial low-pass count must satisfy 0 <= q <= m=8, got -1"),
+            (lambda: SpectralProjector(8, 0, 0, seed=1),
+             "spectral projection count must satisfy 1 <= m <= 8, got 0"),
+            (lambda: SpectralProjector(8, 9, 0, seed=1),
+             "spectral projection count must satisfy 1 <= m <= 8, got 9"),
+            (lambda: SpectralProjector(8, 4, 5, seed=1),
+             "spectral low-pass count must satisfy 0 <= q <= m=4, got 5"),
+            (lambda: SpectralProjector(8, 4, -1, seed=1),
+             "spectral low-pass count must satisfy 0 <= q <= m=4, got -1"),
+            (lambda: SpatialProjector(3, 4, 2, 0, seed=1), "power of two"),
+            (lambda: SpectralProjector(6, 2, 0, seed=1), "power of two")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 def test_project_matches_dense_reference_instance():
@@ -254,25 +268,41 @@ def test_expand_matches_written_out_signs(rows, n, purpose):
     assert block._cache.tobytes() == want.tobytes()
 
 
-def test_spectral_build_expands_its_rows_once(monkeypatch):
-    # M takes its Rademacher rows from the constructor's float64 cache;
-    # only a block over _MATERIALIZE_LIMIT is expanded into M instead
-    calls = []
-    original = sensing._RademacherBlock._expand
+def test_spectral_build_draws_its_rows_once(monkeypatch):
+    # the Rademacher rows are drawn straight into M: never packed, never
+    # expanded, and the same bytes whatever the chunk size
+    drawn, expanded = [], []
+    original = rng.negative_signs
 
-    def spy(self, lo, hi, out):
-        calls.append((lo, hi))
-        return original(self, lo, hi, out)
+    def spy(gen, shape):
+        drawn.append(shape)
+        return original(gen, shape)
 
-    monkeypatch.setattr(sensing._RademacherBlock, "_expand", spy)
+    monkeypatch.setattr(rng, "negative_signs", spy)
+    monkeypatch.setattr(sensing._RademacherBlock, "_expand",
+                        lambda *args: expanded.append(args))
     sp = SpectralProjector(64, 32, 3, seed=18)
-    assert calls == [(0, 29)]
-    assert sp._rad._cache is None
-    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
-    expanded = SpectralProjector(64, 32, 3, seed=18)
-    assert calls == [(0, 29), (0, 29)]
-    assert expanded._m.tobytes() == sp._m.tobytes()
-    assert expanded.scale == sp.scale
+    assert sum(r * n for r, n in drawn) == (32 - 3) * 64
+    del drawn[:]
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 64)  # one row per chunk
+    by_row = SpectralProjector(64, 32, 3, seed=18)
+    assert drawn == [(1, 64)] * (32 - 3)
+    assert not expanded
+    assert by_row._m.tobytes() == sp._m.tobytes()
+    assert by_row.scale == sp.scale
+
+
+def test_spectral_build_peak_stays_near_m():
+    # the widest band axis: next to the 16 MiB M a build holds one draw
+    # chunk of raw words, its sign mask and its +/-s rows, and nothing else
+    _walsh_matrix(2048)  # cached once per process, not part of a build
+    tracemalloc.start()
+    try:
+        sp = SpectralProjector(2048, 1024, 102, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.65 * sp._m.nbytes
 
 
 def test_residual_and_adjoint_checks_shapes():
