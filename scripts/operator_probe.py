@@ -2,16 +2,17 @@
 
 At rates (0.3, 0.25) and seed 1, on 128x128x32 unless --grid names
 another size, this builds the spatial projector once and times the build
-whole and split in two: the Rademacher block's constructor (the Philox
-draw, the sign packing and, for a block of at most _MATERIALIZE_LIMIT
-entries, its float64 cache) and the 50-step power-iteration norm estimate
-on the built projector. It then times `project`, `adjoint`, one fused
-`residual_and_adjoint` pass (the solvers' per-iterate operator call) and
-one hybrid iteration on the default weights; the iteration is the
-difference of a 1-iteration and a (1 + k)-iteration solve, divided by
-k = 2, so the solver's setup is not counted. Every time except the whole
-build and the norm estimate is the median of 5 runs. Fix the BLAS thread
-count in the environment for comparable numbers:
+whole and split in two: the 50-step power-iteration norm estimate, rerun
+on the built projector at scale 1 through the fused pass at y = 0 as the
+constructor runs it (norm_s), and the rest of the build (draw_s, the build
+time minus norm_s: the Philox draw, the sign packing and, for at most
+_MATERIALIZE_LIMIT Rademacher entries, their float64 cache). It then
+times `project`, `adjoint`, one fused `residual_and_adjoint` pass (the
+solvers' per-iterate operator call) and one hybrid iteration on the
+default weights; the iteration is the difference of a 1-iteration and a
+(1 + k)-iteration solve, divided by k = 2, so the solver's setup is not
+counted. Every time except those of the build is the median of 5 runs.
+Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
     PYTHONPATH=src python3 scripts/operator_probe.py --grid 32x32x16
@@ -22,6 +23,8 @@ import dataclasses
 import json
 import statistics
 import time
+
+import numpy as np
 
 from hsrec import harness, rng, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
@@ -58,12 +61,15 @@ def main():
 
     build_s, pp = _seconds(
         lambda: sensing.SpatialProjector(n_v, n_h, m_p, q_p, SEED))
-    draw_s = _median_seconds(lambda: sensing._RademacherBlock(
-        m_p - q_p, n_p, SEED, rng.SPATIAL_RADEMACHER))
+    scale, pp.scale = pp.scale, 1.0
+    zero = np.zeros(m_p)
     norm_s, norm = _seconds(lambda: sensing._power_norm(
-        pp._gram, n_p, rng.stream(SEED, rng.SPATIAL_NORM)))
+        lambda v: pp.residual_and_adjoint(zero, v)[1], n_p,
+        rng.stream(SEED, rng.SPATIAL_NORM)))
+    pp.scale = scale
     if q_p < m_p and 1.0 / norm != pp.scale:
         raise SystemExit("the timed norm estimate is not the projector's")
+    draw_s = build_s - norm_s
 
     sp = sensing.SpectralProjector(n_s, m_s, q_s, SEED)
     meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=SEED)

@@ -161,13 +161,12 @@ def _parse_rates(text):
 
 
 def _cmd_sweep(args):
+    cube = phantom = None  # a given cube replaces the phantom altogether
     if args.cube:
         cube = formats.read_cube(args.cube)
-        phantom = harness.PhantomSpec(cube.n_v, cube.n_h, cube.n_s)
     else:
         for flag in ("nv", "nh", "ns"):
             _check_pow2(getattr(args, flag), "--" + flag)
-        cube = None
         phantom = harness.PhantomSpec(args.nv, args.nh, args.ns,
                                       n_regions=args.regions,
                                       n_atoms=args.atoms,

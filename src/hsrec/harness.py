@@ -96,7 +96,8 @@ def default_hybrid_config():
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full sweep: one phantom, a grid of sampling rates, several seeds."""
+    """A full sweep: one phantom (None when run_experiment is given a
+    cube), a grid of sampling rates, several seeds."""
 
     phantom: PhantomSpec
     rates: tuple = ((0.3, 0.25), (0.5, 0.5))

@@ -10,13 +10,13 @@ break 1 <= m <= n or 0 <= q <= m, are rejected before anything is built.
 The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
 2048): its q_s leading Walsh rows over Rademacher rows drawn in row chunks
 straight into M, applied as a single product. The spatial projector keeps
-the zig-zag-first 2-D Walsh coefficients of each n_v x n_h frame, and its
-Rademacher block draws its stream once, in its constructor, and stores the
-signs packed one bit per entry. A small spatial block is also cached as
-float64; a large one is expanded chunk by chunk instead of being held
-whole: once per apply or adjoint, once per Gram step, and once per
-residual_and_adjoint, the fused pass the solvers make per iterate, which
-runs both products of a chunk while it is expanded.
+the zig-zag-first 2-D Walsh coefficients of each n_v x n_h frame over
+Rademacher rows that its constructor draws once and stores packed, one sign
+bit per entry. Small spatial rows are also cached as float64; large ones
+are expanded chunk by chunk instead of being held whole, once per apply,
+adjoint or residual_and_adjoint. That fused pass runs both products of a
+chunk while it is expanded: the solvers make one per iterate, and the
+spatial power iteration one per step, at y = 0.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
@@ -36,10 +36,9 @@ from .datacube import frames_from_matrix, matrix_from_frames
 from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_indices
 
 # Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
-# spatial block is kept as packed sign bits; one of at most
-# _MATERIALIZE_LIMIT entries is also cached as float64, a larger one is
-# expanded in row chunks once per apply, adjoint, gram and fused
-# residual-and-adjoint pass.
+# spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
+# entries of them are also cached as float64, more are expanded in row
+# chunks once per apply, adjoint and fused residual-and-adjoint pass.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _NORM_ITERATIONS = 50
@@ -78,79 +77,6 @@ def default_lowpass_counts(n_p, n_s, m_p, m_s):
             q = m
         out.append(q)
     return out[0], out[1]
-
-
-class _RademacherBlock:
-    """Seeded unit-row-norm +/-1/sqrt(n) block. The constructor draws one raw
-    Philox word per entry, packs the negative signs row-wise one bit each,
-    and caches a block of at most _MATERIALIZE_LIMIT entries as float64 too."""
-
-    def __init__(self, rows, n, seed, purpose):
-        self.rows = rows
-        self.n = n
-        self._chunk = max(1, _CHUNK_ENTRIES // n)
-        self._scale = 1.0 / np.sqrt(n)
-        gen = rng.stream(seed, purpose)
-        self._signs = np.empty((rows, (n + 7) // 8), np.uint8)
-        for lo in range(0, rows, self._chunk):
-            hi = min(lo + self._chunk, rows)
-            # one expression: no draw outlives its packing
-            self._signs[lo:hi] = np.packbits(
-                rng.negative_signs(gen, (hi - lo, n)), axis=1)
-        self._cache = None
-        if rows * n <= _MATERIALIZE_LIMIT:
-            self._cache = self._expand(0, rows, np.empty((rows, n)))
-
-    def _expand(self, lo, hi, out):
-        """Rows lo:hi as float64 into out; equal to rademacher * scale."""
-        signs = np.unpackbits(self._signs[lo:hi], axis=1,
-                              count=self.n).view(np.int8)
-        signs *= -2
-        signs += 1  # 1 - 2b in place: +1 or -1, one float64 pass below
-        return np.multiply(signs, self._scale, out=out)
-
-    def _blocks(self):
-        """(first row, block) pairs: the cached whole block when there is
-        one, else chunks expanded into one buffer reused per call."""
-        if self._cache is not None:
-            yield 0, self._cache
-            return
-        buf = np.empty((min(self._chunk, self.rows), self.n))
-        for lo in range(0, self.rows, self._chunk):
-            hi = min(lo + self._chunk, self.rows)
-            yield lo, self._expand(lo, hi, buf[:hi - lo])
-
-    def apply(self, x):
-        """x: (..., n) -> (..., rows)."""
-        out = np.empty(x.shape[:-1] + (self.rows,))
-        for lo, block in self._blocks():
-            out[..., lo:lo + len(block)] = x @ block.T
-        return out
-
-    def adjoint(self, y):
-        """y: (..., rows) -> (..., n)."""
-        out = np.zeros(y.shape[:-1] + (self.n,))
-        for lo, block in self._blocks():
-            out += y[..., lo:lo + len(block)] @ block
-        return out
-
-    def residual_and_adjoint(self, y, x, scale, resid):
-        """Write y - scale * apply(x) into resid and return adjoint(resid),
-        bit for bit, expanding each chunk once for both products."""
-        out = np.zeros(x.shape[:-1] + (self.n,))
-        for lo, block in self._blocks():
-            hi = lo + len(block)
-            np.subtract(y[..., lo:hi], scale * (x @ block.T),
-                        out=resid[..., lo:hi])
-            out += resid[..., lo:hi] @ block
-        return out
-
-    def gram(self, v):
-        """adjoint(apply(v)) bit for bit, expanding each chunk once."""
-        out = np.zeros(v.shape)
-        for _, block in self._blocks():
-            out += (v @ block.T) @ block
-        return out
 
 
 def _power_norm(gram_fn, dim, gen):
@@ -192,12 +118,47 @@ class SpatialProjector:
         self._rows, self._cols = zigzag_indices(n_v, n_h, q_p).T
         self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
         self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
-        self._rad = _RademacherBlock(m_p - q_p, self.n_p, self.seed,
-                                     rng.SPATIAL_RADEMACHER)
+        rows = m_p - q_p
+        self._chunk = max(1, _CHUNK_ENTRIES // self.n_p)
+        gen = rng.stream(self.seed, rng.SPATIAL_RADEMACHER)
+        self._signs = np.empty((rows, (self.n_p + 7) // 8), np.uint8)
+        for lo in range(0, rows, self._chunk):
+            hi = min(lo + self._chunk, rows)
+            # one expression: no draw outlives its packing
+            self._signs[lo:hi] = np.packbits(
+                rng.negative_signs(gen, (hi - lo, self.n_p)), axis=1)
+        self._cache = None
+        if rows * self.n_p <= _MATERIALIZE_LIMIT:
+            self._cache = self._expand(0, rows, np.empty((rows, self.n_p)))
         self.scale = 1.0
         if q_p < m_p:
+            # at scale 1 the fused pass at y = 0 is -adjoint(apply(v)) bit
+            # for bit, and the norm ignores the sign
+            zero = np.zeros(m_p)
             gen = rng.stream(self.seed, rng.SPATIAL_NORM)
-            self.scale = 1.0 / _power_norm(self._gram, self.n_p, gen)
+            self.scale = 1.0 / _power_norm(
+                lambda v: self.residual_and_adjoint(zero, v)[1], self.n_p, gen)
+
+    def _expand(self, lo, hi, out):
+        """Rademacher rows lo:hi as float64 +/-1/sqrt(n_p) into out."""
+        signs = np.unpackbits(self._signs[lo:hi], axis=1,
+                              count=self.n_p).view(np.int8)
+        signs *= -2
+        signs += 1  # 1 - 2b in place: +1 or -1, one float64 pass below
+        return np.multiply(signs, 1.0 / np.sqrt(self.n_p), out=out)
+
+    def _blocks(self):
+        """(first output row, Rademacher rows) pairs: the cached block when
+        there is one, else chunks expanded into one buffer reused per call."""
+        q = self.q_p
+        if self._cache is not None:
+            yield q, self._cache
+            return
+        rows = self.m_p - q
+        buf = np.empty((min(self._chunk, rows), self.n_p))
+        for lo in range(0, rows, self._chunk):
+            hi = min(lo + self._chunk, rows)
+            yield q + lo, self._expand(lo, hi, buf[:hi - lo])
 
     def _low(self, x):
         coeff = self._wv @ frames_from_matrix(x, self.n_v, self.n_h) @ self._wh.T
@@ -208,28 +169,33 @@ class SpatialProjector:
         coeff[..., self._rows, self._cols] = y
         return matrix_from_frames(self._wv.T @ coeff @ self._wh)
 
-    def _gram(self, v):
-        """Unscaled Phi^T Phi v, summed as adjoint(apply(v)) at scale 1."""
-        return self._low_adjoint(self._low(v)) + self._rad.gram(v)
-
     def apply(self, x):
         """x: (..., n_p) -> (..., m_p)."""
-        return self.scale * np.concatenate([self._low(x), self._rad.apply(x)],
-                                           axis=-1)
+        out = np.empty(x.shape[:-1] + (self.m_p,))
+        out[..., :self.q_p] = self._low(x)
+        for lo, block in self._blocks():
+            out[..., lo:lo + len(block)] = x @ block.T
+        return self.scale * out
 
     def adjoint(self, y):
         """y: (..., m_p) -> (..., n_p)."""
-        return self.scale * (self._low_adjoint(y[..., :self.q_p])
-                             + self._rad.adjoint(y[..., self.q_p:]))
+        back = np.zeros(y.shape[:-1] + (self.n_p,))
+        for lo, block in self._blocks():
+            back += y[..., lo:lo + len(block)] @ block
+        return self.scale * (self._low_adjoint(y[..., :self.q_p]) + back)
 
     def residual_and_adjoint(self, y, x):
-        """(y - apply(x), adjoint(y - apply(x))) bit for bit, with one pass
-        over the Rademacher block for both."""
+        """(y - apply(x), adjoint(y - apply(x))) bit for bit, expanding each
+        Rademacher chunk once for both products."""
         q = self.q_p
         resid = np.empty(y.shape)
         resid[..., :q] = y[..., :q] - self.scale * self._low(x)
-        back = self._rad.residual_and_adjoint(y[..., q:], x, self.scale,
-                                              resid[..., q:])
+        back = np.zeros(x.shape[:-1] + (self.n_p,))
+        for lo, block in self._blocks():
+            hi = lo + len(block)
+            np.subtract(y[..., lo:hi], self.scale * (x @ block.T),
+                        out=resid[..., lo:hi])
+            back += resid[..., lo:hi] @ block
         return resid, self.scale * (self._low_adjoint(resid[..., :q]) + back)
 
 
@@ -277,11 +243,7 @@ class Measurements:
     noise_seed: int = 0
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        expected = (self.spectral.m_s, self.spatial.m_p)
-        if y.shape != expected:
-            raise ValueError(f"measurement shape {y.shape} does not match "
-                             f"projector output {expected}")
+        y = _check_measurements(self.y, self.spectral, self.spatial)
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise standard deviation must be finite and "
                              f">= 0, got {self.sigma}")

@@ -11,8 +11,8 @@ import pytest
 
 import hsrec
 from hsrec.cli import main
-from hsrec.datacube import as_band_pixel_matrix
-from hsrec.formats import read_cube, read_measurements
+from hsrec.datacube import Datacube, as_band_pixel_matrix
+from hsrec.formats import read_cube, read_measurements, write_cube
 
 
 def _make_phantom(tmp_path, name="cube.hsc", nv=16, nh=16, ns=8, seed=1,
@@ -374,6 +374,17 @@ def test_sweep_grid_cardinality(tmp_path):
         assert (row["reason"] == "max-iters") == (row["iterations"] == "200")
         if row["method"] == "hybrid":
             assert row["reason"] == "max-iters"
+
+
+def test_sweep_on_a_one_band_cube(tmp_path):
+    # a given cube is swept as it is: no phantom spec is built or checked
+    cube = tmp_path / "one_band.hsc"
+    write_cube(cube, Datacube(np.random.default_rng(0).uniform(size=(8, 8, 1))))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--cube", str(cube), "--rates", "0.5:1",
+                 "--seeds", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
 
 
 def test_sweep_repeated_seeds_identical_errors(tmp_path):

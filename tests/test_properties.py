@@ -131,7 +131,7 @@ def test_residual_and_adjoint_is_both_calls_bit_for_bit(
         pp = SpatialProjector(n_v, n_h, m_p, q_p, seed)
         sp = SpectralProjector(n_s, m_s, q_s, seed + 1)
         if q_p < m_p:
-            assert (pp._rad._cache is None) == (chunk_rows is not None)
+            assert (pp._cache is None) == (chunk_rows is not None)
         gen = np.random.default_rng(seed)
         x = gen.normal(size=(n_s, n_v * n_h))
         y = gen.normal(size=(m_s, m_p))
@@ -159,20 +159,17 @@ def _reference_norm(proj, n, purpose):
 @_settings
 @given(axis=st.sampled_from(("spatial", "spectral")), n_v=pow2,
        n_h=st.integers(0, 6).map(lambda k: 1 << k), layout=layout,
-       chunk_rows=chunks, seed=st.integers(0, 2**32), bands=st.integers(1, 3))
+       chunk_rows=chunks, seed=st.integers(0, 2**32))
 def test_gram_is_adjoint_of_apply_bit_for_bit(axis, n_v, n_h, layout,
-                                              chunk_rows, seed, bands):
+                                              chunk_rows, seed):
+    # the spatial Gram step is the fused pass at y = 0, the spectral one
+    # M^T M v: either way the scale is that of adjoint(apply(v)) at scale 1
     n = n_v * n_h if axis == "spatial" else n_h
     m, q = _counts(n, *layout)
     with _paths(chunk_rows, n):
         if axis == "spatial":
             proj = SpatialProjector(n_v, n_h, m, q, seed)
             purpose = rng.SPATIAL_NORM
-            rad = proj._rad
-            gen = np.random.default_rng(seed)
-            for shape in ((n,), (bands, n)):  # the power iteration's, a batch
-                v = gen.normal(size=shape)
-                assert np.array_equal(rad.gram(v), rad.adjoint(rad.apply(v)))
         else:
             proj = SpectralProjector(n, m, q, seed)
             purpose = rng.SPECTRAL_NORM

@@ -193,19 +193,27 @@ def test_chunked_block_draws_philox_once(monkeypatch):
 ], ids=["chunked", "cached"])
 def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
                                                           expansions):
-    calls = []
-    original = sensing._RademacherBlock._expand
+    # each Gram step is one fused pass at y = 0
+    calls, passes = [], []
+    expand = SpatialProjector._expand
+    fused = SpatialProjector.residual_and_adjoint
 
-    def spy(self, lo, hi, out):
+    def spy_expand(self, lo, hi, out):
         calls.append((lo, hi))
-        return original(self, lo, hi, out)
+        return expand(self, lo, hi, out)
 
-    monkeypatch.setattr(sensing._RademacherBlock, "_expand", spy)
+    def spy_fused(self, y, x):
+        passes.append(x.shape)
+        return fused(self, y, x)
+
+    monkeypatch.setattr(SpatialProjector, "_expand", spy_expand)
+    monkeypatch.setattr(SpatialProjector, "residual_and_adjoint", spy_fused)
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * 32)
     pp = SpatialProjector(4, 8, 20, 4, seed=15)
     assert pp.scale != 1.0
     assert len(calls) == expansions
+    assert passes == [(32,)] * sensing._NORM_ITERATIONS
 
 
 @pytest.mark.parametrize("make, rows, n, purpose, chunk_rows", [
@@ -234,9 +242,7 @@ def test_chunked_block_values_are_exact(monkeypatch, make, rows, n, purpose,
 
 
 def test_spectral_matrix_values_are_exact(monkeypatch):
-    # Rademacher rows drawn one per chunk, and n = 4 is not a multiple of
-    # 8: packed rows carry padding bits
-    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    # Rademacher rows drawn one per chunk straight into M
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 1 * 4)
     sp = SpectralProjector(4, 3, 1, seed=16)
     redraw = rademacher_draw(rng.stream(sp.seed, rng.SPECTRAL_RADEMACHER), (2, 4))
@@ -250,22 +256,23 @@ def test_spectral_matrix_values_are_exact(monkeypatch):
         assert np.array_equal(sp.adjoint(y), sp.scale * (mat.T @ y))
 
 
-@pytest.mark.parametrize("rows, n, purpose", [
-    (5, 1, rng.SPECTRAL_RADEMACHER),  # spectral widths under one packed byte
-    (6, 2, rng.SPECTRAL_RADEMACHER),
-    (7, 4, rng.SPECTRAL_RADEMACHER),
-    (9, 4096, rng.SPATIAL_RADEMACHER),
+@pytest.mark.parametrize("n_v, n_h, rows", [
+    (1, 1, 1),  # widths under one packed byte: the rows carry padding bits
+    (1, 2, 2),
+    (2, 2, 3),
+    (64, 64, 9),
 ])
-def test_expand_matches_written_out_signs(rows, n, purpose):
-    block = sensing._RademacherBlock(rows, n, seed=17, purpose=purpose)
-    negative = np.unpackbits(block._signs, axis=1, count=n)
+def test_expand_matches_written_out_signs(n_v, n_h, rows):
+    pp = SpatialProjector(n_v, n_h, rows, 0, seed=17)
+    n = n_v * n_h
+    negative = np.unpackbits(pp._signs, axis=1, count=n)
     s = 1.0 / np.sqrt(n)
     want = np.where(negative, -s, s)
-    for lo, hi in ((0, rows), (1, rows - 1), (rows - 1, rows), (2, 2)):
-        got = block._expand(lo, hi, np.empty((hi - lo, n)))
+    for lo, hi in ((0, rows), (rows // 2, rows), (0, rows - 1), (1, 1)):
+        got = pp._expand(lo, hi, np.empty((hi - lo, n)))
         assert got.tobytes() == want[lo:hi].tobytes()
         assert np.array_equal(np.signbit(got), negative[lo:hi].astype(bool))
-    assert block._cache.tobytes() == want.tobytes()
+    assert pp._cache.tobytes() == want.tobytes()
 
 
 def test_spectral_build_draws_its_rows_once(monkeypatch):
@@ -279,7 +286,7 @@ def test_spectral_build_draws_its_rows_once(monkeypatch):
         return original(gen, shape)
 
     monkeypatch.setattr(rng, "negative_signs", spy)
-    monkeypatch.setattr(sensing._RademacherBlock, "_expand",
+    monkeypatch.setattr(SpatialProjector, "_expand",
                         lambda *args: expanded.append(args))
     sp = SpectralProjector(64, 32, 3, seed=18)
     assert sum(r * n for r, n in drawn) == (32 - 3) * 64

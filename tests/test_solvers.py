@@ -192,17 +192,17 @@ def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 5 * 256)
     _, meas, basis = _desk_measurements()
-    rad = meas.spatial._rad
-    assert rad._cache is None and rad._chunk == 5
+    pp = meas.spatial
+    assert pp._cache is None and pp._chunk == 5
     calls = Counter()
-    original = sensing._RademacherBlock._expand
+    original = SpatialProjector._expand
 
     def spy(self, lo, hi, out):
-        assert self is rad
+        assert self is pp
         calls[lo] += 1
         return original(self, lo, hi, out)
 
-    monkeypatch.setattr(sensing._RademacherBlock, "_expand", spy)
+    monkeypatch.setattr(SpatialProjector, "_expand", spy)
     n = 4
     for solve in (
             lambda config: recover_hybrid(meas, basis, config),
@@ -211,7 +211,8 @@ def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
         _, trace = solve(SolverConfig(gamma=1e-3, gamma1=2e-4, gamma2=2e-4,
                                       tau=1e-30, max_iters=n))
         assert trace.iterations == n
-        assert calls == dict.fromkeys(range(0, rad.rows, rad._chunk), n + 2)
+        assert calls == dict.fromkeys(range(0, pp.m_p - pp.q_p, pp._chunk),
+                                      n + 2)
 
 
 def test_zero_l1_weight_skips_the_prox(monkeypatch):
