@@ -46,7 +46,8 @@ lhs = np.sum(clean * y_probe)
 rhs = np.sum(x * adjoint(y_probe, sp, pp))
 print("adjoint identity gap:", abs(lhs - rhs))
 
-# Measurement files store only the seeds; projectors are rebuilt on read.
+# Measurement files store the seeds and the two operator scales, not the
+# projectors: a read rebuilds them from the seeds and skips the norm estimate.
 write_measurements("/tmp/demo.hsm", meas)
 again = read_measurements("/tmp/demo.hsm")
 print("round trip: sigma=%s, max |Y - Y'| = %.2e"

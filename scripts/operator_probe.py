@@ -8,10 +8,12 @@ constructor runs it (norm_s), and the rest of the build (draw_s, the build
 time minus norm_s: the Philox draw, the sign packing and, for at most
 _MATERIALIZE_LIMIT Rademacher entries, their float64 cache). It then
 times `project`, `adjoint`, one fused `residual_and_adjoint` pass (the
-solvers' per-iterate operator call) and one hybrid iteration on the
-default weights; the iteration is the difference of a 1-iteration and a
-(1 + k)-iteration solve, divided by k = 2, so the solver's setup is not
-counted. Every time except those of the build is the median of 5 runs.
+solvers' per-iterate operator call), `read_measurements` of an HSM2 file
+of its own acquisition (read_s; the probe fails unless both stored scales
+read back equal) and one hybrid iteration on the default weights; the
+iteration is the difference of a 1-iteration and a (1 + k)-iteration
+solve, divided by k = 2, so the solver's setup is not counted. Every time
+except those of the build is the median of 5 runs.
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
@@ -21,12 +23,14 @@ Fix the BLAS thread count in the environment for comparable numbers:
 import argparse
 import dataclasses
 import json
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
 
-from hsrec import harness, rng, sensing, solvers, transforms
+from hsrec import formats, harness, rng, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 
@@ -77,6 +81,13 @@ def main():
     adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp))
     residual_adjoint_s = _median_seconds(
         lambda: sensing.residual_and_adjoint(meas.y, x, sp, pp))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "probe.hsm")
+        formats.write_measurements(path, meas)
+        back = formats.read_measurements(path)
+        if (back.spectral.scale, back.spatial.scale) != (sp.scale, pp.scale):
+            raise SystemExit("the HSM2 file does not read back its scales")
+        read_s = _median_seconds(lambda: formats.read_measurements(path))
 
     basis = transforms.learn_spectral_basis(
         harness.sample_training_columns(x, SEED))
@@ -95,7 +106,7 @@ def main():
         "rademacher_entries": (m_p - q_p) * n_p,
         "spatial_build_s": build_s, "draw_s": draw_s, "norm_s": norm_s,
         "project_s": project_s, "adjoint_s": adjoint_s,
-        "residual_adjoint_s": residual_adjoint_s,
+        "residual_adjoint_s": residual_adjoint_s, "read_s": read_s,
         "hybrid_iter_s": (more - one) / EXTRA_ITERS, "repeats": REPEATS,
     }))
 

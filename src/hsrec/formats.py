@@ -4,12 +4,19 @@ Cube files ("HSC1"): magic, then n_v, n_h, n_s as little-endian uint32,
 then the band-by-pixel matrix as little-endian float32 in row-major order
 (band-major, column-major pixels within each band).
 
-Measurement files ("HSM1"): magic, the projector shape counts and grid
-dimensions, the three generator seeds, and the noise level, followed by
-the measurement matrix as little-endian float32 in row-major order. The
-projectors themselves are not stored; they are rebuilt from the seeds on
-read, which keeps files small and guarantees the reader reconstructs the
-exact operators used at acquisition time.
+Measurement files ("HSM2"): magic, the projector shape counts and grid
+dimensions as uint32, the three generator seeds as uint64, then the noise
+level and the spectral and spatial projector scales as float64 (80 bytes
+in all), followed by the measurement matrix as little-endian float32 in
+row-major order. The projector matrices are not stored; they are rebuilt
+from the seeds on read, which keeps files small. The scales are stored
+because estimating one takes 50 power-iteration passes over the rows, most
+of a build, and its last bit depends on the BLAS thread count: a reader
+given the acquisition's scales skips that work and rebuilds exactly the
+operators used at acquisition time.
+
+The older "HSM1" layout, the same header without the two scales (64
+bytes), is still read; its scales are estimated on read as before.
 """
 
 import struct
@@ -21,8 +28,10 @@ from .sensing import Measurements, SpatialProjector, SpectralProjector
 
 _CUBE_MAGIC = b"HSC1"
 _CUBE_HEADER = struct.Struct("<4s3I")
-_MEAS_MAGIC = b"HSM1"
-_MEAS_HEADER = struct.Struct("<4s7I3Qd")
+_MEAS_MAGIC = b"HSM2"
+# the header after the magic: HSM2 ends in sigma and the two scales
+_MEAS_FIELDS = {b"HSM1": struct.Struct("<7I3Qd"),
+                _MEAS_MAGIC: struct.Struct("<7I3Q3d")}
 # Largest cube a measurement file may declare: 1 GiB of float64 samples.
 _MAX_CUBE_ENTRIES = 1 << 27
 
@@ -61,23 +70,25 @@ def write_measurements(path, meas):
     # checked before the file is opened, so a bad header leaves no file
     if not all(0 <= seed < 1 << 64 for seed in seeds):
         raise ValueError(f"{path}: seeds must lie in [0, 2^64), got {seeds}")
-    header = _MEAS_HEADER.pack(
-        _MEAS_MAGIC, sp.m_s, pp.m_p, sp.q_s, pp.q_p,
-        pp.n_v, pp.n_h, sp.n_s, *seeds, meas.sigma)
+    header = _MEAS_FIELDS[_MEAS_MAGIC].pack(
+        sp.m_s, pp.m_p, sp.q_s, pp.q_p, pp.n_v, pp.n_h, sp.n_s, *seeds,
+        meas.sigma, sp.scale, pp.scale)
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_MEAS_MAGIC + header)
         fh.write(np.ascontiguousarray(meas.y, dtype="<f4").tobytes())
 
 
 def read_measurements(path):
     with open(path, "rb") as fh:
-        header = fh.read(_MEAS_HEADER.size)
-        if len(header) < _MEAS_HEADER.size:
-            raise ValueError(f"{path}: truncated measurement header")
-        (magic, m_s, m_p, q_s, q_p, n_v, n_h, n_s,
-         spectral_seed, spatial_seed, noise_seed, sigma) = _MEAS_HEADER.unpack(header)
-        if magic != _MEAS_MAGIC:
+        magic = fh.read(4)
+        fields = _MEAS_FIELDS.get(magic)
+        if fields is None:
             raise ValueError(f"{path}: not a measurement file (bad magic {magic!r})")
+        header = fh.read(fields.size)
+        if len(header) < fields.size:
+            raise ValueError(f"{path}: truncated measurement header")
+        (m_s, m_p, q_s, q_p, n_v, n_h, n_s, spectral_seed, spatial_seed,
+         noise_seed, sigma, *scales) = fields.unpack(header)
         if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
             raise ValueError(f"{path}: declared cube {n_v}x{n_h}x{n_s} exceeds "
                              f"{_MAX_CUBE_ENTRIES} entries")
@@ -89,8 +100,10 @@ def read_measurements(path):
         raise ValueError(f"{path}: expected {m_s * m_p} samples, found {y.size}")
     if not np.all(np.isfinite(y)):
         raise ValueError(f"{path}: measurement payload is not finite")
-    sp = SpectralProjector(n_s, m_s, q_s, spectral_seed)
-    pp = SpatialProjector(n_v, n_h, m_p, q_p, spatial_seed)
+    # an HSM1 file stores no scales: the constructors estimate them
+    spectral_scale, spatial_scale = scales or (None, None)
+    sp = SpectralProjector(n_s, m_s, q_s, spectral_seed, scale=spectral_scale)
+    pp = SpatialProjector(n_v, n_h, m_p, q_p, spatial_seed, scale=spatial_scale)
     return Measurements(y=y.astype(np.float64).reshape(m_s, m_p),
                         spectral=sp, spatial=pp,
                         sigma=sigma, noise_seed=noise_seed)

@@ -4,8 +4,9 @@ Measurements are Y = Phi_s X Phi_p^T plus optional Gaussian noise. Each
 axis stacks a low-pass block of leading sequency-ordered Walsh-Hadamard
 coefficients over a seeded Rademacher block with rows scaled to unit norm;
 each Rademacher sign is the top bit of one raw Philox word
-(rng.negative_signs). Axes longer than MAX_WALSH_LENGTH, and counts that
-break 1 <= m <= n or 0 <= q <= m, are rejected before anything is built.
+(rng.negative_signs). Axes longer than MAX_WALSH_LENGTH, counts that
+break 1 <= m <= n or 0 <= q <= m, and a given scale that is not finite and
+> 0 (or not 1 when q = m), are rejected before anything is built.
 
 The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
 2048): its q_s leading Walsh rows over Rademacher rows drawn in row chunks
@@ -23,6 +24,9 @@ matrix is divided by a power-iteration estimate of its largest singular
 value, so the combined operator X -> Phi_s X Phi_p^T has norm close to one
 and the solvers' fixed step size is stable at every sampling rate. A purely
 low-pass projector (q = m) is a partial isometry, so its scale is exactly 1.
+A constructor given scale= uses that value instead of the estimate and
+draws the same rows: an HSM2 file stores the scales of its acquisition, so
+reading one skips the power iteration.
 """
 
 import math
@@ -93,26 +97,33 @@ def _power_norm(gram_fn, dim, gen):
     return float(np.sqrt(sigma2))
 
 
-def _check_counts(n, m, q, what):
+def _check_counts(n, m, q, scale, what):
     if m < 1 or m > n:
         raise ValueError(
             f"{what} projection count must satisfy 1 <= m <= {n}, got {m}")
     if q < 0 or q > m:
         raise ValueError(
             f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
+    if scale is None:
+        return
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"{what} scale must be finite and > 0, got {scale}")
+    if q == m and scale != 1.0:
+        raise ValueError(f"{what} scale must be 1 on a purely low-pass axis "
+                         f"(q = m = {m}), got {scale}")
 
 
 class SpatialProjector:
     """Pixel-axis projector on n_v x n_h frames flattened column-major: q_p
     zig-zag 2-D WHT coefficients over (m_p - q_p) Rademacher rows, all
-    divided by a power-iteration estimate of the stacked matrix's norm,
-    acting on (bands, n_p) matrices."""
+    multiplied by scale (by default the inverse of a power-iteration
+    estimate of the stacked matrix's norm), acting on (bands, n_p) matrices."""
 
-    def __init__(self, n_v, n_h, m_p, q_p, seed):
+    def __init__(self, n_v, n_h, m_p, q_p, seed, *, scale=None):
         _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
         _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
         self.n_v, self.n_h, self.n_p = n_v, n_h, n_v * n_h
-        _check_counts(self.n_p, m_p, q_p, "spatial")
+        _check_counts(self.n_p, m_p, q_p, scale, "spatial")
         self.m_p, self.q_p, self.seed = m_p, q_p, int(seed)
         # the zig-zag prefix lies in the leading rows and columns of the grid
         self._rows, self._cols = zigzag_indices(n_v, n_h, q_p).T
@@ -130,8 +141,8 @@ class SpatialProjector:
         self._cache = None
         if rows * self.n_p <= _MATERIALIZE_LIMIT:
             self._cache = self._expand(0, rows, np.empty((rows, self.n_p)))
-        self.scale = 1.0
-        if q_p < m_p:
+        self.scale = 1.0 if scale is None else float(scale)
+        if scale is None and q_p < m_p:
             # at scale 1 the fused pass at y = 0 is -adjoint(apply(v)) bit
             # for bit, and the norm ignores the sign
             zero = np.zeros(m_p)
@@ -201,12 +212,13 @@ class SpatialProjector:
 
 class SpectralProjector:
     """Band-axis projector: one dense m_s x n_s matrix M, q_s leading
-    sequency WHT rows over (m_s - q_s) Rademacher rows, divided by a
-    power-iteration estimate of its norm, acting on (n_s, cols) matrices."""
+    sequency WHT rows over (m_s - q_s) Rademacher rows, multiplied by scale
+    (by default the inverse of a power-iteration estimate of its norm),
+    acting on (n_s, cols) matrices."""
 
-    def __init__(self, n_s, m_s, q_s, seed):
+    def __init__(self, n_s, m_s, q_s, seed, *, scale=None):
         _check_pow2(n_s, "band count", MAX_WALSH_LENGTH)
-        _check_counts(n_s, m_s, q_s, "spectral")
+        _check_counts(n_s, m_s, q_s, scale, "spectral")
         self.n_s, self.m_s, self.q_s, self.seed = n_s, m_s, q_s, int(seed)
         gen = rng.stream(self.seed, rng.SPECTRAL_RADEMACHER)
         self._m = np.empty((m_s, n_s))
@@ -217,8 +229,8 @@ class SpectralProjector:
             hi = min(lo + chunk, m_s)
             self._m[lo:hi] = np.where(rng.negative_signs(gen, (hi - lo, n_s)),
                                       -s, s)
-        self.scale = 1.0
-        if q_s < m_s:
+        self.scale = 1.0 if scale is None else float(scale)
+        if scale is None and q_s < m_s:
             gen = rng.stream(self.seed, rng.SPECTRAL_NORM)
             self.scale = 1.0 / _power_norm(
                 lambda v: self._m.T @ (self._m @ v), n_s, gen)

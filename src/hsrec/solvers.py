@@ -6,7 +6,8 @@ extrapolation, stopping on the relative change of the extrapolated iterate.
 Each iterate takes one fused operator pass, sensing.residual_and_adjoint,
 which expands each chunk of a chunked spatial Rademacher block once: the
 residual, its adjoint and the TV pair give both the iterate's cost and the
-next gradient step.
+next gradient step. The returned iterate takes a plain projection instead,
+since no step follows it to use the adjoint.
 
 Both solvers share one nonsmooth step, prox_transformed: the prox of an l1
 norm on the coefficients W Psi^T x, with Psi any invertible spectral basis
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .regularizers import prox_l1, tv_sum_and_subgradient
-from .sensing import adjoint, residual_and_adjoint
+from .sensing import adjoint, project, residual_and_adjoint
 from .transforms import basis_apply
 
 _DIVERGENCE_LIMIT = 1e6
@@ -150,9 +151,11 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     Each iterate x takes one residual_and_adjoint pass and, when
     tv_weight > 0, one TV differentiation: the residual y - project(x), its
     adjoint and the TV pair give both the cost of x and the next gradient
-    step from x. The step is preconditioned by
-    (Psi Psi^T)^-1, the identity for an orthonormal basis. The l1 term weighs
-    the coefficients W Psi^T x by l1_weight; a zero weight skips its prox.
+    step from x. The last iterate, which only needs its cost, takes
+    y - project(x) alone: the same residual bit for bit. The step is
+    preconditioned by (Psi Psi^T)^-1, the identity for an orthonormal basis.
+    The l1 term weighs the coefficients W Psi^T x by l1_weight; a zero
+    weight skips its prox.
     """
     y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
     if spectral_basis.n_s != sp.n_s:
@@ -163,8 +166,11 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
         raise ValueError("spatial basis grid does not match the projector")
     xi = config.step_size * l1_weight
 
-    def data_terms(x):
-        resid, g = residual_and_adjoint(y, x, sp, pp)
+    def data_terms(x, last=False):
+        if last:
+            resid, g = y - project(x, sp, pp), None
+        else:
+            resid, g = residual_and_adjoint(y, x, sp, pp)
         if tv_weight > 0:
             return (resid, g, *tv_sum_and_subgradient(x, pp.n_v, pp.n_h))
         return resid, g, 0.0, None
@@ -193,7 +199,8 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
                 weight = 0.0
             x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
             rel = relative_change(x_next, x)
-            resid, g, tv_total, tv_grad = data_terms(x_next)
+            resid, g, tv_total, tv_grad = data_terms(
+                x_next, rel < config.tau or n == config.max_iters)
             cost = 0.5 * float(np.sum(resid * resid)) + tv_weight * tv_total
             if l1_weight > 0:
                 cost += l1_weight * float(np.abs(_coefficients(

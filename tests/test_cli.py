@@ -13,6 +13,7 @@ import hsrec
 from hsrec.cli import main
 from hsrec.datacube import Datacube, as_band_pixel_matrix
 from hsrec.formats import read_cube, read_measurements, write_cube
+from oracles import hsm1_bytes
 
 
 def _make_phantom(tmp_path, name="cube.hsc", nv=16, nh=16, ns=8, seed=1,
@@ -252,20 +253,22 @@ def test_recover_slow_blow_up_exits_3_without_a_file(tmp_path, capsys):
 def test_recover_rejects_non_finite_measurement_files(tmp_path, capsys):
     cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
     meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
-    raw = meas.read_bytes()
-    header_size = struct.calcsize("<4s7I3Qd")
-    nan_sigma = tmp_path / "nan_sigma.hsm"
-    nan_sigma.write_bytes(raw[:header_size - 8] + struct.pack("<d", np.nan)
-                          + raw[header_size:])
-    nan_payload = tmp_path / "nan_payload.hsm"
-    nan_payload.write_bytes(raw[:header_size] + np.float32(np.nan).tobytes()
-                            + raw[header_size + 4:])
-    for path, message in ((nan_sigma, "noise level"),
-                          (nan_payload, "not finite")):
-        rc = main(["recover", "--meas", str(path), "--method", "hybrid",
-                   "--out", str(tmp_path / "r.hsc")])
-        assert rc == 2
-        assert message in capsys.readouterr().err
+    hsm2 = meas.read_bytes()
+    sigma_at = struct.calcsize("<4s7I3Q")  # the same in both layouts
+    for raw, header_size in ((hsm2, struct.calcsize("<4s7I3Q3d")),
+                             (hsm1_bytes(hsm2), struct.calcsize("<4s7I3Qd"))):
+        nan_sigma = tmp_path / "nan_sigma.hsm"
+        nan_sigma.write_bytes(raw[:sigma_at] + struct.pack("<d", np.nan)
+                              + raw[sigma_at + 8:])
+        nan_payload = tmp_path / "nan_payload.hsm"
+        nan_payload.write_bytes(raw[:header_size] + np.float32(np.nan).tobytes()
+                                + raw[header_size + 4:])
+        for path, message in ((nan_sigma, "noise level"),
+                              (nan_payload, "not finite")):
+            rc = main(["recover", "--meas", str(path), "--method", "hybrid",
+                       "--out", str(tmp_path / "r.hsc")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -285,6 +288,25 @@ def test_recover_rejects_oversized_grids_fast(tmp_path, capsys, grid, message):
     assert time.perf_counter() - start < 0.1
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q_p, scales", [
+    (0, (float("nan"), 1.0)), (0, (float("inf"), 1.0)),
+    (0, (1.0, float("-inf"))), (0, (1.0, 0.0)), (0, (1.0, -1.0)),
+    (1, (1.0, 0.5)),                     # q_p = m_p: the scale must be 1
+])
+def test_recover_rejects_bad_stored_scales_fast(tmp_path, capsys, q_p, scales):
+    # 84 bytes: an HSM2 header over a 2048x2048 grid with one spatial row
+    path = tmp_path / "hostile.hsm"
+    path.write_bytes(struct.pack("<4s7I3Q3d", b"HSM2", 1, 1, 0, q_p,
+                                 2048, 2048, 1, 0, 0, 0, 0.0, *scales)
+                     + np.ones(1, dtype="<f4").tobytes())
+    start = time.perf_counter()
+    rc = main(["recover", "--meas", str(path), "--method", "hybrid",
+               "--out", str(tmp_path / "r.hsc")])
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2
+    assert "scale" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- eval

@@ -4,12 +4,17 @@ import time
 import numpy as np
 import pytest
 
+import hsrec.sensing as sensing
 from hsrec.datacube import Datacube, as_band_pixel_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
 from hsrec.harness import PhantomSpec, generate_phantom
 from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, project)
+from oracles import hsm1_bytes
+
+# header layouts by magic, and the bytes each header takes
+_LAYOUTS = {b"HSM2": "<4s7I3Q3d", b"HSM1": "<4s7I3Qd"}
 
 
 def _cube():
@@ -126,18 +131,52 @@ def test_measurements_write_is_stable(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_measurements_header_layout(tmp_path):
-    meas = _measurements()
-    path = tmp_path / "meas.hsm"
+def _written_files(path, meas):
+    """(magic, bytes) of meas written as HSM2 and repacked as HSM1."""
     write_measurements(path, meas)
     raw = path.read_bytes()
-    fields = struct.unpack_from("<4s7I3Qd", raw)
-    assert fields[0] == b"HSM1"
-    assert fields[1:8] == (2, 12, 1, 3, 4, 8, 4)  # m_s m_p q_s q_p n_v n_h n_s
-    assert fields[8:11] == (22, 21, 17)  # spectral, spatial, noise seeds
-    assert fields[11] == 0.01
-    payload = raw[struct.calcsize("<4s7I3Qd"):]
-    assert len(payload) == 4 * 2 * 12
+    return (b"HSM2", raw), (b"HSM1", hsm1_bytes(raw))
+
+
+def test_measurements_header_layout(tmp_path):
+    meas = _measurements()
+    scales = (meas.spectral.scale, meas.spatial.scale)
+    for magic, raw in _written_files(tmp_path / "meas.hsm", meas):
+        layout = _LAYOUTS[magic]
+        fields = struct.unpack_from(layout, raw)
+        assert fields[0] == magic
+        assert fields[1:8] == (2, 12, 1, 3, 4, 8, 4)  # m_s m_p q_s q_p n_v n_h n_s
+        assert fields[8:11] == (22, 21, 17)  # spectral, spatial, noise seeds
+        assert fields[11] == 0.01
+        # HSM2 adds the spectral and spatial scales
+        assert fields[12:] == (scales if magic == b"HSM2" else ())
+        payload = raw[struct.calcsize(layout):]
+        assert len(payload) == 4 * 2 * 12
+    assert struct.calcsize(_LAYOUTS[b"HSM2"]) == 80
+
+
+def test_measurements_hsm2_stores_the_acquisition_scales(tmp_path, monkeypatch):
+    # an HSM2 read takes the stored scales and runs no power iteration; an
+    # HSM1 file estimates them again and, at one BLAS thread count, gets
+    # the same ones, so old files keep their operators
+    meas = _measurements()
+    norms = []
+    original = sensing._power_norm
+
+    def spy(*args):
+        norms.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(sensing, "_power_norm", spy)
+    path = tmp_path / "meas.hsm"
+    for magic, raw in _written_files(path, meas):
+        path.write_bytes(raw)
+        norms.clear()
+        got = read_measurements(path)
+        assert norms == ([] if magic == b"HSM2" else [4, 32])
+        assert got.spectral.scale == meas.spectral.scale
+        assert got.spatial.scale == meas.spatial.scale
+        assert np.array_equal(got.y, meas.y.astype(np.float32))
 
 
 def test_measurements_read_rejects_corrupt_files(tmp_path):
@@ -177,13 +216,26 @@ def test_measurements_read_rejects_bad_noise_level(tmp_path):
 def test_measurements_read_rejects_non_finite_payload(tmp_path):
     meas = _measurements()
     path = tmp_path / "meas.hsm"
+    for magic, raw in _written_files(path, meas):
+        header = raw[:struct.calcsize(_LAYOUTS[magic])]
+        for value in (np.nan, np.inf, -np.inf):
+            y = meas.y.astype("<f4")
+            y[1, 5] = value
+            path.write_bytes(header + y.tobytes())
+            with pytest.raises(ValueError, match="not finite"):
+                read_measurements(path)
+
+
+@pytest.mark.parametrize("offset, axis", [(64, "spectral"), (72, "spatial")])
+def test_measurements_read_rejects_bad_scales(tmp_path, offset, axis):
+    meas = _measurements()
+    path = tmp_path / "meas.hsm"
     write_measurements(path, meas)
-    header = path.read_bytes()[:struct.calcsize("<4s7I3Qd")]
-    for value in (np.nan, np.inf, -np.inf):
-        y = meas.y.astype("<f4")
-        y[1, 5] = value
-        path.write_bytes(header + y.tobytes())
-        with pytest.raises(ValueError, match="not finite"):
+    raw = bytearray(path.read_bytes())
+    for scale in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        struct.pack_into("<d", raw, offset, scale)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"{axis} scale"):
             read_measurements(path)
 
 
@@ -199,6 +251,22 @@ def test_measurements_read_large_declared_grid_is_fast(tmp_path):
     meas = read_measurements(path)
     elapsed = time.perf_counter() - start
     assert meas.spatial.n_p == 2048 * 2048
+    assert elapsed < 0.3
+
+
+def test_measurements_read_large_declared_grid_hsm2_is_fast(tmp_path):
+    # the HSM2 twin, with one Rademacher row per axis: the given scales
+    # skip the power iteration over the 2048x2048 spatial row
+    path = tmp_path / "tiny.hsm"
+    path.write_bytes(struct.pack("<4s7I3Q3d", b"HSM2", 1, 1, 0, 0, 2048, 2048,
+                                 1, 0, 0, 0, 0.0, 1.0, 0.5)
+                     + np.ones(1, dtype="<f4").tobytes())
+    assert path.stat().st_size == 84
+    start = time.perf_counter()
+    meas = read_measurements(path)
+    elapsed = time.perf_counter() - start
+    assert meas.spatial.n_p == 2048 * 2048
+    assert (meas.spectral.scale, meas.spatial.scale) == (1.0, 0.5)
     assert elapsed < 0.3
 
 

@@ -70,6 +70,33 @@ def test_projector_count_validation():
             make()
 
 
+def test_projector_scale_validation(monkeypatch):
+    # a given scale is checked with the counts, before any row is drawn
+    def no_draw(gen, shape):
+        raise AssertionError("a row was drawn before the scale was checked")
+
+    monkeypatch.setattr(rng, "negative_signs", no_draw)
+    for scale in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+        for make, what in (
+                (lambda s: SpatialProjector(4, 4, 8, 2, seed=1, scale=s),
+                 "spatial"),
+                (lambda s: SpectralProjector(8, 4, 1, seed=1, scale=s),
+                 "spectral")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{what} scale must be finite and > 0, got {scale}")):
+                make(scale)
+    # q = m: the rows are orthonormal, so the scale is exactly 1
+    for make, what in (
+            (lambda s: SpatialProjector(4, 4, 8, 8, seed=1, scale=s), "spatial"),
+            (lambda s: SpectralProjector(8, 4, 4, seed=1, scale=s), "spectral")):
+        with pytest.raises(ValueError, match=f"{what} scale must be 1 on a "
+                                             "purely low-pass axis"):
+            make(0.5)
+        assert make(1.0).scale == 1.0
+    with pytest.raises(TypeError):
+        SpatialProjector(4, 4, 8, 2, 1, 0.5)  # scale is keyword-only
+
+
 def test_project_matches_dense_reference_instance():
     # 8-band 4x4 cube, m_p=6 with 2 low-pass rows, m_s=4 with 1 low-pass row
     pp = SpatialProjector(4, 4, 6, 2, seed=11)
@@ -214,6 +241,34 @@ def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
     assert pp.scale != 1.0
     assert len(calls) == expansions
     assert passes == [(32,)] * sensing._NORM_ITERATIONS
+
+
+@pytest.mark.parametrize("limit", [sensing._MATERIALIZE_LIMIT, 0],
+                         ids=["cached", "chunked"])
+def test_given_scale_builds_the_estimated_operators(monkeypatch, limit):
+    # the same rows and the same scale: only the power iteration is skipped
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * 32)
+    pp = SpatialProjector(4, 8, 20, 4, seed=15)
+    sp = SpectralProjector(16, 9, 2, seed=16)
+    assert (pp._cache is None) == (limit == 0)
+
+    def no_estimate(*args):
+        raise AssertionError("the power iteration ran")
+
+    monkeypatch.setattr(sensing, "_power_norm", no_estimate)
+    pp2 = SpatialProjector(4, 8, 20, 4, seed=15, scale=pp.scale)
+    sp2 = SpectralProjector(16, 9, 2, seed=16, scale=sp.scale)
+    assert (pp2.scale, sp2.scale) == (pp.scale, sp.scale)
+    gen = np.random.default_rng(3)
+    x, y = gen.normal(size=(16, 32)), gen.normal(size=(9, 20))
+    for built, given, x_in, y_in in ((pp, pp2, x, y),
+                                     (sp, sp2, x[:, :3], y[:, :3])):
+        assert np.array_equal(given.apply(x_in), built.apply(x_in))
+        assert np.array_equal(given.adjoint(y_in), built.adjoint(y_in))
+    for got, want in zip(sensing.residual_and_adjoint(y, x, sp2, pp2),
+                         sensing.residual_and_adjoint(y, x, sp, pp)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("make, rows, n, purpose, chunk_rows", [

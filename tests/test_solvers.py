@@ -169,26 +169,37 @@ def _count_calls(monkeypatch, names):
 def test_each_iterate_is_projected_and_differentiated_once(monkeypatch):
     # one adjoint gives the start; then each iterate costs one fused
     # residual-and-adjoint pass and one TV pair, shared between its cost
-    # and the next step
+    # and the next step. The last iterate is only projected: no step
+    # follows it to use an adjoint
     _, meas, basis = _desk_measurements()
-    names = ("residual_and_adjoint", "adjoint", "tv_sum_and_subgradient")
+    names = ("residual_and_adjoint", "project", "adjoint",
+             "tv_sum_and_subgradient")
     n = 7
     calls = _count_calls(monkeypatch, names)
     _, trace = recover_hybrid(meas, basis, SolverConfig(
         gamma1=2e-4, gamma2=2e-4, tau=1e-30, max_iters=n))
     assert trace.iterations == n
-    assert calls == {"residual_and_adjoint": n + 1, "adjoint": 1,
+    assert calls == {"residual_and_adjoint": n, "project": 1, "adjoint": 1,
                      "tv_sum_and_subgradient": n + 1}
     calls = _count_calls(monkeypatch, names)
     _, trace = apg_bpdn(meas, HaarBasis(16, 16), basis, SolverConfig(
         gamma=1e-3, tau=1e-30, max_iters=n))
     assert trace.iterations == n
-    assert calls == {"residual_and_adjoint": n + 1, "adjoint": 1}
+    assert calls == {"residual_and_adjoint": n, "project": 1, "adjoint": 1}
+    # a run that stops on the threshold projects its last iterate alike
+    calls = _count_calls(monkeypatch, names)
+    _, trace = recover_hybrid(meas, basis, SolverConfig(
+        gamma1=2e-4, gamma2=2e-4, tau=1e-2, max_iters=200))
+    assert trace.reason == "threshold"
+    assert calls == {"residual_and_adjoint": trace.iterations, "project": 1,
+                     "adjoint": 1,
+                     "tv_sum_and_subgradient": trace.iterations + 1}
 
 
 def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
-    # a chunked spatial block: the start adjoint and n + 1 fused passes
-    # expand each chunk n + 2 times; the spectral rows live in M
+    # a chunked spatial block: the start adjoint, n fused passes and the
+    # last iterate's projection expand each chunk n + 2 times; the
+    # spectral rows live in M
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 5 * 256)
     _, meas, basis = _desk_measurements()
