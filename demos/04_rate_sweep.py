@@ -5,15 +5,17 @@ Sweeping measurement rates
 
 import numpy as np
 
-from hsrec.harness import ExperimentSpec, PhantomSpec, run_experiment
+from hsrec.harness import (ExperimentSpec, PhantomSpec, generate_phantom,
+                           run_experiment)
 
-# Both solvers across three rate pairs and three random draws each.
+# Both solvers on the reference phantom, across three rate pairs and three
+# random draws each.
+cube = generate_phantom(PhantomSpec(32, 32, 16, seed=0))
 spec = ExperimentSpec(
-    phantom=PhantomSpec(32, 32, 16, seed=0),
     rates=((0.3, 0.25), (0.4, 0.375), (0.5, 0.5)),
     sigma=0.01,
     seeds=(0, 1, 2))
-rows = run_experiment(spec)
+rows = run_experiment(spec, cube)
 
 print("method   r_p    r_s    mean err   min..max        iters")
 for method in ("bpdn", "hybrid"):

@@ -2,18 +2,20 @@
 
 At rates (0.3, 0.25) and seed 1, on 128x128x32 unless --grid names
 another size, this builds the spatial projector once and times the build
-whole and split in two: the 50-step power-iteration norm estimate, rerun
-on the built projector at scale 1 through the fused pass at y = 0 as the
-constructor runs it (norm_s), and the rest of the build (draw_s, the build
-time minus norm_s: the Philox draw, the sign packing and, for at most
-_MATERIALIZE_LIMIT Rademacher entries, their float64 cache). It then
-times `project`, `adjoint`, one fused `residual_and_adjoint` pass (the
-solvers' per-iterate operator call), `read_measurements` of an HSM2 file
-of its own acquisition (read_s; the probe fails unless both stored scales
-read back equal) and one hybrid iteration on the default weights; the
-iteration is the difference of a 1-iteration and a (1 + k)-iteration
-solve, divided by k = 2, so the solver's setup is not counted. Every time
-except those of the build is the median of 5 runs.
+whole (spatial_build_s) and its two parts. norm_s is the 50-step
+power-iteration norm estimate, rerun on the built projector at scale 1
+through the fused pass at y = 0 as the constructor runs it. draw_s is a
+build given the estimated scale: the Philox draw, the sign packing and,
+for at most _MATERIALIZE_LIMIT Rademacher entries, their float64 cache,
+but no power iteration; the probe fails unless that build applies bit for
+bit like the estimated one. It then times `project`, `adjoint`, one fused
+`residual_and_adjoint` pass (the solvers' per-iterate operator call),
+`read_measurements` of an HSM2 file of its own acquisition (read_s; the
+probe fails unless both stored scales read back equal) and one hybrid
+iteration on the default weights; the iteration is the difference of a
+1-iteration and a (1 + k)-iteration solve, divided by k = 2, so the
+solver's setup is not counted. Every time except spatial_build_s and
+norm_s is the median of 5 runs.
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
@@ -73,7 +75,13 @@ def main():
     pp.scale = scale
     if q_p < m_p and 1.0 / norm != pp.scale:
         raise SystemExit("the timed norm estimate is not the projector's")
-    draw_s = build_s - norm_s
+
+    def draw():
+        return sensing.SpatialProjector(n_v, n_h, m_p, q_p, SEED, scale=scale)
+
+    if draw().apply(x).tobytes() != pp.apply(x).tobytes():
+        raise SystemExit("a build given the scale is not the estimated one")
+    draw_s = _median_seconds(draw)
 
     sp = sensing.SpectralProjector(n_s, m_s, q_s, SEED)
     meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=SEED)

@@ -46,23 +46,18 @@ def main():
     seeds = [int(tok) for tok in args.seeds.split(",")]
     hybrid, bpdn = harness.default_hybrid_config(), harness.default_bpdn_config()
     for (n_v, n_h, n_s), rates in CASES:
-        x = as_band_pixel_matrix(harness.generate_phantom(
-            harness.PhantomSpec(n_v, n_h, n_s, seed=0)))
-        n_p = n_v * n_h
+        cube = harness.generate_phantom(
+            harness.PhantomSpec(n_v, n_h, n_s, seed=0))
+        x = as_band_pixel_matrix(cube)
         for r_p, r_s in rates:
-            m_p, m_s = sensing.rates_to_counts(r_p, r_s, n_p, n_s)
-            q_p, q_s = sensing.default_lowpass_counts(n_p, n_s, m_p, m_s)
             for seed in seeds:
-                pp = sensing.SpatialProjector(n_v, n_h, m_p, q_p, seed)
-                sp = sensing.SpectralProjector(n_s, m_s, q_s, seed)
-                meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=seed)
+                meas = harness.acquire_at_rates(cube, r_p, r_s, 0.01, seed)
                 basis = transforms.learn_spectral_basis(
                     harness.sample_training_columns(x, seed))
                 runs = {
-                    "bpdn": lambda: solvers.apg_bpdn(
-                        meas, transforms.HaarBasis(n_v, n_h), basis, bpdn),
-                    "hybrid": lambda: solvers.recover_hybrid(
-                        meas, basis, hybrid),
+                    "bpdn": lambda: harness.recover("bpdn", meas, basis, bpdn),
+                    "hybrid": lambda: harness.recover(
+                        "hybrid", meas, basis, hybrid),
                     "dict": lambda: solvers.recover_hybrid_nonortho(
                         meas, basis, hybrid),
                 }
@@ -70,7 +65,8 @@ def main():
                     x_hat, trace = solve()
                     print(f"{method} {n_v}x{n_h}x{n_s} {r_p},{r_s} "
                           f"seed={seed} iters={trace.iterations} {trace.reason} "
-                          f"scales={pp.scale!r},{sp.scale!r} "
+                          f"scales={meas.spatial.scale!r},"
+                          f"{meas.spectral.scale!r} "
                           f"x={_digest(x_hat)} cost={_digest(trace.cost)}")
     n_s, m_s, q_s = SPECTRAL_BUILD
     for seed in seeds:

@@ -15,39 +15,34 @@ import numpy as np
 
 from . import formats, harness
 from .datacube import as_band_pixel_matrix, cube_from_matrix
-from .sensing import (SpatialProjector, SpectralProjector, acquire,
-                      default_lowpass_counts, rates_to_counts)
-from .solvers import DivergenceError, apg_bpdn, recover_hybrid
-from .transforms import (HaarBasis, SpectralBasis, _check_pow2, _walsh_matrix,
+from .solvers import DivergenceError
+from .transforms import (SpectralBasis, _check_pow2, _walsh_matrix,
                          learn_spectral_basis)
 
 
-def _cmd_phantom(args):
+def _phantom(args, seed):
     for flag in ("nv", "nh", "ns"):
         _check_pow2(getattr(args, flag), "--" + flag)
-    spec = harness.PhantomSpec(args.nv, args.nh, args.ns, n_regions=args.regions,
-                               n_atoms=args.atoms, seed=args.seed)
-    formats.write_cube(args.out, harness.generate_phantom(spec))
+    return harness.generate_phantom(harness.PhantomSpec(
+        args.nv, args.nh, args.ns, n_regions=args.regions,
+        n_atoms=args.atoms, seed=seed))
+
+
+def _cmd_phantom(args):
+    formats.write_cube(args.out, _phantom(args, args.seed))
     print(f"wrote {args.out}: {args.nv}x{args.nh}x{args.ns} cube, "
           f"{args.regions} regions")
     return 0
 
 
 def _cmd_acquire(args):
-    cube = formats.read_cube(args.cube)
-    x = as_band_pixel_matrix(cube)
-    m_p, m_s = rates_to_counts(args.rp, args.rs, cube.n_p, cube.n_s)
-    q_p, q_s = default_lowpass_counts(cube.n_p, cube.n_s, m_p, m_s)
-    if args.qp is not None:
-        q_p = args.qp
-    if args.qs is not None:
-        q_s = args.qs
-    pp = SpatialProjector(cube.n_v, cube.n_h, m_p, q_p, args.seed)
-    sp = SpectralProjector(cube.n_s, m_s, q_s, args.seed)
-    meas = acquire(x, sp, pp, args.sigma, noise_seed=args.seed)
+    meas = harness.acquire_at_rates(formats.read_cube(args.cube), args.rp,
+                                    args.rs, args.sigma, args.seed,
+                                    q_p=args.qp, q_s=args.qs)
     formats.write_measurements(args.out, meas)
-    print(f"wrote {args.out}: {m_s}x{m_p} measurements "
-          f"(q_s={q_s}, q_p={q_p}, sigma={args.sigma})")
+    sp, pp = meas.spectral, meas.spatial
+    print(f"wrote {args.out}: {sp.m_s}x{pp.m_p} measurements "
+          f"(q_s={sp.q_s}, q_p={pp.q_p}, sigma={args.sigma})")
     return 0
 
 
@@ -77,8 +72,7 @@ def _cmd_recover(args):
     if args.basis_sample_seed is not None and not args.truth:
         raise ValueError("--basis-sample-seed does not apply without --truth")
     meas = formats.read_measurements(args.meas)
-    pp, sp = meas.spatial, meas.spectral
-    n_v, n_h, n_s = pp.n_v, pp.n_h, sp.n_s
+    n_v, n_h, n_s = meas.spatial.n_v, meas.spatial.n_h, meas.spectral.n_s
     x_truth = None
     if args.truth:
         truth_cube = formats.read_cube(args.truth)
@@ -96,11 +90,8 @@ def _cmd_recover(args):
     config = dataclasses.replace(defaults, **{
         name: getattr(args, name) for name in _CONFIG_FLAGS
         if getattr(args, name) is not None})
-    if args.method == "bpdn":
-        x_hat, trace = apg_bpdn(meas, HaarBasis(n_v, n_h), basis, config,
-                                x_truth=x_truth)
-    else:
-        x_hat, trace = recover_hybrid(meas, basis, config, x_truth=x_truth)
+    x_hat, trace = harness.recover(args.method, meas, basis, config,
+                                   x_truth=x_truth)
     formats.write_cube(args.out, cube_from_matrix(x_hat, n_v, n_h))
     if args.trace:
         _write_trace(args.trace, trace)
@@ -161,22 +152,13 @@ def _parse_rates(text):
 
 
 def _cmd_sweep(args):
-    cube = phantom = None  # a given cube replaces the phantom altogether
-    if args.cube:
-        cube = formats.read_cube(args.cube)
-    else:
-        for flag in ("nv", "nh", "ns"):
-            _check_pow2(getattr(args, flag), "--" + flag)
-        phantom = harness.PhantomSpec(args.nv, args.nh, args.ns,
-                                      n_regions=args.regions,
-                                      n_atoms=args.atoms,
-                                      seed=args.phantom_seed)
+    cube = (formats.read_cube(args.cube) if args.cube
+            else _phantom(args, args.phantom_seed))
     spec = harness.ExperimentSpec(
-        phantom=phantom,
         rates=_parse_rates(args.rates),
         sigma=args.sigma,
         seeds=tuple(int(tok) for tok in args.seeds.split(",")))
-    rows = harness.run_experiment(spec, cube=cube)
+    rows = harness.run_experiment(spec, cube)
     fields = ["method", "r_p", "r_s", "seed", "relative_error", "iterations",
               "wall_time_s", "reason"]
     with open(args.out, "w", newline="") as fh:
@@ -196,14 +178,16 @@ def _build_parser():
         description="hyperspectral datacube recovery from separable "
                     "compressive measurements")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False)  # phantom and sweep
+    grid.add_argument("--nv", type=int, default=32)
+    grid.add_argument("--nh", type=int, default=32)
+    grid.add_argument("--ns", type=int, default=16)
+    grid.add_argument("--regions", type=int, default=4)
+    grid.add_argument("--atoms", type=int, default=2)
 
-    p = sub.add_parser("phantom", help="generate a synthetic datacube file")
+    p = sub.add_parser("phantom", parents=[grid],
+                       help="generate a synthetic datacube file")
     p.add_argument("--out", required=True)
-    p.add_argument("--nv", type=int, default=32)
-    p.add_argument("--nh", type=int, default=32)
-    p.add_argument("--ns", type=int, default=16)
-    p.add_argument("--regions", type=int, default=4)
-    p.add_argument("--atoms", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_phantom)
 
@@ -254,14 +238,10 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("sweep", help="run the two-method rate sweep")
+    p = sub.add_parser("sweep", parents=[grid],
+                       help="run the two-method rate sweep")
     p.add_argument("--cube", default=None,
                    help="input cube; omit to generate a phantom")
-    p.add_argument("--nv", type=int, default=32)
-    p.add_argument("--nh", type=int, default=32)
-    p.add_argument("--ns", type=int, default=16)
-    p.add_argument("--regions", type=int, default=4)
-    p.add_argument("--atoms", type=int, default=2)
     p.add_argument("--phantom-seed", type=int, default=0)
     p.add_argument("--rates", default="0.3:0.25,0.5:0.5",
                    help='comma-separated pairs "rp:rs,..."')

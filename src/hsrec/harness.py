@@ -1,4 +1,4 @@
-"""Synthetic phantoms and reproducible recovery experiments.
+"""Synthetic phantoms, the pipeline's two shared steps, and experiments.
 
 The phantom is a Voronoi partition of the image plane where every cell
 carries a random sparse mixture of smooth spectral atoms. That gives the
@@ -96,10 +96,9 @@ def default_hybrid_config():
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full sweep: one phantom (None when run_experiment is given a
-    cube), a grid of sampling rates, several seeds."""
+    """A full sweep over one cube: a grid of sampling rates, several seeds,
+    and the solver settings of each method."""
 
-    phantom: PhantomSpec
     rates: tuple = ((0.3, 0.25), (0.5, 0.5))
     sigma: float = 0.01
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -124,33 +123,44 @@ def sample_training_columns(x, seed):
     return x[:, np.sort(idx)]
 
 
-def run_experiment(spec, cube=None):
+def acquire_at_rates(cube, r_p, r_s, sigma, seed, q_p=None, q_s=None):
+    """Acquire cube at rates (r_p, r_s); seed keys both projectors and the
+    noise, and q_p, q_s override the default low-pass counts."""
+    m_p, m_s = rates_to_counts(r_p, r_s, cube.n_p, cube.n_s)
+    d_p, d_s = default_lowpass_counts(cube.n_p, cube.n_s, m_p, m_s)
+    q_p, q_s = (d_p if q_p is None else q_p), (d_s if q_s is None else q_s)
+    pp = SpatialProjector(cube.n_v, cube.n_h, m_p, q_p, seed)
+    sp = SpectralProjector(cube.n_s, m_s, q_s, seed)
+    return acquire(as_band_pixel_matrix(cube), sp, pp, sigma, noise_seed=seed)
+
+
+def recover(method, meas, basis, config, x_truth=None):
+    """(x_hat, trace) of "bpdn", over the grid's HaarBasis, or "hybrid"."""
+    if method == "bpdn":
+        haar = HaarBasis(meas.spatial.n_v, meas.spatial.n_h)
+        return apg_bpdn(meas, haar, basis, config, x_truth=x_truth)
+    if method == "hybrid":
+        return recover_hybrid(meas, basis, config, x_truth=x_truth)
+    raise ValueError(f"unknown method {method!r}; expected 'bpdn' or 'hybrid'")
+
+
+def run_experiment(spec, cube):
     """Run both solvers over the rate/seed grid; returns one row per run.
 
     Row keys: method, r_p, r_s, seed, relative_error, iterations,
-    wall_time_s, reason (the solver's stop reason). The phantom is fixed;
+    wall_time_s, reason (the solver's stop reason). The cube is fixed;
     projectors, noise, and the basis training sample are re-drawn per seed.
     """
-    if cube is None:
-        cube = generate_phantom(spec.phantom)
     x_true = as_band_pixel_matrix(cube)
-    n_v, n_h, n_s = cube.n_v, cube.n_h, cube.n_s
-    haar = HaarBasis(n_v, n_h)
     rows = []
     for seed in spec.seeds:
         basis = learn_spectral_basis(sample_training_columns(x_true, seed))
         for r_p, r_s in spec.rates:
-            m_p, m_s = rates_to_counts(r_p, r_s, n_v * n_h, n_s)
-            q_p, q_s = default_lowpass_counts(n_v * n_h, n_s, m_p, m_s)
-            pp = SpatialProjector(n_v, n_h, m_p, q_p, seed)
-            sp = SpectralProjector(n_s, m_s, q_s, seed)
-            meas = acquire(x_true, sp, pp, spec.sigma, noise_seed=seed)
+            meas = acquire_at_rates(cube, r_p, r_s, spec.sigma, seed)
             for method in ("bpdn", "hybrid"):
                 start = time.perf_counter()
-                if method == "bpdn":
-                    x_hat, trace = apg_bpdn(meas, haar, basis, spec.bpdn)
-                else:
-                    x_hat, trace = recover_hybrid(meas, basis, spec.hybrid)
+                x_hat, trace = recover(method, meas, basis,
+                                       getattr(spec, method))
                 rows.append({
                     "method": method,
                     "r_p": r_p,

@@ -307,9 +307,9 @@ def acquire(x, sp, pp, sigma, noise_seed=0):
 
 
 def operator_norm_estimate(sp, pp):
-    """Power-iteration estimate of the combined operator's spectral norm."""
-    def gram(v):
-        return adjoint(project(v.reshape(sp.n_s, pp.n_p), sp, pp), sp, pp).ravel()
-
-    gen = rng.stream(0, rng.COMBINED_NORM)
-    return _power_norm(gram, sp.n_s * pp.n_p, gen)
+    """Power-iteration estimate of the combined operator's spectral norm, on
+    the fused pass at y = 0: -adjoint(project(v)) bit for bit."""
+    shape, zero = (sp.n_s, pp.n_p), np.zeros((sp.m_s, pp.m_p))
+    return _power_norm(
+        lambda v: residual_and_adjoint(zero, v.reshape(shape), sp, pp)[1].ravel(),
+        sp.n_s * pp.n_p, rng.stream(0, rng.COMBINED_NORM))

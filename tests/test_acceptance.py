@@ -253,10 +253,9 @@ def test_criterion_6_full_sampling_sanity():
 
 def test_criterion_7_hybrid_outperforms_baseline():
     t0 = time.monotonic()
-    spec = ExperimentSpec(phantom=STANDARD,
-                          rates=((0.3, 0.25), (0.5, 0.5)),
+    spec = ExperimentSpec(rates=((0.3, 0.25), (0.5, 0.5)),
                           sigma=0.01, seeds=(0, 1, 2, 3, 4))
-    rows = run_experiment(spec)
+    rows = run_experiment(spec, generate_phantom(STANDARD))
     err = {(r["method"], r["r_p"], r["seed"]): r["relative_error"]
            for r in rows}
     wins = {}

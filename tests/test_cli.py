@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hsrec
+from hsrec import harness
 from hsrec.cli import main
 from hsrec.datacube import Datacube, as_band_pixel_matrix
 from hsrec.formats import read_cube, read_measurements, write_cube
@@ -137,6 +138,27 @@ def test_acquire_lowpass_overrides(tmp_path):
     got = read_measurements(path)
     assert got.spatial.q_p == 10
     assert got.spectral.q_s == 0
+
+
+@pytest.mark.parametrize("flags, overrides", [
+    ([], {}), (["--qp", "10", "--qs", "1"], {"q_p": 10, "q_s": 1})])
+def test_acquire_writes_the_harness_acquisition(tmp_path, flags, overrides):
+    # the CLI and run_experiment share harness.acquire_at_rates
+    cube = _make_phantom(tmp_path)
+    path = tmp_path / "m.hsm"
+    assert main(["acquire", "--cube", str(cube), "--rp", "0.5", "--rs", "0.5",
+                 "--seed", "3", "--out", str(path)] + flags) == 0
+    want = harness.acquire_at_rates(read_cube(cube), 0.5, 0.5, 0.01, 3,
+                                    **overrides)
+    got = read_measurements(path)
+    assert np.array_equal(got.y, want.y.astype(np.float32))
+
+    def counts(meas):
+        return (meas.spectral.m_s, meas.spectral.q_s, meas.spatial.m_p,
+                meas.spatial.q_p)
+    assert counts(got) == counts(want)
+    if overrides:
+        assert (got.spatial.q_p, got.spectral.q_s) == (10, 1)
 
 
 def test_acquire_missing_cube_file(tmp_path):

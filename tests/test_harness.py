@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from hsrec.datacube import as_band_pixel_matrix
-from hsrec.harness import (ExperimentSpec, PhantomSpec, default_bpdn_config,
-                           default_hybrid_config, generate_phantom,
-                           relative_error, run_experiment,
-                           sample_training_columns)
+from hsrec.harness import (ExperimentSpec, PhantomSpec, acquire_at_rates,
+                           default_bpdn_config, default_hybrid_config,
+                           generate_phantom, recover, relative_error,
+                           run_experiment, sample_training_columns)
 from hsrec.regularizers import tv_sum_and_subgradient
 from hsrec.solvers import SolverConfig
+from hsrec.transforms import learn_spectral_basis
 
 
 # ---------------------------------------------------------------- error metric
@@ -98,28 +99,26 @@ def test_sample_training_columns_floor_is_band_count():
 # ---------------------------------------------------------------- experiments
 
 def test_experiment_spec_validation():
-    phantom = PhantomSpec(8, 8, 4)
     for sigma in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            ExperimentSpec(phantom, sigma=sigma)
+            ExperimentSpec(sigma=sigma)
     with pytest.raises(ValueError):
-        ExperimentSpec(phantom, rates=())
+        ExperimentSpec(rates=())
     with pytest.raises(ValueError):
-        ExperimentSpec(phantom, seeds=())
+        ExperimentSpec(seeds=())
     with pytest.raises(ValueError):
-        ExperimentSpec(phantom, rates=((0.0, 0.5),))
+        ExperimentSpec(rates=((0.0, 0.5),))
     with pytest.raises(ValueError):
-        ExperimentSpec(phantom, rates=((0.5, 1.5),))
+        ExperimentSpec(rates=((0.5, 1.5),))
 
 
 def test_run_experiment_row_grid():
     spec = ExperimentSpec(
-        phantom=PhantomSpec(8, 8, 4, seed=0),
         rates=((0.5, 0.5), (0.75, 0.75)),
         seeds=(0, 1),
         bpdn=SolverConfig(gamma=2e-4, max_iters=30),
         hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=30))
-    rows = run_experiment(spec)
+    rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4, seed=0)))
     assert len(rows) == 2 * 2 * 2  # methods x rates x seeds
     keys = {"method", "r_p", "r_s", "seed", "relative_error", "iterations",
             "wall_time_s", "reason"}
@@ -135,12 +134,11 @@ def test_run_experiment_row_grid():
 
 def test_run_experiment_repeatable_per_seed():
     spec = ExperimentSpec(
-        phantom=PhantomSpec(8, 8, 4, seed=1),
         rates=((0.5, 0.5),),
         seeds=(7, 7),
         bpdn=SolverConfig(gamma=2e-4, max_iters=20),
         hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=20))
-    rows = run_experiment(spec)
+    rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4, seed=1)))
     by_method = {}
     for row in rows:
         by_method.setdefault(row["method"], []).append(row["relative_error"])
@@ -150,15 +148,43 @@ def test_run_experiment_repeatable_per_seed():
 
 def test_run_experiment_full_sampling_near_exact():
     spec = ExperimentSpec(
-        phantom=PhantomSpec(8, 8, 4, seed=2),
         rates=((1.0, 1.0),),
         sigma=0.0,
         seeds=(0,),
         bpdn=SolverConfig(gamma=1e-8),
         hybrid=SolverConfig(gamma1=1e-8, gamma2=1e-8))
-    for row in run_experiment(spec):
+    cube = generate_phantom(PhantomSpec(8, 8, 4, seed=2))
+    for row in run_experiment(spec, cube):
         assert row["relative_error"] <= 1e-3
         assert row["reason"] == "threshold"
+
+
+def test_run_experiment_rows_are_acquire_then_recover():
+    # run_experiment and the CLI share acquire_at_rates and recover
+    cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
+    spec = ExperimentSpec(
+        rates=((0.5, 0.5),),
+        seeds=(5,),
+        bpdn=SolverConfig(gamma=2e-4, max_iters=20),
+        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=20))
+    x = as_band_pixel_matrix(cube)
+    basis = learn_spectral_basis(sample_training_columns(x, 5))
+    meas = acquire_at_rates(cube, 0.5, 0.5, spec.sigma, 5)
+    rows = run_experiment(spec, cube)
+    assert [row["method"] for row in rows] == ["bpdn", "hybrid"]
+    for row in rows:
+        method = row["method"]
+        x_hat, _ = recover(method, meas, basis, getattr(spec, method))
+        assert row["relative_error"] == relative_error(x, x_hat)
+
+
+def test_recover_rejects_unknown_methods():
+    cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
+    meas = acquire_at_rates(cube, 0.5, 0.5, 0.01, 0)
+    basis = learn_spectral_basis(
+        sample_training_columns(as_band_pixel_matrix(cube), 0))
+    with pytest.raises(ValueError, match="'dict'"):
+        recover("dict", meas, basis, default_hybrid_config())
 
 
 def test_default_configs():

@@ -438,8 +438,24 @@ def test_measurements_shape_validation():
         adjoint(np.zeros((5, 6)), sp, pp)
 
 
-def test_operator_norm_estimate_near_one():
+def test_operator_norm_estimate_near_one(monkeypatch):
     pp = SpatialProjector(4, 4, 6, 2, seed=26)
     sp = SpectralProjector(8, 4, 1, seed=27)
     est = operator_norm_estimate(sp, pp)
     assert 0.0 < est <= 1.6
+    # the fused pass at y = 0 negates adjoint(project(v)) exactly and the
+    # norm ignores the sign: a cached and a chunked build give the estimate
+    # of the adjoint(project(.)) route to the last bit
+    for (n_v, n_h, n_s), limit in (((32, 32, 16), sensing._MATERIALIZE_LIMIT),
+                                   ((16, 16, 8), 0)):
+        monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
+        monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 16 * n_v * n_h)
+        m_p, m_s = rates_to_counts(0.3, 0.25, n_v * n_h, n_s)
+        pp = SpatialProjector(n_v, n_h, m_p, n_v * n_h // 10, seed=1)
+        sp = SpectralProjector(n_s, m_s, 1, seed=1)
+        assert (pp._cache is None) == (limit == 0)
+        routed = sensing._power_norm(
+            lambda v: adjoint(project(v.reshape(n_s, pp.n_p), sp, pp), sp,
+                              pp).ravel(),
+            n_s * pp.n_p, rng.stream(0, rng.COMBINED_NORM))
+        assert operator_norm_estimate(sp, pp) == routed
