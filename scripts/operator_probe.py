@@ -1,21 +1,21 @@
 """Time the sensing operator at paper scale and print one JSON line.
 
 At rates (0.3, 0.25) and seed 1, on 128x128x32 unless --grid names
-another size, this builds the spatial projector once and times the build
-whole (spatial_build_s) and its two parts. norm_s is the 50-step
-power-iteration norm estimate, rerun on the built projector at scale 1
-through the fused pass at y = 0 as the constructor runs it. draw_s is a
-build given the estimated scale: the Philox draw, the sign packing and,
-for at most _MATERIALIZE_LIMIT Rademacher entries, their float64 cache,
-but no power iteration; the probe fails unless that build applies bit for
-bit like the estimated one. It then times `project`, `adjoint`, one fused
+another size, this acquires the phantom through harness.acquire_at_rates
+and times the spatial projector's build (spatial_build_s, a default build
+with its 50-step power-iteration norm estimate) and a build given the
+estimated scale (draw_s: the Philox draw, the sign packing and, for at
+most _MATERIALIZE_LIMIT Rademacher entries, their float64 cache, but no
+power iteration). The probe fails unless that build applies bit for bit
+like the default one. norm_s, the norm estimate's share, is their
+difference. It then times `project`, `adjoint`, one fused
 `residual_and_adjoint` pass (the solvers' per-iterate operator call),
 `read_measurements` of an HSM2 file of its own acquisition (read_s; the
 probe fails unless both stored scales read back equal) and one hybrid
 iteration on the default weights; the iteration is the difference of a
 1-iteration and a (1 + k)-iteration solve, divided by k = 2, so the
-solver's setup is not counted. Every time except spatial_build_s and
-norm_s is the median of 5 runs.
+solver's setup is not counted. Every time except norm_s is the median of
+5 runs.
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
@@ -30,9 +30,7 @@ import statistics
 import tempfile
 import time
 
-import numpy as np
-
-from hsrec import formats, harness, rng, sensing, solvers, transforms
+from hsrec import formats, harness, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 
@@ -44,12 +42,12 @@ EXTRA_ITERS = 2
 
 def _seconds(fn):
     start = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - start, out
+    fn()
+    return time.perf_counter() - start
 
 
 def _median_seconds(fn):
-    return statistics.median(_seconds(fn)[0] for _ in range(REPEATS))
+    return statistics.median(_seconds(fn) for _ in range(REPEATS))
 
 
 def main():
@@ -58,33 +56,20 @@ def main():
                         help="n_v x n_h x n_s (default 128x128x32)")
     args = parser.parse_args()
     n_v, n_h, n_s = (int(tok) for tok in args.grid.split("x"))
-    r_p, r_s = RATES
-    n_p = n_v * n_h
-    m_p, m_s = sensing.rates_to_counts(r_p, r_s, n_p, n_s)
-    q_p, q_s = sensing.default_lowpass_counts(n_p, n_s, m_p, m_s)
-    x = as_band_pixel_matrix(harness.generate_phantom(
-        harness.PhantomSpec(n_v, n_h, n_s, seed=0)))
+    cube = harness.generate_phantom(
+        harness.PhantomSpec(n_v, n_h, n_s, seed=0))
+    x = as_band_pixel_matrix(cube)
+    meas = harness.acquire_at_rates(cube, *RATES, 0.01, SEED)
+    sp, pp = meas.spectral, meas.spatial
 
-    build_s, pp = _seconds(
-        lambda: sensing.SpatialProjector(n_v, n_h, m_p, q_p, SEED))
-    scale, pp.scale = pp.scale, 1.0
-    zero = np.zeros(m_p)
-    norm_s, norm = _seconds(lambda: sensing._power_norm(
-        lambda v: pp.residual_and_adjoint(zero, v)[1], n_p,
-        rng.stream(SEED, rng.SPATIAL_NORM)))
-    pp.scale = scale
-    if q_p < m_p and 1.0 / norm != pp.scale:
-        raise SystemExit("the timed norm estimate is not the projector's")
+    def build(**scale):
+        return sensing.SpatialProjector(n_v, n_h, pp.m_p, pp.q_p, SEED, **scale)
 
-    def draw():
-        return sensing.SpatialProjector(n_v, n_h, m_p, q_p, SEED, scale=scale)
-
-    if draw().apply(x).tobytes() != pp.apply(x).tobytes():
+    if build(scale=pp.scale).apply(x).tobytes() != pp.apply(x).tobytes():
         raise SystemExit("a build given the scale is not the estimated one")
-    draw_s = _median_seconds(draw)
+    spatial_build_s = _median_seconds(build)
+    draw_s = _median_seconds(lambda: build(scale=pp.scale))
 
-    sp = sensing.SpectralProjector(n_s, m_s, q_s, SEED)
-    meas = sensing.acquire(x, sp, pp, 0.01, noise_seed=SEED)
     project_s = _median_seconds(lambda: sensing.project(x, sp, pp))
     adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp))
     residual_adjoint_s = _median_seconds(
@@ -109,10 +94,11 @@ def main():
     one = _median_seconds(solve(1))
     more = _median_seconds(solve(1 + EXTRA_ITERS))
     print(json.dumps({
-        "grid": args.grid, "rates": [r_p, r_s], "seed": SEED,
-        "counts": {"m_p": m_p, "q_p": q_p, "m_s": m_s, "q_s": q_s},
-        "rademacher_entries": (m_p - q_p) * n_p,
-        "spatial_build_s": build_s, "draw_s": draw_s, "norm_s": norm_s,
+        "grid": args.grid, "rates": list(RATES), "seed": SEED,
+        "counts": {"m_p": pp.m_p, "q_p": pp.q_p, "m_s": sp.m_s, "q_s": sp.q_s},
+        "rademacher_entries": (pp.m_p - pp.q_p) * pp.n_p,
+        "spatial_build_s": spatial_build_s, "draw_s": draw_s,
+        "norm_s": spatial_build_s - draw_s,
         "project_s": project_s, "adjoint_s": adjoint_s,
         "residual_adjoint_s": residual_adjoint_s, "read_s": read_s,
         "hybrid_iter_s": (more - one) / EXTRA_ITERS, "repeats": REPEATS,

@@ -1,6 +1,6 @@
 """Print a SHA-256 digest of every solver's iterate and cost trace.
 
-Runs apg_bpdn, recover_hybrid and recover_hybrid_nonortho with the default
+Runs apg_bpdn and recover_hybrid, through harness.recover, with the default
 configs (sigma 0.01, truth-trained basis) on the 32x32x16 reference phantom
 at rates (0.3, 0.25) and (0.5, 0.5) and on a 64x64x32 phantom at (0.5, 0.25)
 and (0.3, 0.25), for each measurement seed. The 64x64x32 spatial Rademacher
@@ -27,7 +27,7 @@ import hashlib
 
 import numpy as np
 
-from hsrec import harness, sensing, solvers, transforms
+from hsrec import harness, sensing, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 CASES = (((32, 32, 16), ((0.3, 0.25), (0.5, 0.5))),
@@ -44,7 +44,8 @@ def main():
     parser.add_argument("--seeds", default="0,1,2")
     args = parser.parse_args()
     seeds = [int(tok) for tok in args.seeds.split(",")]
-    hybrid, bpdn = harness.default_hybrid_config(), harness.default_bpdn_config()
+    configs = {"bpdn": harness.default_bpdn_config(),
+               "hybrid": harness.default_hybrid_config()}
     for (n_v, n_h, n_s), rates in CASES:
         cube = harness.generate_phantom(
             harness.PhantomSpec(n_v, n_h, n_s, seed=0))
@@ -54,15 +55,8 @@ def main():
                 meas = harness.acquire_at_rates(cube, r_p, r_s, 0.01, seed)
                 basis = transforms.learn_spectral_basis(
                     harness.sample_training_columns(x, seed))
-                runs = {
-                    "bpdn": lambda: harness.recover("bpdn", meas, basis, bpdn),
-                    "hybrid": lambda: harness.recover(
-                        "hybrid", meas, basis, hybrid),
-                    "dict": lambda: solvers.recover_hybrid_nonortho(
-                        meas, basis, hybrid),
-                }
-                for method, solve in runs.items():
-                    x_hat, trace = solve()
+                for method, config in configs.items():
+                    x_hat, trace = harness.recover(method, meas, basis, config)
                     print(f"{method} {n_v}x{n_h}x{n_s} {r_p},{r_s} "
                           f"seed={seed} iters={trace.iterations} {trace.reason} "
                           f"scales={meas.spatial.scale!r},"

@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -256,7 +257,11 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line per library warning, without its source location
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -127,8 +127,7 @@ def acquire_at_rates(cube, r_p, r_s, sigma, seed, q_p=None, q_s=None):
     """Acquire cube at rates (r_p, r_s); seed keys both projectors and the
     noise, and q_p, q_s override the default low-pass counts."""
     m_p, m_s = rates_to_counts(r_p, r_s, cube.n_p, cube.n_s)
-    d_p, d_s = default_lowpass_counts(cube.n_p, cube.n_s, m_p, m_s)
-    q_p, q_s = (d_p if q_p is None else q_p), (d_s if q_s is None else q_s)
+    q_p, q_s = default_lowpass_counts(cube.n_p, cube.n_s, m_p, m_s, q_p, q_s)
     pp = SpatialProjector(cube.n_v, cube.n_h, m_p, q_p, seed)
     sp = SpectralProjector(cube.n_s, m_s, q_s, seed)
     return acquire(as_band_pixel_matrix(cube), sp, pp, sigma, noise_seed=seed)

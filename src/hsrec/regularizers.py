@@ -1,9 +1,9 @@
 """Nonsmooth penalty building blocks the solvers call.
 
-Soft thresholding (the prox of a weighted entrywise l1 norm; the solvers
-take it on transformed coefficients through solvers.prox_transformed), and
-the isotropic total variation of every band's frame together with an
-analytic subgradient.
+prox_l1, soft thresholding, is the prox of the solvers' l1 term, taken on
+transformed coefficients through solvers.prox_transformed. The isotropic
+total variation of every band's frame, with an analytic subgradient, is
+the TV part of the term f the solvers step along.
 """
 
 import numpy as np
@@ -19,37 +19,13 @@ def prox_l1(z, xi):
     return np.sign(z) * np.maximum(np.abs(z) - xi, 0.0)
 
 
-def _forward_diffs(frames):
-    """Forward differences of (..., n_v, n_h) frames, zero at the far edges."""
-    dv = np.zeros_like(frames)
-    dh = np.zeros_like(frames)
-    dv[..., :-1, :] = frames[..., 1:, :] - frames[..., :-1, :]
-    dh[..., :, :-1] = frames[..., :, 1:] - frames[..., :, :-1]
-    return dv, dh
-
-
-def _tv_value_and_grad(frames):
-    dv, dh = _forward_diffs(frames)
-    norm = np.sqrt(dv * dv + dh * dh)
-    value = norm.sum(axis=(-2, -1))
-    # unit difference vectors where the pair norm is nonzero (exact test)
-    nz = norm > 0.0
-    uv = np.zeros_like(dv)
-    uh = np.zeros_like(dh)
-    np.divide(dv, norm, out=uv, where=nz)
-    np.divide(dh, norm, out=uh, where=nz)
-    g = -(uv + uh)
-    g[..., 1:, :] += uv[..., :-1, :]
-    g[..., :, 1:] += uh[..., :, :-1]
-    return value, g
-
-
 def tv_sum_and_subgradient(x, n_v, n_h):
     """Total variation summed over all bands plus the stacked subgradient.
 
     x is a band-by-pixel matrix; returns (sum of per-frame tv, matrix whose
     row k is the flattened subgradient of frame k). A frame's tv is the sum
-    of its forward-difference pair norms ||d(i,j)|| = ||(dv, dh)(i,j)||.
+    of its forward-difference pair norms ||d(i,j)|| = ||(dv, dh)(i,j)||,
+    with the differences zero at the far edges.
     Subgradient entry (i, j) sums three contributions: +dv(i-1,j)/||d(i-1,j)||
     when i > 0, +dh(i,j-1)/||d(i,j-1)|| when j > 0, and
     -(dv+dh)(i,j)/||d(i,j)||, each dropped where the pair norm is zero. It
@@ -59,5 +35,19 @@ def tv_sum_and_subgradient(x, n_v, n_h):
     if x.ndim != 2 or x.shape[1] != n_v * n_h:
         raise ValueError(
             f"matrix shape {x.shape} does not match a {n_v}x{n_h} grid")
-    value, g = _tv_value_and_grad(frames_from_matrix(x, n_v, n_h))
-    return float(value.sum()), matrix_from_frames(g)
+    frames = frames_from_matrix(x, n_v, n_h)
+    dv = np.zeros_like(frames)
+    dh = np.zeros_like(frames)
+    dv[..., :-1, :] = frames[..., 1:, :] - frames[..., :-1, :]
+    dh[..., :, :-1] = frames[..., :, 1:] - frames[..., :, :-1]
+    norm = np.sqrt(dv * dv + dh * dh)
+    # unit difference vectors where the pair norm is nonzero (exact test)
+    nz = norm > 0.0
+    uv = np.zeros_like(dv)
+    uh = np.zeros_like(dh)
+    np.divide(dv, norm, out=uv, where=nz)
+    np.divide(dh, norm, out=uh, where=nz)
+    g = -(uv + uh)
+    g[..., 1:, :] += uv[..., :-1, :]
+    g[..., :, 1:] += uh[..., :, :-1]
+    return float(norm.sum(axis=(-2, -1)).sum()), matrix_from_frames(g)

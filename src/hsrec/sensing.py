@@ -60,25 +60,27 @@ def rates_to_counts(r_p, r_s, n_p, n_s):
     return counts[0], counts[1]
 
 
-def default_lowpass_counts(n_p, n_s, m_p, m_s):
+def default_lowpass_counts(n_p, n_s, m_p, m_s, q_p=None, q_s=None):
     """Default low-pass block sizes: ten percent of n_p, five percent of n_s.
 
     Counts are clamped to the projection budget (with a warning) since the
     low-pass block cannot exceed the total row count. At full rate (m = n)
     the complete orthonormal transform is used instead, making acquisition
-    an isometry.
+    an isometry. A count given as q_p or q_s is returned as it is, and only
+    a count that is not given is defaulted or warned about.
     """
     out = []
-    for frac, n, m, what in ((0.1, n_p, m_p, "spatial"), (0.05, n_s, m_s, "spectral")):
-        if m == n:
-            out.append(n)
-            continue
-        q = int(math.floor(frac * n + 0.5))
-        if q > m:
-            warnings.warn(
-                f"{what} low-pass count {q} exceeds the projection budget {m}; "
-                f"clamping to {m}")
-            q = m
+    for frac, n, m, q, what in ((0.1, n_p, m_p, q_p, "spatial"),
+                                (0.05, n_s, m_s, q_s, "spectral")):
+        if q is None and m == n:
+            q = n
+        elif q is None:
+            q = int(math.floor(frac * n + 0.5))
+            if q > m:
+                warnings.warn(
+                    f"{what} low-pass count {q} exceeds the projection "
+                    f"budget {m}; clamping to {m}")
+                q = m
         out.append(q)
     return out[0], out[1]
 

@@ -1,13 +1,14 @@
 """Accelerated proximal solvers for datacube recovery.
 
-One loop, _run, serves every solver: a gradient (or subgradient) step on
-the data term at the extrapolated iterate, a prox step, then FISTA
-extrapolation, stopping on the relative change of the extrapolated iterate.
-Each iterate takes one fused operator pass, sensing.residual_and_adjoint,
-which expands each chunk of a chunked spatial Rademacher block once: the
-residual, its adjoint and the TV pair give both the iterate's cost and the
-next gradient step. The returned iterate takes a plain projection instead,
-since no step follows it to use the adjoint.
+One loop, _run, serves every solver. It splits the cost into f, the
+least-squares data term plus any weighted TV, and an l1 term: a step along
+f's (sub)gradient direction at the extrapolated iterate, the l1 prox, then
+FISTA extrapolation, stopping on the relative change of the extrapolated
+iterate. Each iterate takes one fused operator pass,
+sensing.residual_and_adjoint, which expands each chunk of a chunked spatial
+Rademacher block once: with the TV pair it gives both f at the iterate and
+the next step direction. The returned iterate takes a plain projection
+instead, since no step follows it to use the adjoint.
 
 Both solvers share one nonsmooth step, prox_transformed: the prox of an l1
 norm on the coefficients W Psi^T x, with Psi any invertible spectral basis
@@ -148,14 +149,13 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
          config, x_truth):
     """The accelerated proximal loop every solver runs.
 
-    Each iterate x takes one residual_and_adjoint pass and, when
-    tv_weight > 0, one TV differentiation: the residual y - project(x), its
-    adjoint and the TV pair give both the cost of x and the next gradient
-    step from x. The last iterate, which only needs its cost, takes
-    y - project(x) alone: the same residual bit for bit. The step is
-    preconditioned by (Psi Psi^T)^-1, the identity for an orthonormal basis.
-    The l1 term weighs the coefficients W Psi^T x by l1_weight; a zero
-    weight skips its prox.
+    The cost is f(x) = 0.5 ||y - Phi x||^2 + tv_weight TV(x) plus
+    l1_weight ||W Psi^T x||_1. One residual_and_adjoint pass and, when
+    tv_weight > 0, one TV differentiation give f(x) and the step direction
+    Phi^T (y - Phi x) - tv_weight dTV(x). The last iterate needs only f, so
+    it takes y - project(x) alone: the same residual bit for bit. The step
+    is preconditioned by (Psi Psi^T)^-1, the identity for an orthonormal
+    basis; the l1 term enters through its prox, skipped at a zero weight.
     """
     y, sp, pp = measurements.y, measurements.spectral, measurements.spatial
     if spectral_basis.n_s != sp.n_s:
@@ -166,17 +166,23 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
         raise ValueError("spatial basis grid does not match the projector")
     xi = config.step_size * l1_weight
 
-    def data_terms(x, last=False):
+    def f_and_direction(x, last=False):
+        # f(x) and, unless x is the last iterate, its step direction
         if last:
-            resid, g = y - project(x, sp, pp), None
+            resid, d = y - project(x, sp, pp), None
         else:
-            resid, g = residual_and_adjoint(y, x, sp, pp)
+            resid, d = residual_and_adjoint(y, x, sp, pp)
+        f = 0.5 * float(np.sum(resid * resid))
         if tv_weight > 0:
-            return (resid, g, *tv_sum_and_subgradient(x, pp.n_v, pp.n_h))
-        return resid, g, 0.0, None
+            tv_total, tv_grad = tv_sum_and_subgradient(x, pp.n_v, pp.n_h)
+            f += tv_weight * tv_total
+            if not last:
+                # in place: the caller still holds the previous direction
+                d -= tv_weight * tv_grad
+        return f, d
 
     x = adjoint(y, sp, pp)
-    resid, g, _, tv_grad = data_terms(x)
+    _, d = f_and_direction(x)
     x_tilde_prev = x
     alpha = 1.0
     rels, costs, snorms, terrs = [], [], [], []
@@ -184,11 +190,8 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     # overflow warnings on a diverging run are expected; the guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, config.max_iters + 1):
-            if tv_grad is not None:
-                g = g - tv_weight * tv_grad
-                tv_grad = None  # freed before the next iterate's is computed
-            snorms.append(float(np.linalg.norm(g)))
-            x_tilde = x + config.step_size * basis_apply(spectral_basis, g,
+            snorms.append(float(np.linalg.norm(d)))
+            x_tilde = x + config.step_size * basis_apply(spectral_basis, d,
                                                          "gram_inverse")
             if l1_weight > 0:
                 x_tilde = prox_transformed(x_tilde, xi, spectral_basis,
@@ -199,9 +202,8 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
                 weight = 0.0
             x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
             rel = relative_change(x_next, x)
-            resid, g, tv_total, tv_grad = data_terms(
+            cost, d = f_and_direction(
                 x_next, rel < config.tau or n == config.max_iters)
-            cost = 0.5 * float(np.sum(resid * resid)) + tv_weight * tv_total
             if l1_weight > 0:
                 cost += l1_weight * float(np.abs(_coefficients(
                     x_next, spectral_basis, spatial_basis)).sum())

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import hsrec
 from hsrec import harness
 from hsrec.cli import main
 from hsrec.datacube import Datacube, as_band_pixel_matrix
-from hsrec.formats import read_cube, read_measurements, write_cube
+from hsrec.formats import (read_cube, read_measurements, write_cube,
+                           write_measurements)
 from oracles import hsm1_bytes
 
 
@@ -159,6 +161,28 @@ def test_acquire_writes_the_harness_acquisition(tmp_path, flags, overrides):
     assert counts(got) == counts(want)
     if overrides:
         assert (got.spatial.q_p, got.spectral.q_s) == (10, 1)
+
+
+@pytest.mark.parametrize("q_p, err", [
+    (3, ""),
+    (None, "warning: spatial low-pass count 26 exceeds the projection "
+           "budget 13; clamping to 13\n")], ids=["given", "defaulted"])
+def test_acquire_warns_only_about_a_defaulted_count(tmp_path, capsys, q_p,
+                                                    err):
+    # a library warning prints as one line; a given --qp is not warned about
+    cube = _make_phantom(tmp_path)
+    capsys.readouterr()
+    path = tmp_path / "m.hsm"
+    flags = [] if q_p is None else ["--qp", str(q_p)]
+    assert main(["acquire", "--cube", str(cube), "--rp", "0.05", "--rs", "0.5",
+                 "--seed", "3", "--out", str(path)] + flags) == 0
+    assert capsys.readouterr().err == err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = harness.acquire_at_rates(read_cube(cube), 0.05, 0.5, 0.01, 3,
+                                        q_p=q_p)
+    write_measurements(tmp_path / "want.hsm", want)
+    assert path.read_bytes() == (tmp_path / "want.hsm").read_bytes()
 
 
 def test_acquire_missing_cube_file(tmp_path):

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def test_default_lowpass_counts_clamps_with_warning():
     with pytest.warns(UserWarning, match="clamping"):
         q_p, q_s = default_lowpass_counts(1024, 64, 50, 16)
     assert (q_p, q_s) == (50, 3)
+
+
+def test_default_lowpass_counts_keeps_a_given_count_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert default_lowpass_counts(1024, 64, 50, 16, q_p=7) == (7, 3)
+        assert default_lowpass_counts(1024, 64, 512, 16, q_s=0) == (102, 0)
+        assert default_lowpass_counts(256, 16, 256, 8, 9, 2) == (9, 2)
+    with pytest.warns(UserWarning, match="spatial low-pass count 102"):
+        assert default_lowpass_counts(1024, 64, 50, 16, q_s=1) == (50, 1)
 
 
 # ---------------------------------------------------------------- projectors
