@@ -8,14 +8,18 @@ estimated scale (draw_s: the Philox draw, the sign packing and, for at
 most _MATERIALIZE_LIMIT Rademacher entries, their float64 cache, but no
 power iteration). The probe fails unless that build applies bit for bit
 like the default one. norm_s, the norm estimate's share, is their
-difference. It then times `project`, `adjoint`, one fused
+difference. It then times one pass over the spatial Rademacher rows as the
+operators see them (expand_s: the chunk expansion alone, near 0 when the
+rows are cached as float64), `project`, `adjoint`, one fused
 `residual_and_adjoint` pass (the solvers' per-iterate operator call),
 `read_measurements` of an HSM2 file of its own acquisition (read_s; the
 probe fails unless both stored scales read back equal) and one hybrid
 iteration on the default weights; the iteration is the difference of a
 1-iteration and a (1 + k)-iteration solve, divided by k = 2, so the
-solver's setup is not counted. Every time except norm_s is the median of
-5 runs.
+solver's setup is not counted. calib_s times a fixed float64 product,
+a seeded (8, 4096) @ (4096, 1024) that does not depend on --grid: a
+time divided by it can be compared across hosts and sessions. Every time
+except norm_s is the median of 5 runs.
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
@@ -23,12 +27,15 @@ Fix the BLAS thread count in the environment for comparable numbers:
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
 import statistics
 import tempfile
 import time
+
+import numpy as np
 
 from hsrec import formats, harness, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
@@ -38,6 +45,7 @@ RATES = (0.3, 0.25)
 SEED = 1
 REPEATS = 5
 EXTRA_ITERS = 2
+CALIB_SHAPES = ((8, 4096), (4096, 1024))
 
 
 def _seconds(fn):
@@ -70,6 +78,7 @@ def main():
     spatial_build_s = _median_seconds(build)
     draw_s = _median_seconds(lambda: build(scale=pp.scale))
 
+    expand_s = _median_seconds(lambda: collections.deque(pp._blocks(), 0))
     project_s = _median_seconds(lambda: sensing.project(x, sp, pp))
     adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp))
     residual_adjoint_s = _median_seconds(
@@ -93,15 +102,19 @@ def main():
 
     one = _median_seconds(solve(1))
     more = _median_seconds(solve(1 + EXTRA_ITERS))
+    gen = np.random.default_rng(0)
+    a, b = (gen.standard_normal(shape) for shape in CALIB_SHAPES)
+    calib_s = _median_seconds(lambda: a @ b)
     print(json.dumps({
         "grid": args.grid, "rates": list(RATES), "seed": SEED,
         "counts": {"m_p": pp.m_p, "q_p": pp.q_p, "m_s": sp.m_s, "q_s": sp.q_s},
         "rademacher_entries": (pp.m_p - pp.q_p) * pp.n_p,
         "spatial_build_s": spatial_build_s, "draw_s": draw_s,
-        "norm_s": spatial_build_s - draw_s,
+        "norm_s": spatial_build_s - draw_s, "expand_s": expand_s,
         "project_s": project_s, "adjoint_s": adjoint_s,
         "residual_adjoint_s": residual_adjoint_s, "read_s": read_s,
-        "hybrid_iter_s": (more - one) / EXTRA_ITERS, "repeats": REPEATS,
+        "hybrid_iter_s": (more - one) / EXTRA_ITERS, "calib_s": calib_s,
+        "repeats": REPEATS,
     }))
 
 

@@ -2,10 +2,12 @@
 
 Runs apg_bpdn and recover_hybrid, through harness.recover, with the default
 configs (sigma 0.01, truth-trained basis) on the 32x32x16 reference phantom
-at rates (0.3, 0.25) and (0.5, 0.5) and on a 64x64x32 phantom at (0.5, 0.25)
-and (0.3, 0.25), for each measurement seed. The 64x64x32 spatial Rademacher
-block at r_p = 0.5 has more than _MATERIALIZE_LIMIT entries, so that case
-runs the chunked path; the others run the cached one. One line per run:
+at rates (0.3, 0.25) and (0.5, 0.5), on a 64x64x32 phantom at (0.5, 0.25)
+and (0.3, 0.25) and on a 32x16x16 phantom at (0.5, 0.5), for each
+measurement seed. The 64x64x32 spatial Rademacher block at r_p = 0.5 has
+more than _MATERIALIZE_LIMIT entries, so that case runs the chunked path;
+the others run the cached one. On the 32x16 grid log2 n_p is odd, so its
+rows are expanded to +/-1/sqrt(2) rather than +/-1. One line per run:
 method, grid, rates, seed, iterations, stop reason, the repr of both
 projectors' scales, then the digests of the returned matrix and of
 Trace.cost. Then, per seed, one line for a SpectralProjector(2048, 1843,
@@ -31,7 +33,8 @@ from hsrec import harness, sensing, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 CASES = (((32, 32, 16), ((0.3, 0.25), (0.5, 0.5))),
-         ((64, 64, 32), ((0.5, 0.25), (0.3, 0.25))))
+         ((64, 64, 32), ((0.5, 0.25), (0.3, 0.25))),
+         ((32, 16, 16), ((0.5, 0.5),)))
 SPECTRAL_BUILD = (2048, 1843, 460)  # n_s, m_s, q_s
 
 

@@ -17,6 +17,12 @@ operators used at acquisition time.
 
 The older "HSM1" layout, the same header without the two scales (64
 bytes), is still read; its scales are estimated on read as before.
+
+A measurement file is refused, before any large allocation, if it declares
+a cube of more than 2^27 entries or a Rademacher block, (m - q) rows of n
+entries on either axis, of more than 2^31 entries (256 MiB of packed
+spatial signs; sensing._MAX_RADEMACHER_ENTRIES). No projector over that
+bound can be built, so no written file declares one.
 """
 
 import struct

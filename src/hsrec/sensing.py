@@ -5,7 +5,8 @@ axis stacks a low-pass block of leading sequency-ordered Walsh-Hadamard
 coefficients over a seeded Rademacher block with rows scaled to unit norm;
 each Rademacher sign is the top bit of one raw Philox word
 (rng.negative_signs). Axes longer than MAX_WALSH_LENGTH, counts that
-break 1 <= m <= n or 0 <= q <= m, and a given scale that is not finite and
+break 1 <= m <= n or 0 <= q <= m, a Rademacher block of more than
+_MAX_RADEMACHER_ENTRIES entries, and a given scale that is not finite and
 > 0 (or not 1 when q = m), are rejected before anything is built.
 
 The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
@@ -13,11 +14,14 @@ The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
 straight into M, applied as a single product. The spatial projector keeps
 the zig-zag-first 2-D Walsh coefficients of each n_v x n_h frame over
 Rademacher rows that its constructor draws once and stores packed, one sign
-bit per entry. Small spatial rows are also cached as float64; large ones
-are expanded chunk by chunk instead of being held whole, once per apply,
-adjoint or residual_and_adjoint. That fused pass runs both products of a
-chunk while it is expanded: the solvers make one per iterate, and the
-spatial power iteration one per step, at y = 0.
+bit per entry, expanded to float64 +/-1 (+/-1/sqrt(2) when log2 n_p is
+odd); the rest of 1/sqrt(n_p), a power of two, is a gain on each product,
+so every output and scale is that of +/-1/sqrt(n_p) rows bit for bit.
+Small spatial rows are also cached as float64; large ones are expanded
+chunk by chunk instead of being held whole, once per apply, adjoint or
+residual_and_adjoint. That fused pass runs both products of a chunk while
+it is expanded: the solvers make one per iterate, and the spatial power
+iteration one per step, at y = 0.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
@@ -46,6 +50,9 @@ from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_ind
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _NORM_ITERATIONS = 50
+# Largest Rademacher block a projector may draw: 256 MiB of packed spatial
+# signs, enough for 128x128 frames at any rate and 256x256 at r_p <= 0.5.
+_MAX_RADEMACHER_ENTRIES = 1 << 31
 
 
 def rates_to_counts(r_p, r_s, n_p, n_s):
@@ -106,6 +113,9 @@ def _check_counts(n, m, q, scale, what):
     if q < 0 or q > m:
         raise ValueError(
             f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
+    if (m - q) * n > _MAX_RADEMACHER_ENTRIES:
+        raise ValueError(f"{what} Rademacher block of {m - q} x {n} entries "
+                         f"exceeds {_MAX_RADEMACHER_ENTRIES}")
     if scale is None:
         return
     if not (math.isfinite(scale) and scale > 0):
@@ -117,7 +127,8 @@ def _check_counts(n, m, q, scale, what):
 
 class SpatialProjector:
     """Pixel-axis projector on n_v x n_h frames flattened column-major: q_p
-    zig-zag 2-D WHT coefficients over (m_p - q_p) Rademacher rows, all
+    zig-zag 2-D WHT coefficients over (m_p - q_p) Rademacher rows of
+    +/-1/sqrt(n_p), held as packed signs and expanded to +/-u, all
     multiplied by scale (by default the inverse of a power-iteration
     estimate of the stacked matrix's norm), acting on (bands, n_p) matrices."""
 
@@ -132,6 +143,10 @@ class SpatialProjector:
         self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
         self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
         rows = m_p - q_p
+        # 1/sqrt(n_p) is 2^-k * u exactly, k = floor(log2(n_p) / 2), u = 1 or
+        # 1/sqrt(2): the products carry 2^-k, which commutes with rounding
+        k = (self.n_p.bit_length() - 1) // 2
+        self._unit, self._gain = 1.0 / np.sqrt(self.n_p >> 2 * k), 2.0 ** -k
         self._chunk = max(1, _CHUNK_ENTRIES // self.n_p)
         gen = rng.stream(self.seed, rng.SPATIAL_RADEMACHER)
         self._signs = np.empty((rows, (self.n_p + 7) // 8), np.uint8)
@@ -153,12 +168,16 @@ class SpatialProjector:
                 lambda v: self.residual_and_adjoint(zero, v)[1], self.n_p, gen)
 
     def _expand(self, lo, hi, out):
-        """Rademacher rows lo:hi as float64 +/-1/sqrt(n_p) into out."""
+        """Rademacher rows lo:hi as float64 +/-u into out: a plain cast of
+        the signs when u = 1, one multiply when log2 n_p is odd."""
         signs = np.unpackbits(self._signs[lo:hi], axis=1,
                               count=self.n_p).view(np.int8)
         signs *= -2
         signs += 1  # 1 - 2b in place: +1 or -1, one float64 pass below
-        return np.multiply(signs, 1.0 / np.sqrt(self.n_p), out=out)
+        if self._unit == 1.0:
+            np.copyto(out, signs)
+            return out
+        return np.multiply(signs, self._unit, out=out)
 
     def _blocks(self):
         """(first output row, Rademacher rows) pairs: the cached block when
@@ -187,7 +206,8 @@ class SpatialProjector:
         out = np.empty(x.shape[:-1] + (self.m_p,))
         out[..., :self.q_p] = self._low(x)
         for lo, block in self._blocks():
-            out[..., lo:lo + len(block)] = x @ block.T
+            np.multiply(x @ block.T, self._gain,
+                        out=out[..., lo:lo + len(block)])
         return self.scale * out
 
     def adjoint(self, y):
@@ -195,6 +215,7 @@ class SpatialProjector:
         back = np.zeros(y.shape[:-1] + (self.n_p,))
         for lo, block in self._blocks():
             back += y[..., lo:lo + len(block)] @ block
+        back *= self._gain
         return self.scale * (self._low_adjoint(y[..., :self.q_p]) + back)
 
     def residual_and_adjoint(self, y, x):
@@ -204,11 +225,13 @@ class SpatialProjector:
         resid = np.empty(y.shape)
         resid[..., :q] = y[..., :q] - self.scale * self._low(x)
         back = np.zeros(x.shape[:-1] + (self.n_p,))
+        gain = self.scale * self._gain
         for lo, block in self._blocks():
             hi = lo + len(block)
-            np.subtract(y[..., lo:hi], self.scale * (x @ block.T),
+            np.subtract(y[..., lo:hi], gain * (x @ block.T),
                         out=resid[..., lo:hi])
             back += resid[..., lo:hi] @ block
+        back *= self._gain
         return resid, self.scale * (self._low_adjoint(resid[..., :q]) + back)
 
 

@@ -355,6 +355,24 @@ def test_recover_rejects_bad_stored_scales_fast(tmp_path, capsys, q_p, scales):
     assert "scale" in capsys.readouterr().err
 
 
+def test_recover_rejects_an_oversized_rademacher_block_fast(tmp_path, capsys):
+    # 16,464 bytes: a 2048x2048x1 grid whose 4096 spatial Rademacher rows
+    # (2^34 entries, 2 GiB packed) match a 4096-sample payload; the counts
+    # are refused before the signs are allocated or drawn
+    path = tmp_path / "hostile.hsm"
+    path.write_bytes(struct.pack("<4s7I3Q3d", b"HSM2", 1, 4096, 0, 0,
+                                 2048, 2048, 1, 0, 0, 0, 0.0, 1.0, 1.0)
+                     + np.ones(4096, dtype="<f4").tobytes())
+    assert path.stat().st_size == 16464
+    start = time.perf_counter()
+    rc = main(["recover", "--meas", str(path), "--method", "hybrid",
+               "--out", str(tmp_path / "r.hsc")])
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2
+    assert "spatial Rademacher block of 4096 x 4194304 entries exceeds" in (
+        capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_identical_and_zero(tmp_path, capsys):

@@ -326,19 +326,92 @@ def test_spectral_matrix_values_are_exact(monkeypatch):
     (1, 1, 1),  # widths under one packed byte: the rows carry padding bits
     (1, 2, 2),
     (2, 2, 3),
+    (8, 16, 5),
     (64, 64, 9),
 ])
 def test_expand_matches_written_out_signs(n_v, n_h, rows):
+    # unit signs: +/-1, or +/-1/sqrt(2) when log2 n_p is odd; the power of
+    # two that makes them +/-1/sqrt(n_p) is the products' gain
     pp = SpatialProjector(n_v, n_h, rows, 0, seed=17)
     n = n_v * n_h
     negative = np.unpackbits(pp._signs, axis=1, count=n)
-    s = 1.0 / np.sqrt(n)
-    want = np.where(negative, -s, s)
+    u = 1.0 / np.sqrt(2) if (n.bit_length() - 1) % 2 else 1.0
+    assert u * pp._gain == 1.0 / np.sqrt(n)
+    want = np.where(negative, -u, u)
     for lo, hi in ((0, rows), (rows // 2, rows), (0, rows - 1), (1, 1)):
         got = pp._expand(lo, hi, np.empty((hi - lo, n)))
         assert got.tobytes() == want[lo:hi].tobytes()
         assert np.array_equal(np.signbit(got), negative[lo:hi].astype(bool))
     assert pp._cache.tobytes() == want.tobytes()
+
+
+def _written_out_passes(pp, rad, chunk_rows, x, y):
+    """apply(x), adjoint(y) and residual_and_adjoint(y, x) of pp written out:
+    pp's own Walsh low-pass part, then chunk-by-chunk products with the
+    dense Rademacher rows rad, times pp.scale as the docstrings state."""
+    q, s = pp.q_p, pp.scale
+    applied = np.empty(x.shape[:-1] + (pp.m_p,))
+    applied[..., :q] = pp._low(x)
+    resid = np.empty(y.shape)
+    resid[..., :q] = y[..., :q] - s * pp._low(x)
+    back, fused_back = np.zeros(y.shape[:-1] + (pp.n_p,)), np.zeros(x.shape)
+    for lo in range(0, len(rad), chunk_rows):
+        block = rad[lo:lo + chunk_rows]
+        cols = slice(q + lo, q + lo + len(block))
+        applied[..., cols] = x @ block.T
+        back += y[..., cols] @ block
+        resid[..., cols] = y[..., cols] - s * (x @ block.T)
+        fused_back += resid[..., cols] @ block
+    return (s * applied, s * (pp._low_adjoint(y[..., :q]) + back),
+            resid, s * (pp._low_adjoint(resid[..., :q]) + fused_back))
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["cached", "chunked"])
+@pytest.mark.parametrize("n_v, n_h, m_p, q_p", [
+    (8, 8, 20, 0), (8, 8, 20, 5),      # log2 n_p even: +/-1 rows
+    (8, 16, 40, 0), (8, 16, 40, 7),    # log2 n_p odd: +/-1/sqrt(2) rows
+    (1, 2, 2, 0), (1, 2, 2, 1),
+])
+def test_operator_bits_match_written_out_dense_rows(monkeypatch, chunked,
+                                                    n_v, n_h, m_p, q_p):
+    # however the rows are held and expanded, the public operator gives the
+    # bits of the products with +/-1/sqrt(n_p) rows, and its default scale
+    # those of a power iteration run on them
+    n, rows = n_v * n_h, m_p - q_p
+    chunk_rows = 3 if chunked else rows
+    if chunked:
+        monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+        monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", chunk_rows * n)
+    pp = SpatialProjector(n_v, n_h, m_p, q_p, seed=19)
+    unit = SpatialProjector(n_v, n_h, m_p, q_p, seed=19, scale=1.0)
+    assert (pp._cache is None) == chunked
+    rad = spatial_matrix(unit)[q_p:]  # the dense +/-1/sqrt(n_p) rows
+    gen = np.random.default_rng(20)
+    x, y = gen.normal(size=(3, n)), gen.normal(size=(3, m_p))
+    want = _written_out_passes(pp, rad, chunk_rows, x, y)
+    got = (pp.apply(x), pp.adjoint(y), *pp.residual_and_adjoint(y, x))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+    zero = np.zeros(m_p)
+    v = rng.gaussian(rng.stream(pp.seed, rng.SPATIAL_NORM), (n,))
+    v /= np.linalg.norm(v)
+    for _ in range(sensing._NORM_ITERATIONS):
+        w = _written_out_passes(unit, rad, chunk_rows, v, zero)[3]
+        sigma2 = np.linalg.norm(w)
+        v = w / sigma2
+    assert pp.scale == 1.0 / float(np.sqrt(sigma2))
+
+
+def test_rademacher_block_bound_is_checked_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("signs were drawn")
+
+    monkeypatch.setattr(sensing, "_MAX_RADEMACHER_ENTRIES", 4 * 16)
+    assert SpatialProjector(4, 4, 5, 1, seed=0).m_p == 5  # 4 x 16: at the bound
+    monkeypatch.setattr(rng, "negative_signs", no_draw)
+    with pytest.raises(ValueError, match="spatial Rademacher block of 5 x 16"):
+        SpatialProjector(4, 4, 6, 1, seed=0)
 
 
 def test_spectral_build_draws_its_rows_once(monkeypatch):
