@@ -17,7 +17,7 @@ import numpy as np
 from . import formats, harness
 from .datacube import as_band_pixel_matrix, cube_from_matrix
 from .solvers import DivergenceError
-from .transforms import (SpectralBasis, _check_pow2, _walsh_matrix,
+from .transforms import (SpectralBasis, _check_pow2, _walsh_rows,
                          learn_spectral_basis)
 
 
@@ -85,7 +85,7 @@ def _cmd_recover(args):
         basis = learn_spectral_basis(
             harness.sample_training_columns(x_truth, args.basis_sample_seed or 0))
     else:
-        basis = SpectralBasis(_walsh_matrix(n_s))
+        basis = SpectralBasis(_walsh_rows(n_s))
     defaults = (harness.default_bpdn_config() if args.method == "bpdn"
                 else harness.default_hybrid_config())
     config = dataclasses.replace(defaults, **{

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import rng
 from .datacube import frames_from_matrix, matrix_from_frames
-from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_matrix, zigzag_indices
+from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_rows, zigzag_indices
 
 # Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
 # spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
@@ -140,8 +140,8 @@ class SpatialProjector:
         self.m_p, self.q_p, self.seed = m_p, q_p, int(seed)
         # the zig-zag prefix lies in the leading rows and columns of the grid
         self._rows, self._cols = zigzag_indices(n_v, n_h, q_p).T
-        self._wv = _walsh_matrix(n_v)[:self._rows.max(initial=-1) + 1]
-        self._wh = _walsh_matrix(n_h)[:self._cols.max(initial=-1) + 1]
+        self._wv = _walsh_rows(n_v, self._rows.max(initial=-1) + 1)
+        self._wh = _walsh_rows(n_h, self._cols.max(initial=-1) + 1)
         rows = m_p - q_p
         # 1/sqrt(n_p) is 2^-k * u exactly, k = floor(log2(n_p) / 2), u = 1 or
         # 1/sqrt(2): the products carry 2^-k, which commutes with rounding
@@ -247,7 +247,7 @@ class SpectralProjector:
         self.n_s, self.m_s, self.q_s, self.seed = n_s, m_s, q_s, int(seed)
         gen = rng.stream(self.seed, rng.SPECTRAL_RADEMACHER)
         self._m = np.empty((m_s, n_s))
-        self._m[:q_s] = _walsh_matrix(n_s)[:q_s]
+        self._m[:q_s] = _walsh_rows(n_s, q_s)
         s = 1.0 / np.sqrt(n_s)
         chunk = max(1, _CHUNK_ENTRIES // n_s)
         for lo in range(q_s, m_s, chunk):  # the Rademacher rows, +/-s

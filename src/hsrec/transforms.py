@@ -7,10 +7,11 @@ orthonormal 2-D Haar wavelet transform, and spectral bases (learned from
 pixel samples or given; any invertible matrix) whose constructor builds
 every basis_apply map.
 
-Every Walsh and Haar transform is a product with one cached, read-only
-dense matrix per length, capped at MAX_WALSH_LENGTH (2048, a 32 MiB
-matrix); up to that length the dense product is faster than a butterfly in
-numpy.
+Every Walsh and Haar transform is a product with a dense matrix that its
+caller builds and holds: an operator builds only the Walsh rows it applies,
+and a HaarBasis its two matrices, in its constructor. Lengths are capped at
+MAX_WALSH_LENGTH (2048, a 32 MiB full matrix); up to that length the dense
+product is faster than a butterfly in numpy.
 
 Note on scaling: the classic hardware realization of Walsh-Hadamard sensing
 uses +/-1 entries. All transforms here are row-normalized (entries +/-1/sqrt(n))
@@ -18,7 +19,6 @@ instead, which makes every matrix orthonormal and keeps operator norms near
 one; the +/-1 convention is the same operator times sqrt(n).
 """
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .datacube import frames_from_matrix, matrix_from_frames
 
-# Longest axis a Walsh or Haar transform accepts; its dense matrix takes 32 MiB.
+# Longest axis a Walsh or Haar transform accepts; its full matrix takes 32 MiB.
 MAX_WALSH_LENGTH = 2048
 
 
@@ -54,25 +54,24 @@ def sequency_row_order(n):
     return perm
 
 
-@functools.cache
-def _walsh_matrix(n):
-    """Read-only orthonormal sequency-ordered Walsh matrix of length n.
+def _walsh_rows(n, count=None):
+    """First count rows (all n by default) of the orthonormal
+    sequency-ordered Walsh matrix of length n.
 
     Row k is row sequency_row_order(n)[k] of the Sylvester Hadamard matrix
-    divided by sqrt(n). The matrix is symmetric, so it is its own inverse.
+    divided by sqrt(n), so entry (k, j) is
+    (-1)^parity(sequency_row_order(n)[k] & j) / sqrt(n). The full matrix is
+    symmetric, so it is its own inverse.
     """
     _check_pow2(n, "transform length", MAX_WALSH_LENGTH)
-    h = np.full((1, 1), 1.0 / np.sqrt(n))
-    while len(h) < n:
-        h = np.block([[h, h], [h, -h]])
-    w = h[sequency_row_order(n)]
-    w.flags.writeable = False
-    return w
+    shift = np.arange(n.bit_length() - 1)
+    a = (sequency_row_order(n)[:count, None] >> shift) & 1
+    b = (np.arange(n)[:, None] >> shift) & 1
+    return np.where((a @ b.T) & 1, -1.0, 1.0) / np.sqrt(n)
 
 
-@functools.cache
 def _haar_matrix(n):
-    """Read-only orthonormal full-depth Haar analysis matrix of length n.
+    """Orthonormal full-depth Haar analysis matrix of length n.
 
     Row 0 is constant. Row k = 2^j + t (level j, offset t) is the detail
     wavelet of width w = n / 2^j on columns [t*w, (t+1)*w): +1/sqrt(w) on
@@ -87,7 +86,6 @@ def _haar_matrix(n):
     sign = np.where(col % w < w // 2, 1.0, -1.0)
     h = np.where(col // w == k - (1 << level), sign, 0.0) / np.sqrt(w)
     h[0] = 1.0 / np.sqrt(n)
-    h.flags.writeable = False
     return h
 
 
@@ -100,7 +98,7 @@ def fwht_sequency(v):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    return _walsh_matrix(len(v)) @ v
+    return _walsh_rows(len(v)) @ v
 
 
 def zigzag_indices(n_v, n_h, count=None):
@@ -137,8 +135,8 @@ class HaarBasis:
     def __init__(self, n_v, n_h):
         _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
         _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
-        self.n_v = n_v
-        self.n_h = n_h
+        self.n_v, self.n_h = n_v, n_h
+        self._hv, self._hh = _haar_matrix(n_v), _haar_matrix(n_h)
 
     def _apply(self, x, inverse):
         x = np.asarray(x, dtype=np.float64)
@@ -147,9 +145,8 @@ class HaarBasis:
                 f"expected (bands, {self.n_v * self.n_h}) matrix, got {x.shape}")
         # analysis H_v F H_h^T, synthesis H_v^T C H_h, on every frame at once
         frames = frames_from_matrix(x, self.n_v, self.n_h)
-        hv, hh = _haar_matrix(self.n_v), _haar_matrix(self.n_h)
-        return matrix_from_frames(
-            hv.T @ frames @ hh if inverse else hv @ frames @ hh.T)
+        return matrix_from_frames(self._hv.T @ frames @ self._hh if inverse
+                                  else self._hv @ frames @ self._hh.T)
 
     def analyze(self, x):
         return self._apply(x, inverse=False)

@@ -7,8 +7,9 @@ they hold on any host.
 
 tests/data holds committed files: a 16x16x8 HSC1 phantom, the HSM2 file
 acquired from it at rates (0.5, 0.5) with seed 3, its HSM1 twin (header
-bytes 0:64 plus the payload, so a read estimates the scales) and a
-20-iteration hybrid recovery from it. expected.json lists the commands
+bytes 0:64 plus the payload, so a read estimates the scales) and two
+20-iteration hybrid recoveries from it, one in the spectral basis learned
+from the phantom and one in the Walsh basis. expected.json lists the commands
 that made them and what a read must give back. Counts, seeds, signs and
 stored scales are compared exactly. What runs through BLAS gets a
 tolerance: re-estimated scales within rtol 1e-12, and cubes within
@@ -124,3 +125,8 @@ def test_recover_from_each_committed_file(tmp_path, name):
                  str(DATA / "cube.hsc"), "--max-iters", "20",
                  "--out", str(out)]) == 0
     _assert_cubes_close(read_cube(out), read_cube(DATA / "recovered.hsc"))
+    # without --truth the spectral basis is the full sequency Walsh matrix
+    assert main(["recover", "--meas", str(DATA / name), "--max-iters", "20",
+                 "--out", str(out)]) == 0
+    _assert_cubes_close(read_cube(out),
+                        read_cube(DATA / "recovered_walsh.hsc"))

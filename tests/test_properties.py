@@ -6,7 +6,7 @@ cached and the chunk-regenerated Rademacher path; the fused Gram map the
 norm estimate runs on must equal adjoint(apply(v)) bit for bit, and the
 solvers' fused pass must equal y - project(x) and its adjoint; the
 spectral projector's dense matrix must be the oracle Walsh rows over the
-redrawn Rademacher rows, held once; the dense Walsh and Haar matrices must
+redrawn Rademacher rows, held once; the Walsh rows and Haar matrices must
 match the independent oracles at every supported length; the Haar basis
 must invert itself frame by frame; and HSC1/HSM1 files must round-trip
 their data (as float32), header fields and operator scales.
@@ -30,7 +30,7 @@ from hsrec.formats import (read_cube, read_measurements, write_cube,
 from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, project)
 from hsrec.transforms import (MAX_WALSH_LENGTH, HaarBasis, _haar_matrix,
-                              _walsh_matrix)
+                              _walsh_rows)
 from oracles import haar_matrix, rademacher_draw, walsh_matrix
 
 CASES = ("q=0", "0<q<m", "q=m", "m=n")
@@ -199,9 +199,11 @@ def test_spectral_matrix_is_walsh_rows_over_redrawn_rademacher(
 
 @pytest.mark.parametrize("n", [1 << k for k in range(12)])
 def test_walsh_matrix_matches_oracle_and_is_an_involution(n):
-    w = _walsh_matrix(n)
-    assert not w.flags.writeable
-    assert np.array_equal(w, walsh_matrix(n))
+    w = walsh_matrix(n)
+    # a leading-row prefix is the oracle's, bit for bit, at every length
+    for count in (0, 1, n // 2, n):
+        assert np.array_equal(_walsh_rows(n, count), w[:count])
+    assert np.array_equal(_walsh_rows(n), w)
     assert np.array_equal(w, w.T)
     v = np.random.default_rng(n).normal(size=(n, 3))
     assert np.allclose(w @ (w @ v), v, atol=1e-12)
@@ -210,7 +212,7 @@ def test_walsh_matrix_matches_oracle_and_is_an_involution(n):
 def test_walsh_length_is_capped():
     assert MAX_WALSH_LENGTH == 2048
     with pytest.raises(ValueError, match="at most 2048"):
-        _walsh_matrix(4096)
+        _walsh_rows(4096)
     with pytest.raises(ValueError, match="frame rows must be at most"):
         SpatialProjector(4096, 1, 1, 0, seed=0)
     with pytest.raises(ValueError, match="band count must be at most"):
@@ -220,7 +222,6 @@ def test_walsh_length_is_capped():
 @pytest.mark.parametrize("n", [1 << k for k in range(12)])
 def test_haar_matrix_matches_oracle_and_is_orthonormal(n):
     h = _haar_matrix(n)
-    assert not h.flags.writeable
     assert np.abs(h - haar_matrix(n)).max() <= 1e-12
     assert np.abs(h @ h.T - np.eye(n)).max() <= 1e-12
 

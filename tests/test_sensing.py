@@ -1,6 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hsrec import rng
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts,
                            operator_norm_estimate, project, rates_to_counts)
-from hsrec.transforms import _walsh_matrix, fwht_sequency, zigzag_indices
+from hsrec.transforms import fwht_sequency, zigzag_indices
 from oracles import (rademacher_draw, spatial_matrix, spectral_matrix,
                      walsh_matrix)
 
@@ -439,9 +443,9 @@ def test_spectral_build_draws_its_rows_once(monkeypatch):
 
 
 def test_spectral_build_peak_stays_near_m():
-    # the widest band axis: next to the 16 MiB M a build holds one draw
-    # chunk of raw words, its sign mask and its +/-s rows, and nothing else
-    _walsh_matrix(2048)  # cached once per process, not part of a build
+    # the widest band axis, built cold: next to the 16 MiB M a build holds
+    # its q_s Walsh rows, one draw chunk of raw words, its sign mask and its
+    # +/-s rows, and nothing else
     tracemalloc.start()
     try:
         sp = SpectralProjector(2048, 1024, 102, seed=1)
@@ -449,6 +453,30 @@ def test_spectral_build_peak_stays_near_m():
     finally:
         tracemalloc.stop()
     assert peak <= 1.65 * sp._m.nbytes
+
+
+def test_spatial_build_holds_only_the_walsh_rows_it_applies():
+    empty = SpatialProjector(8, 8, 4, 0, seed=0)
+    assert empty._wv.size == empty._wh.size == 0
+    # a fresh interpreter, so no transform an earlier test built is counted:
+    # one zig-zag row of a 2048 x 2048 grid needs one Walsh row per axis,
+    # 16 KiB each, not the two 32 MiB matrices. numpy.random, which numpy
+    # may import on first use, is imported before the count starts.
+    child = ("import tracemalloc\n"
+             "import numpy.random\n"
+             "from hsrec.sensing import SpatialProjector\n"
+             "tracemalloc.start()\n"
+             "pp = SpatialProjector(2048, 2048, 1, 1, seed=0)\n"
+             "print(len(pp._wv), len(pp._wh), "
+             "tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    rows_v, rows_h, peak = map(int, out)
+    assert (rows_v, rows_h) == (1, 1)
+    assert peak < 1 << 20
 
 
 def test_residual_and_adjoint_checks_shapes():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hsrec.transforms as transforms
 from hsrec.sensing import SpatialProjector
 from hsrec.transforms import (HaarBasis, SpectralBasis, basis_apply,
                               fwht_sequency, learn_spectral_basis,
@@ -285,3 +286,19 @@ def test_basis_apply_singular_gram_raises():
     psi[2] = psi[1]
     with pytest.raises(np.linalg.LinAlgError):
         basis_apply(SpectralBasis(psi), np.zeros((3, 2)), "gram_inverse")
+
+
+def test_haar_basis_builds_its_matrices_once(monkeypatch):
+    built, original = [], transforms._haar_matrix
+
+    def spy(n):
+        built.append(n)
+        return original(n)
+
+    monkeypatch.setattr(transforms, "_haar_matrix", spy)
+    basis = HaarBasis(8, 4)
+    assert sorted(built) == [4, 8]
+    x = np.random.default_rng(7).normal(size=(3, 32))
+    np.testing.assert_allclose(basis.synthesize(basis.analyze(x)), x,
+                               atol=1e-12)
+    assert sorted(built) == [4, 8]
