@@ -18,6 +18,10 @@ operators used at acquisition time.
 The older "HSM1" layout, the same header without the two scales (64
 bytes), is still read; its scales are estimated on read as before.
 
+Both writers refuse a payload that is not finite as float32 before they
+open the file, as read_measurements and Datacube refuse one on read, so
+neither writer leaves a file that its reader refuses.
+
 A measurement file is refused, before any large allocation, if it declares
 a cube of more than 2^27 entries or a Rademacher block, (m - q) rows of n
 entries on either axis, of more than 2^31 entries (256 MiB of packed
@@ -42,13 +46,18 @@ _MEAS_FIELDS = {b"HSM1": struct.Struct("<7I3Qd"),
 _MAX_CUBE_ENTRIES = 1 << 27
 
 
-def write_cube(path, cube):
-    """Write cube as HSC1; a payload that overflows float32 is rejected
-    before the file is opened, since read_cube would refuse it."""
+def _float32_payload(path, a):
+    """a as contiguous little-endian float32; a ValueError unless every
+    sample is finite there."""
     with np.errstate(over="ignore"):
-        x = np.ascontiguousarray(as_band_pixel_matrix(cube), dtype="<f4")
+        x = np.ascontiguousarray(a, dtype="<f4")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: cube data overflows float32")
+        raise ValueError(f"{path}: payload is not finite in float32")
+    return x
+
+
+def write_cube(path, cube):
+    x = _float32_payload(path, as_band_pixel_matrix(cube))
     with open(path, "wb") as fh:
         fh.write(_CUBE_HEADER.pack(_CUBE_MAGIC, cube.n_v, cube.n_h, cube.n_s))
         fh.write(x.tobytes())
@@ -73,15 +82,16 @@ def read_cube(path):
 def write_measurements(path, meas):
     sp, pp = meas.spectral, meas.spatial
     seeds = (sp.seed, pp.seed, meas.noise_seed)
-    # checked before the file is opened, so a bad header leaves no file
+    # checked before the file is opened: a bad header or payload leaves none
     if not all(0 <= seed < 1 << 64 for seed in seeds):
         raise ValueError(f"{path}: seeds must lie in [0, 2^64), got {seeds}")
+    y = _float32_payload(path, meas.y)
     header = _MEAS_FIELDS[_MEAS_MAGIC].pack(
         sp.m_s, pp.m_p, sp.q_s, pp.q_p, pp.n_v, pp.n_h, sp.n_s, *seeds,
         meas.sigma, sp.scale, pp.scale)
     with open(path, "wb") as fh:
         fh.write(_MEAS_MAGIC + header)
-        fh.write(np.ascontiguousarray(meas.y, dtype="<f4").tobytes())
+        fh.write(y.tobytes())
 
 
 def read_measurements(path):
@@ -104,8 +114,7 @@ def read_measurements(path):
     y = np.frombuffer(payload, dtype="<f4")
     if y.size != m_s * m_p:
         raise ValueError(f"{path}: expected {m_s * m_p} samples, found {y.size}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{path}: measurement payload is not finite")
+    y = _float32_payload(path, y)
     # an HSM1 file stores no scales: the constructors estimate them
     spectral_scale, spatial_scale = scales or (None, None)
     sp = SpectralProjector(n_s, m_s, q_s, spectral_seed, scale=spectral_scale)

@@ -11,6 +11,8 @@ this is exactly random() < 0.5 on the same stream positions, without the
 float64 temporaries.
 """
 
+import numbers
+
 import numpy as np
 
 # purpose tags (high word of the Philox key)
@@ -24,11 +26,18 @@ SPATIAL_NORM = 6
 COMBINED_NORM = 7
 
 
-def stream(seed, purpose=0):
-    """Independent Generator for (seed, purpose); seed must lie in [0, 2^64)."""
-    if not 0 <= int(seed) < 1 << 64:
+def check_seed(seed):
+    """seed as an int; a ValueError unless it is an integer in [0, 2^64),
+    so neither a mask nor a truncation aliases it onto a valid seed."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= int(seed) < 1 << 64):
         raise ValueError(f"seeds must lie in [0, 2^64), got {seed}")
-    key = int(seed) | (int(purpose) << 64)
+    return int(seed)
+
+
+def stream(seed, purpose=0):
+    """Independent Generator for (seed, purpose); seed must be an integer in
+    [0, 2^64)."""
+    key = check_seed(seed) | (int(purpose) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -137,7 +137,7 @@ class SpatialProjector:
         _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
         self.n_v, self.n_h, self.n_p = n_v, n_h, n_v * n_h
         _check_counts(self.n_p, m_p, q_p, scale, "spatial")
-        self.m_p, self.q_p, self.seed = m_p, q_p, int(seed)
+        self.m_p, self.q_p, self.seed = m_p, q_p, rng.check_seed(seed)
         # the zig-zag prefix lies in the leading rows and columns of the grid
         self._rows, self._cols = zigzag_indices(n_v, n_h, q_p).T
         self._wv = _walsh_rows(n_v, self._rows.max(initial=-1) + 1)
@@ -244,7 +244,8 @@ class SpectralProjector:
     def __init__(self, n_s, m_s, q_s, seed, *, scale=None):
         _check_pow2(n_s, "band count", MAX_WALSH_LENGTH)
         _check_counts(n_s, m_s, q_s, scale, "spectral")
-        self.n_s, self.m_s, self.q_s, self.seed = n_s, m_s, q_s, int(seed)
+        self.n_s, self.m_s, self.q_s = n_s, m_s, q_s
+        self.seed = rng.check_seed(seed)
         gen = rng.stream(self.seed, rng.SPECTRAL_RADEMACHER)
         self._m = np.empty((m_s, n_s))
         self._m[:q_s] = _walsh_rows(n_s, q_s)
@@ -280,44 +281,40 @@ class Measurements:
     noise_seed: int = 0
 
     def __post_init__(self):
-        y = _check_measurements(self.y, self.spectral, self.spatial)
+        sp, pp = self.spectral, self.spatial
+        y = _check_shape(self.y, (sp.m_s, pp.m_p), "measurement shape")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise standard deviation must be finite and "
                              f">= 0, got {self.sigma}")
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "noise_seed", rng.check_seed(self.noise_seed))
 
 
-def _check_cube(x, sp, pp):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (sp.n_s, pp.n_p):
-        raise ValueError(f"band-by-pixel matrix shape {x.shape} does not match "
-                         f"projectors ({sp.n_s}, {pp.n_p})")
-    return x
-
-
-def _check_measurements(y, sp, pp):
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sp.m_s, pp.m_p):
-        raise ValueError(f"measurement shape {y.shape} does not match "
-                         f"projector output ({sp.m_s}, {pp.m_p})")
-    return y
+def _check_shape(a, shape, noun):
+    """a as float64, refused unless its shape is the projectors' shape."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{noun} {a.shape} does not match projectors {shape}")
+    return a
 
 
 def project(x, sp, pp):
     """Phi_s X Phi_p^T via the fast operators."""
-    return pp.apply(sp.apply(_check_cube(x, sp, pp)))
+    x = _check_shape(x, (sp.n_s, pp.n_p), "band-by-pixel matrix shape")
+    return pp.apply(sp.apply(x))
 
 
 def adjoint(y, sp, pp):
     """Phi_s^T Y Phi_p via the fast operators."""
-    return sp.adjoint(pp.adjoint(_check_measurements(y, sp, pp)))
+    y = _check_shape(y, (sp.m_s, pp.m_p), "measurement shape")
+    return sp.adjoint(pp.adjoint(y))
 
 
 def residual_and_adjoint(y, x, sp, pp):
     """(y - project(x), adjoint(y - project(x))) bit for bit, expanding each
     chunk of a chunked spatial Rademacher block once instead of twice."""
-    x = _check_cube(x, sp, pp)
-    y = _check_measurements(y, sp, pp)
+    x = _check_shape(x, (sp.n_s, pp.n_p), "band-by-pixel matrix shape")
+    y = _check_shape(y, (sp.m_s, pp.m_p), "measurement shape")
     resid, z = pp.residual_and_adjoint(y, sp.apply(x))
     return resid, sp.adjoint(z)
 
@@ -328,7 +325,7 @@ def acquire(x, sp, pp, sigma, noise_seed=0):
     if sigma > 0:
         y = y + rng.gaussian(rng.stream(noise_seed, rng.NOISE), y.shape, sigma)
     return Measurements(y=y, spectral=sp, spatial=pp, sigma=float(sigma),
-                        noise_seed=int(noise_seed))
+                        noise_seed=noise_seed)
 
 
 def operator_norm_estimate(sp, pp):

@@ -26,6 +26,7 @@ inverse-transpose synthesis, the plain maps for an orthonormal basis.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,8 +69,9 @@ class SolverConfig:
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 raise ValueError(f"{name} must be finite and "
                                  f"{'> 0' if positive else '>= 0'}, got {value}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        n = self.max_iters
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {n}")
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,21 @@ def test_acquire_warns_only_about_a_defaulted_count(tmp_path, capsys, q_p,
     assert path.read_bytes() == (tmp_path / "want.hsm").read_bytes()
 
 
+def test_acquire_refuses_measurements_that_overflow_float32(tmp_path, capsys):
+    # the cube is finite in float32, its projections are not: the reader
+    # would refuse the payload, so the writer leaves no file
+    cube = tmp_path / "big.hsc"
+    write_cube(cube, Datacube(np.full((8, 8, 4), 3e38)))
+    out = tmp_path / "m.hsm"
+    rc = main(["acquire", "--cube", str(cube), "--rp", "0.5", "--rs", "0.5",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "float32" in err[0] and "not finite" in err[0]
+    assert not out.exists()
+
+
 def test_acquire_missing_cube_file(tmp_path):
     rc = main(["acquire", "--cube", str(tmp_path / "nope.hsc"), "--rp", "0.5",
                "--rs", "0.5", "--out", str(tmp_path / "m.hsm")])

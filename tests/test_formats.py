@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import time
 
@@ -129,6 +130,17 @@ def test_measurements_write_is_stable(tmp_path):
     first = path.read_bytes()
     write_measurements(path, read_measurements(path))
     assert path.read_bytes() == first
+
+
+def test_measurements_write_rejects_float32_overflow(tmp_path):
+    meas = _measurements()
+    y = meas.y.copy()
+    y[1, 5] = 1e300  # finite in float64, inf in float32
+    meas = dataclasses.replace(meas, y=y)
+    path = tmp_path / "meas.hsm"
+    with pytest.raises(ValueError, match="not finite in float32"):
+        write_measurements(path, meas)
+    assert not path.exists()
 
 
 def _written_files(path, meas):

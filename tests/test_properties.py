@@ -2,7 +2,7 @@
 
 The operators must be exact adjoints of each other for every block layout
 (no low-pass rows, a mix, only low-pass rows, full sampling) on both the
-cached and the chunk-regenerated Rademacher path; the fused Gram map the
+cached and the chunk-expanded Rademacher path; the fused Gram map the
 norm estimate runs on must equal adjoint(apply(v)) bit for bit, and the
 solvers' fused pass must equal y - project(x) and its adjoint; the
 spectral projector's dense matrix must be the oracle Walsh rows over the

@@ -550,6 +550,40 @@ def test_measurements_shape_validation():
         adjoint(np.zeros((5, 6)), sp, pp)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0)])
+def test_non_integral_seeds_are_refused(seed):
+    # int() would alias them onto seeds 1 and 2
+    pp = SpatialProjector(4, 4, 6, 2, seed=1)
+    sp = SpectralProjector(8, 4, 1, seed=1)
+    entry_points = [
+        lambda: rng.stream(seed, rng.NOISE),
+        lambda: SpatialProjector(4, 4, 6, 2, seed=seed),
+        lambda: SpectralProjector(8, 4, 1, seed=seed),
+        lambda: acquire(np.zeros((8, 16)), sp, pp, sigma=0.0, noise_seed=seed),
+        lambda: Measurements(y=np.zeros((4, 6)), spectral=sp, spatial=pp,
+                             noise_seed=seed),
+    ]
+    message = r"seeds must lie in \[0, 2\^64\)"
+    for call in entry_points:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_numpy_integer_seeds_draw_like_plain_ints(kind):
+    assert np.array_equal(rng.stream(kind(7), rng.NOISE).random(8),
+                          rng.stream(7, rng.NOISE).random(8))
+    x = np.random.default_rng(11).normal(size=(8, 16))
+    ys = []
+    for seed in (kind(7), 7):
+        pp = SpatialProjector(4, 4, 6, 2, seed=seed)
+        sp = SpectralProjector(8, 4, 1, seed=seed)
+        meas = acquire(x, sp, pp, sigma=0.01, noise_seed=seed)
+        assert (pp.seed, sp.seed, meas.noise_seed) == (7, 7, 7)
+        ys.append(meas.y)
+    assert np.array_equal(*ys)
+
+
 def test_operator_norm_estimate_near_one(monkeypatch):
     pp = SpatialProjector(4, 4, 6, 2, seed=26)
     sp = SpectralProjector(8, 4, 1, seed=27)

@@ -97,6 +97,8 @@ def test_solver_config_validation():
         SolverConfig(tau=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=2.5)  # range() would fail only inside the loop
     # non-finite values: nan never stops the loop, inf reads as divergence
     for name in ("step_size", "gamma", "gamma1", "gamma2", "tau"):
         for bad in (float("nan"), float("inf"), float("-inf")):
