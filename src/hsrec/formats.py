@@ -1,26 +1,29 @@
 """Binary file formats for datacubes and measurement sets.
 
-Cube files ("HSC1"): magic, then n_v, n_h, n_s as little-endian uint32,
-then the band-by-pixel matrix as little-endian float32 in row-major order
-(band-major, column-major pixels within each band).
+Every file is a 4-byte magic, a header of little-endian fields and a
+payload of little-endian float32 samples in row-major order. _LAYOUTS is
+the one table of headers, which one reader, one payload decoder and one
+writer serve:
 
-Measurement files ("HSM2"): magic, the projector shape counts and grid
-dimensions as uint32, the three generator seeds as uint64, then the noise
-level and the spectral and spatial projector scales as float64 (80 bytes
-in all), followed by the measurement matrix as little-endian float32 in
-row-major order. The projector matrices are not stored; they are rebuilt
-from the seeds on read, which keeps files small. The scales are stored
-because estimating one takes 50 power-iteration passes over the rows, most
-of a build, and its last bit depends on the BLAS thread count: a reader
-given the acquisition's scales skips that work and rebuilds exactly the
-operators used at acquisition time.
+  HSC1  n_v n_h n_s (u32)                                  16 bytes in all
+  HSM1  m_s m_p q_s q_p n_v n_h n_s (u32), the spectral, spatial and
+        noise seeds (u64), sigma (f64)                     64 bytes
+  HSM2  the HSM1 fields, then the spectral and spatial scales (f64), 80
 
-The older "HSM1" layout, the same header without the two scales (64
-bytes), is still read; its scales are estimated on read as before.
+A cube file holds the band-by-pixel matrix (band-major, column-major pixels
+within each band), a measurement file the m_s x m_p measurements. The
+projector matrices are not stored but rebuilt from the seeds on read,
+which keeps files small. HSM2 stores the scales because estimating one
+takes 50 power-iteration passes over the rows, most of a build, and its
+last bit depends on the BLAS thread count: a reader given the
+acquisition's scales skips that work and rebuilds exactly the operators
+used at acquisition time. HSM1 files are still read, and their scales
+estimated on read; the writers write HSC1 and HSM2.
 
-Both writers refuse a payload that is not finite as float32 before they
-open the file, as read_measurements and Datacube refuse one on read, so
-neither writer leaves a file that its reader refuses.
+The writers check the seeds and refuse a payload that is not finite in
+float32 before they open the file, as the readers refuse one, so neither
+leaves a file its reader refuses. Every ValueError of the four file
+functions starts with the file's path, once.
 
 A measurement file is refused, before any large allocation, if it declares
 a cube of more than 2^27 entries or a Rademacher block, (m - q) rows of n
@@ -28,97 +31,110 @@ entries on either axis, of more than 2^31 entries (256 MiB of packed
 spatial signs; sensing._MAX_RADEMACHER_ENTRIES). No projector over that
 bound can be built, so no written file declares one.
 """
-
+import functools
 import struct
 
 import numpy as np
 
+from . import rng
 from .datacube import as_band_pixel_matrix, cube_from_matrix
 from .sensing import Measurements, SpatialProjector, SpectralProjector
 
-_CUBE_MAGIC = b"HSC1"
-_CUBE_HEADER = struct.Struct("<4s3I")
-_MEAS_MAGIC = b"HSM2"
-# the header after the magic: HSM2 ends in sigma and the two scales
-_MEAS_FIELDS = {b"HSM1": struct.Struct("<7I3Qd"),
-                _MEAS_MAGIC: struct.Struct("<7I3Q3d")}
+_LAYOUTS = {b"HSC1": struct.Struct("<3I"),
+            b"HSM1": struct.Struct("<7I3Qd"),
+            b"HSM2": struct.Struct("<7I3Q3d")}
 # Largest cube a measurement file may declare: 1 GiB of float64 samples.
 _MAX_CUBE_ENTRIES = 1 << 27
 
 
-def _float32_payload(path, a):
+def _names_file(fn):
+    """fn(path, ...) with the path put in front of each ValueError it raises."""
+    @functools.wraps(fn)
+    def named(path, *args, **kwargs):
+        try:
+            return fn(path, *args, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return named
+
+
+def _float32_payload(a):
     """a as contiguous little-endian float32; a ValueError unless every
     sample is finite there."""
     with np.errstate(over="ignore"):
         x = np.ascontiguousarray(a, dtype="<f4")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: payload is not finite in float32")
+        raise ValueError("payload is not finite in float32")
     return x
 
 
-def write_cube(path, cube):
-    x = _float32_payload(path, as_band_pixel_matrix(cube))
+def _read(path, magics):
+    """(header fields, payload bytes) of the file at path; a ValueError
+    unless its magic is one of magics and its header is whole."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic not in magics:
+            raise ValueError(f"bad magic {magic!r}")
+        layout = _LAYOUTS[magic]
+        header = fh.read(layout.size)
+        if len(header) < layout.size:
+            raise ValueError(f"truncated {magic.decode()} header")
+        return layout.unpack(header), fh.read()
+
+
+def _decode(payload, count):
+    """payload as count float64 samples; a ValueError unless it holds
+    exactly count float32 samples, all finite."""
+    if len(payload) != 4 * count:
+        raise ValueError(f"expected {count} samples, found {len(payload)} bytes")
+    return _float32_payload(np.frombuffer(payload, "<f4")).astype(np.float64)
+
+
+def _write(path, magic, fields, a):
+    """magic, the header fields and a as float32; the payload is checked and
+    the header packed before the file is opened, so a refusal leaves none."""
+    x = _float32_payload(a)
+    header = magic + _LAYOUTS[magic].pack(*fields)
     with open(path, "wb") as fh:
-        fh.write(_CUBE_HEADER.pack(_CUBE_MAGIC, cube.n_v, cube.n_h, cube.n_s))
+        fh.write(header)
         fh.write(x.tobytes())
 
 
+@_names_file
+def write_cube(path, cube):
+    _write(path, b"HSC1", (cube.n_v, cube.n_h, cube.n_s),
+           as_band_pixel_matrix(cube))
+
+
+@_names_file
 def read_cube(path):
-    with open(path, "rb") as fh:
-        header = fh.read(_CUBE_HEADER.size)
-        if len(header) < _CUBE_HEADER.size:
-            raise ValueError(f"{path}: truncated cube header")
-        magic, n_v, n_h, n_s = _CUBE_HEADER.unpack(header)
-        if magic != _CUBE_MAGIC:
-            raise ValueError(f"{path}: not a cube file (bad magic {magic!r})")
-        payload = fh.read()
-    expected = n_v * n_h * n_s
-    x = np.frombuffer(payload, dtype="<f4")
-    if x.size != expected:
-        raise ValueError(f"{path}: expected {expected} samples, found {x.size}")
-    return cube_from_matrix(x.astype(np.float64).reshape(n_s, n_v * n_h), n_v, n_h)
+    (n_v, n_h, n_s), payload = _read(path, (b"HSC1",))
+    x = _decode(payload, n_v * n_h * n_s)
+    return cube_from_matrix(x.reshape(n_s, n_v * n_h), n_v, n_h)
 
 
+@_names_file
 def write_measurements(path, meas):
     sp, pp = meas.spectral, meas.spatial
-    seeds = (sp.seed, pp.seed, meas.noise_seed)
-    # checked before the file is opened: a bad header or payload leaves none
-    if not all(0 <= seed < 1 << 64 for seed in seeds):
-        raise ValueError(f"{path}: seeds must lie in [0, 2^64), got {seeds}")
-    y = _float32_payload(path, meas.y)
-    header = _MEAS_FIELDS[_MEAS_MAGIC].pack(
-        sp.m_s, pp.m_p, sp.q_s, pp.q_p, pp.n_v, pp.n_h, sp.n_s, *seeds,
-        meas.sigma, sp.scale, pp.scale)
-    with open(path, "wb") as fh:
-        fh.write(_MEAS_MAGIC + header)
-        fh.write(y.tobytes())
+    seeds = map(rng.check_seed, (sp.seed, pp.seed, meas.noise_seed))
+    _write(path, b"HSM2", (sp.m_s, pp.m_p, sp.q_s, pp.q_p, pp.n_v, pp.n_h, sp.n_s,
+                           *seeds, meas.sigma, sp.scale, pp.scale), meas.y)
 
 
+@_names_file
 def read_measurements(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        fields = _MEAS_FIELDS.get(magic)
-        if fields is None:
-            raise ValueError(f"{path}: not a measurement file (bad magic {magic!r})")
-        header = fh.read(fields.size)
-        if len(header) < fields.size:
-            raise ValueError(f"{path}: truncated measurement header")
-        (m_s, m_p, q_s, q_p, n_v, n_h, n_s, spectral_seed, spatial_seed,
-         noise_seed, sigma, *scales) = fields.unpack(header)
-        if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
-            raise ValueError(f"{path}: declared cube {n_v}x{n_h}x{n_s} exceeds "
-                             f"{_MAX_CUBE_ENTRIES} entries")
-        payload = fh.read()
+    fields, payload = _read(path, (b"HSM1", b"HSM2"))
+    (m_s, m_p, q_s, q_p, n_v, n_h, n_s, spectral_seed, spatial_seed,
+     noise_seed, sigma, *scales) = fields
+    if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
+        raise ValueError(f"declared cube {n_v}x{n_h}x{n_s} exceeds "
+                         f"{_MAX_CUBE_ENTRIES} entries")
     if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"{path}: noise level must be finite and >= 0, got {sigma}")
-    y = np.frombuffer(payload, dtype="<f4")
-    if y.size != m_s * m_p:
-        raise ValueError(f"{path}: expected {m_s * m_p} samples, found {y.size}")
-    y = _float32_payload(path, y)
+        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
+    y = _decode(payload, m_s * m_p)
     # an HSM1 file stores no scales: the constructors estimate them
     spectral_scale, spatial_scale = scales or (None, None)
     sp = SpectralProjector(n_s, m_s, q_s, spectral_seed, scale=spectral_scale)
     pp = SpatialProjector(n_v, n_h, m_p, q_p, spatial_seed, scale=spatial_scale)
-    return Measurements(y=y.astype(np.float64).reshape(m_s, m_p),
-                        spectral=sp, spatial=pp,
+    return Measurements(y=y.reshape(m_s, m_p), spectral=sp, spatial=pp,
                         sigma=sigma, noise_seed=noise_seed)

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import rng
 from .datacube import frames_from_matrix, matrix_from_frames
-from .transforms import MAX_WALSH_LENGTH, _check_pow2, _walsh_rows, zigzag_indices
+from .transforms import _check_pow2, _walsh_rows, zigzag_indices
 
 # Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
 # spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
@@ -133,8 +133,8 @@ class SpatialProjector:
     estimate of the stacked matrix's norm), acting on (bands, n_p) matrices."""
 
     def __init__(self, n_v, n_h, m_p, q_p, seed, *, scale=None):
-        _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
-        _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
+        _check_pow2(n_v, "frame rows")
+        _check_pow2(n_h, "frame cols")
         self.n_v, self.n_h, self.n_p = n_v, n_h, n_v * n_h
         _check_counts(self.n_p, m_p, q_p, scale, "spatial")
         self.m_p, self.q_p, self.seed = m_p, q_p, rng.check_seed(seed)
@@ -242,7 +242,7 @@ class SpectralProjector:
     acting on (n_s, cols) matrices."""
 
     def __init__(self, n_s, m_s, q_s, seed, *, scale=None):
-        _check_pow2(n_s, "band count", MAX_WALSH_LENGTH)
+        _check_pow2(n_s, "band count")
         _check_counts(n_s, m_s, q_s, scale, "spectral")
         self.n_s, self.m_s, self.q_s = n_s, m_s, q_s
         self.seed = rng.check_seed(seed)

@@ -30,11 +30,11 @@ from .datacube import frames_from_matrix, matrix_from_frames
 MAX_WALSH_LENGTH = 2048
 
 
-def _check_pow2(n, what, limit=None):
+def _check_pow2(n, what):
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
-    if limit is not None and n > limit:
-        raise ValueError(f"{what} must be at most {limit}, got {n}")
+    if n > MAX_WALSH_LENGTH:
+        raise ValueError(f"{what} must be at most {MAX_WALSH_LENGTH}, got {n}")
 
 
 def sequency_row_order(n):
@@ -63,7 +63,7 @@ def _walsh_rows(n, count=None):
     (-1)^parity(sequency_row_order(n)[k] & j) / sqrt(n). The full matrix is
     symmetric, so it is its own inverse.
     """
-    _check_pow2(n, "transform length", MAX_WALSH_LENGTH)
+    _check_pow2(n, "transform length")
     shift = np.arange(n.bit_length() - 1)
     a = (sequency_row_order(n)[:count, None] >> shift) & 1
     b = (np.arange(n)[:, None] >> shift) & 1
@@ -78,7 +78,7 @@ def _haar_matrix(n):
     its first half, -1/sqrt(w) on its second. So the rows run coarse to
     fine, left to right within a level, and H^T is the inverse.
     """
-    _check_pow2(n, "transform length", MAX_WALSH_LENGTH)
+    _check_pow2(n, "transform length")
     k = np.arange(n)[:, None]
     level = np.frexp(np.maximum(k, 1))[1] - 1  # floor(log2 k), exact
     w = n >> level
@@ -133,8 +133,8 @@ class HaarBasis:
     """
 
     def __init__(self, n_v, n_h):
-        _check_pow2(n_v, "frame rows", MAX_WALSH_LENGTH)
-        _check_pow2(n_h, "frame cols", MAX_WALSH_LENGTH)
+        _check_pow2(n_v, "frame rows")
+        _check_pow2(n_h, "frame cols")
         self.n_v, self.n_h = n_v, n_h
         self._hv, self._hh = _haar_matrix(n_v), _haar_matrix(n_h)
 

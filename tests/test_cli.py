@@ -78,6 +78,16 @@ def test_phantom_rejects_non_power_of_two(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_phantom_rejects_axes_over_2048(tmp_path, capsys):
+    # acquire would refuse the cube, so phantom writes none
+    out = tmp_path / "long.hsc"
+    rc = main(["phantom", "--out", str(out), "--nv", "4096", "--nh", "1",
+               "--ns", "2"])
+    assert rc == 2
+    assert "--nv must be at most 2048" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["phantom", "--seed", "-1"],
     ["sweep", "--rates", "0.5:0.5", "--seeds", "-1"],
@@ -404,6 +414,18 @@ def test_eval_identical_and_zero(tmp_path, capsys):
     write_cube(zero, Datacube(np.zeros_like(data.data)))
     assert main(["eval", "--truth", str(cube), "--recovered", str(zero)]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
+
+
+def test_eval_names_the_bad_cube(tmp_path, capsys):
+    cube = _make_phantom(tmp_path)
+    bad = tmp_path / "inf.hsc"
+    bad.write_bytes(struct.pack("<4s3I", b"HSC1", 2, 2, 1)
+                    + np.full(4, np.inf, dtype="<f4").tobytes())
+    capsys.readouterr()  # drop the phantom command's status line
+    rc = main(["eval", "--truth", str(cube), "--recovered", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: payload is not finite in float32\n")
 
 
 def test_eval_dimension_mismatch(tmp_path, capsys):

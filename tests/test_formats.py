@@ -1,9 +1,13 @@
 import dataclasses
 import struct
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsrec.sensing as sensing
 from hsrec.datacube import Datacube, as_band_pixel_matrix
@@ -16,6 +20,10 @@ from oracles import hsm1_bytes
 
 # header layouts by magic, and the bytes each header takes
 _LAYOUTS = {b"HSM2": "<4s7I3Q3d", b"HSM1": "<4s7I3Qd"}
+# the committed HSC1 cube and its HSM1 and HSM2 measurement files
+DATA = Path(__file__).parent / "data"
+_FIXTURES = {name: (DATA / name).read_bytes()
+             for name in ("cube.hsc", "meas_hsm1.hsm", "meas_hsm2.hsm")}
 
 
 def _cube():
@@ -293,3 +301,96 @@ def test_measurements_read_checks_spectral_counts_before_building(tmp_path):
                        match="spectral projection count must satisfy"):
         read_measurements(path)
     assert time.perf_counter() - start < 0.3
+
+
+def test_measurements_write_refuses_a_seed_set_after_construction(tmp_path):
+    meas = _measurements()
+    meas.spatial.seed = 1.5  # struct.pack would raise struct.error
+    path = tmp_path / "meas.hsm"
+    with pytest.raises(ValueError, match=r"seeds must lie in \[0, 2\^64\)") as info:
+        write_measurements(path, meas)
+    assert str(info.value).startswith(f"{path}: ")
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------- named errors
+
+def _patched(name, fmt, offset, value):
+    raw = bytearray(_FIXTURES[name])
+    struct.pack_into(fmt, raw, offset, value)
+    return bytes(raw)
+
+
+# malformed files by case: (reader, bytes); the header fields after the
+# magic are u32s at 4, 8, ..., n_v at 20, then the seeds, sigma and scales
+_MALFORMED = {
+    "cube of inf": (read_cube, struct.pack("<4s3I", b"HSC1", 2, 2, 1)
+                    + np.full(4, np.inf, dtype="<f4").tobytes()),
+    "cube with n_v = 0": (read_cube, struct.pack("<4s3I", b"HSC1", 0, 2, 1)),
+    "cube cut short": (read_cube, _FIXTURES["cube.hsc"][:-5]),
+    "HSM1 cut short": (read_measurements, _FIXTURES["meas_hsm1.hsm"][:-5]),
+    "HSM2 cut short": (read_measurements, _FIXTURES["meas_hsm2.hsm"][:-5]),
+    "HSM1 with n_v = 3": (read_measurements,
+                          _patched("meas_hsm1.hsm", "<I", 20, 3)),
+    "HSM1 with m_s = 2^32 - 1": (read_measurements, struct.pack(
+        "<4s7I3Qd", b"HSM1", 2**32 - 1, 0, 0, 0, 1, 1, 2048, 0, 0, 0, 0.0)),
+    "HSM2 with a zero scale": (read_measurements,
+                               _patched("meas_hsm2.hsm", "<d", 64, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_read_errors_name_the_file_once(tmp_path, case):
+    read, raw = _MALFORMED[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
+
+
+# ---------------------------------------------------------------- fuzzing
+
+# per magic: the reader, the header's u32 count, its f64 offsets (sigma and
+# the scales) and its size
+_FUZZ = {b"HSC1": (read_cube, 3, (), 16),
+         b"HSM1": (read_measurements, 7, (56,), 64),
+         b"HSM2": (read_measurements, 7, (56, 64, 72), 80)}
+
+
+@st.composite
+def _mutated_files(draw):
+    """A committed file with one mutation: a header u32 in [0, 40] (every
+    declared grid stays at 32x32 or less), sigma or a scale set to a hostile
+    float, one payload byte flipped, or a cut at any offset."""
+    raw = bytearray(_FIXTURES[draw(st.sampled_from(sorted(_FIXTURES)))])
+    read, n_u32, f64_offsets, header = _FUZZ[bytes(raw[:4])]
+    kinds = ("u32", "f64", "flip", "cut") if f64_offsets else ("u32", "flip", "cut")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "u32":
+        struct.pack_into("<I", raw, 4 + 4 * draw(st.integers(0, n_u32 - 1)),
+                         draw(st.integers(0, 40)))
+    elif kind == "f64":
+        struct.pack_into("<d", raw, draw(st.sampled_from(f64_offsets)),
+                         draw(st.sampled_from(
+                             (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0))))
+    elif kind == "flip":
+        raw[draw(st.integers(header, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    else:
+        del raw[draw(st.integers(0, len(raw) - 1)):]
+    return read, bytes(raw)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=_mutated_files())
+def test_readers_return_or_name_the_file(case):
+    read, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.bin"
+        path.write_bytes(raw)
+        try:
+            read(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")

@@ -70,6 +70,11 @@ def test_sequency_order_small_sizes():
     assert sequency_row_order(4).tolist() == [0, 2, 3, 1]
 
 
+def test_sequency_order_refuses_lengths_over_the_cap():
+    with pytest.raises(ValueError, match="at most 2048"):
+        sequency_row_order(4096)
+
+
 def test_sequency_rows_have_ascending_sign_changes():
     # row k of the implied matrix must flip sign exactly k times
     for n in (2, 4, 8, 16, 64, 256):
