@@ -2,7 +2,8 @@
 recovery, evaluation, rendering, and rate sweeps.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage or
-validation failure, 3 numerical failure (divergence, singular dictionary).
+validation failure (or a warning that a filter such as -W error escalates),
+3 numerical failure (divergence, singular dictionary).
 Every command is deterministic given its flags, wall-clock timings aside.
 """
 
@@ -265,7 +266,8 @@ def main(argv=None):
     except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, Warning) as exc:
+        # a Warning arrives here only when a filter escalates it to an error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,8 +51,17 @@ class Datacube:
 
 
 def frames_from_matrix(x, n_v, n_h):
-    """View of (..., n_v * n_h) rows as (..., n_v, n_h) frames."""
+    """Unchecked view of (..., n_v * n_h) rows as (..., n_v, n_h) frames."""
     return x.reshape(x.shape[:-1] + (n_h, n_v)).swapaxes(-1, -2)
+
+
+def checked_frames(x, n_v, n_h):
+    """x as float64 (rows, n_v, n_h) frames; a ValueError unless x is a 2-d
+    matrix of n_v * n_h columns."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n_v * n_h:
+        raise ValueError(f"matrix shape {x.shape} does not match a {n_v}x{n_h} grid")
+    return frames_from_matrix(x, n_v, n_h)
 
 
 def matrix_from_frames(frames):
@@ -67,10 +76,4 @@ def as_band_pixel_matrix(cube):
 
 def cube_from_matrix(x, n_v, n_h):
     """Inverse of as_band_pixel_matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"band-by-pixel matrix must be 2-d, got shape {x.shape}")
-    if x.shape[1] != n_v * n_h:
-        raise ValueError(
-            f"matrix has {x.shape[1]} pixels, grid {n_v}x{n_h} needs {n_v * n_h}")
-    return Datacube(np.moveaxis(frames_from_matrix(x, n_v, n_h), 0, 2))
+    return Datacube(np.moveaxis(checked_frames(x, n_v, n_h), 0, 2))

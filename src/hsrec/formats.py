@@ -20,10 +20,11 @@ acquisition's scales skips that work and rebuilds exactly the operators
 used at acquisition time. HSM1 files are still read, and their scales
 estimated on read; the writers write HSC1 and HSM2.
 
-The writers check the seeds and refuse a payload that is not finite in
-float32 before they open the file, as the readers refuse one, so neither
-leaves a file its reader refuses. Every ValueError of the four file
-functions starts with the file's path, once.
+Before they open the file, the writers check the seeds, refuse a header
+field its layout cannot hold (a count set to -1 after construction, say)
+and refuse a payload that is not finite in float32, as the readers do, so
+neither leaves a file its reader refuses. Every ValueError of the four
+file functions starts with the file's path, once.
 
 A measurement file is refused, before any large allocation, if it declares
 a cube of more than 2^27 entries or a Rademacher block, (m - q) rows of n
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import rng
 from .datacube import as_band_pixel_matrix, cube_from_matrix
-from .sensing import Measurements, SpatialProjector, SpectralProjector
+from .sensing import (Measurements, SpatialProjector, SpectralProjector,
+                      check_noise_level)
 
 _LAYOUTS = {b"HSC1": struct.Struct("<3I"),
             b"HSM1": struct.Struct("<7I3Qd"),
@@ -94,7 +96,10 @@ def _write(path, magic, fields, a):
     """magic, the header fields and a as float32; the payload is checked and
     the header packed before the file is opened, so a refusal leaves none."""
     x = _float32_payload(a)
-    header = magic + _LAYOUTS[magic].pack(*fields)
+    try:
+        header = magic + _LAYOUTS[magic].pack(*fields)
+    except struct.error as exc:
+        raise ValueError(f"{magic.decode()} header field out of range: {exc}")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(x.tobytes())
@@ -123,14 +128,12 @@ def write_measurements(path, meas):
 
 @_names_file
 def read_measurements(path):
-    fields, payload = _read(path, (b"HSM1", b"HSM2"))
     (m_s, m_p, q_s, q_p, n_v, n_h, n_s, spectral_seed, spatial_seed,
-     noise_seed, sigma, *scales) = fields
+     noise_seed, sigma, *scales), payload = _read(path, (b"HSM1", b"HSM2"))
     if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
         raise ValueError(f"declared cube {n_v}x{n_h}x{n_s} exceeds "
                          f"{_MAX_CUBE_ENTRIES} entries")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
+    check_noise_level(sigma)
     y = _decode(payload, m_s * m_p)
     # an HSM1 file stores no scales: the constructors estimate them
     spectral_scale, spatial_scale = scales or (None, None)

@@ -14,7 +14,7 @@ import numpy as np
 from . import rng
 from .datacube import Datacube, as_band_pixel_matrix
 from .sensing import (SpatialProjector, SpectralProjector, acquire,
-                      default_lowpass_counts, rates_to_counts)
+                      check_noise_level, default_lowpass_counts, rates_to_counts)
 from .solvers import SolverConfig, apg_bpdn, recover_hybrid, relative_error
 from .transforms import HaarBasis, learn_spectral_basis
 
@@ -106,8 +106,7 @@ class ExperimentSpec:
     hybrid: SolverConfig = field(default_factory=default_hybrid_config)
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        check_noise_level(self.sigma)
         if not self.rates or not self.seeds:
             raise ValueError("rates and seeds must be non-empty")
         for r_p, r_s in self.rates:

@@ -8,7 +8,7 @@ the TV part of the term f the solvers step along.
 
 import numpy as np
 
-from .datacube import frames_from_matrix, matrix_from_frames
+from .datacube import checked_frames, matrix_from_frames
 
 
 def prox_l1(z, xi):
@@ -31,11 +31,7 @@ def tv_sum_and_subgradient(x, n_v, n_h):
     -(dv+dh)(i,j)/||d(i,j)||, each dropped where the pair norm is zero. It
     equals the gradient wherever tv is differentiable.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != n_v * n_h:
-        raise ValueError(
-            f"matrix shape {x.shape} does not match a {n_v}x{n_h} grid")
-    frames = frames_from_matrix(x, n_v, n_h)
+    frames = checked_frames(x, n_v, n_h)
     dv = np.zeros_like(frames)
     dh = np.zeros_like(frames)
     dv[..., :-1, :] = frames[..., 1:, :] - frames[..., :-1, :]

@@ -283,11 +283,14 @@ class Measurements:
     def __post_init__(self):
         sp, pp = self.spectral, self.spatial
         y = _check_shape(self.y, (sp.m_s, pp.m_p), "measurement shape")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"noise standard deviation must be finite and "
-                             f">= 0, got {self.sigma}")
+        check_noise_level(self.sigma)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "noise_seed", rng.check_seed(self.noise_seed))
+
+
+def check_noise_level(sigma):
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
 
 
 def _check_shape(a, shape, noun):
@@ -321,6 +324,7 @@ def residual_and_adjoint(y, x, sp, pp):
 
 def acquire(x, sp, pp, sigma, noise_seed=0):
     """Noisy acquisition: project(x) plus i.i.d. zero-mean Gaussian noise."""
+    check_noise_level(sigma)
     y = project(x, sp, pp)
     if sigma > 0:
         y = y + rng.gaussian(rng.stream(noise_seed, rng.NOISE), y.shape, sigma)

@@ -119,6 +119,8 @@ def relative_error(x_true, x_rec):
     """||x_true - x_rec||_F^2 / ||x_true||_F^2 (note: squared ratio)."""
     x_true = np.asarray(x_true, dtype=np.float64)
     x_rec = np.asarray(x_rec, dtype=np.float64)
+    if x_true.shape != x_rec.shape:
+        raise ValueError(f"shapes {x_true.shape} and {x_rec.shape} differ")
     denom = float(np.sum(x_true * x_true))
     if denom == 0.0:
         raise ValueError("ground truth is identically zero")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datacube import frames_from_matrix, matrix_from_frames
+from .datacube import checked_frames, matrix_from_frames
 
 # Longest axis a Walsh or Haar transform accepts; its full matrix takes 32 MiB.
 MAX_WALSH_LENGTH = 2048
@@ -139,12 +139,8 @@ class HaarBasis:
         self._hv, self._hh = _haar_matrix(n_v), _haar_matrix(n_h)
 
     def _apply(self, x, inverse):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_v * self.n_h:
-            raise ValueError(
-                f"expected (bands, {self.n_v * self.n_h}) matrix, got {x.shape}")
         # analysis H_v F H_h^T, synthesis H_v^T C H_h, on every frame at once
-        frames = frames_from_matrix(x, self.n_v, self.n_h)
+        frames = checked_frames(x, self.n_v, self.n_h)
         return matrix_from_frames(self._hv.T @ frames @ self._hh if inverse
                                   else self._hv @ frames @ self._hh.T)
 

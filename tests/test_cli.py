@@ -177,6 +177,7 @@ def test_acquire_writes_the_harness_acquisition(tmp_path, flags, overrides):
     (3, ""),
     (None, "warning: spatial low-pass count 26 exceeds the projection "
            "budget 13; clamping to 13\n")], ids=["given", "defaulted"])
+@pytest.mark.filterwarnings("default::UserWarning")  # its line under -W error too
 def test_acquire_warns_only_about_a_defaulted_count(tmp_path, capsys, q_p,
                                                     err):
     # a library warning prints as one line; a given --qp is not warned about
@@ -193,6 +194,22 @@ def test_acquire_warns_only_about_a_defaulted_count(tmp_path, capsys, q_p,
                                         q_p=q_p)
     write_measurements(tmp_path / "want.hsm", want)
     assert path.read_bytes() == (tmp_path / "want.hsm").read_bytes()
+
+
+def test_acquire_exits_2_on_a_warning_escalated_to_an_error(tmp_path, capsys):
+    # as under python -W error: one error line, exit 2 and no file
+    cube = _make_phantom(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "m.hsm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["acquire", "--cube", str(cube), "--rp", "0.05", "--rs", "0.5",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: spatial low-pass count 26 exceeds the projection budget 13; "
+        "clamping to 13\n")
+    assert not out.exists()
 
 
 def test_acquire_refuses_measurements_that_overflow_float32(tmp_path, capsys):
@@ -297,6 +314,19 @@ def test_recover_basis_sample_seed_needs_truth(tmp_path, capsys):
                      "--max-iters", "20", "--out", str(path), *extra]) == 0
         written.append(path.read_bytes())
     assert written[0] == written[1]
+
+
+def test_recover_refuses_a_truth_cube_of_another_grid(tmp_path, capsys):
+    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
+    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
+    other = _make_phantom(tmp_path, "other.hsc", nv=8, nh=8, ns=8)
+    out = tmp_path / "r.hsc"
+    rc = main(["recover", "--meas", str(meas), "--truth", str(other),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: truth cube is 8x8x8, measurements describe 8x8x4\n")
+    assert not out.exists()
 
 
 def test_recover_divergence_exit_code(tmp_path, capsys):
@@ -460,6 +490,20 @@ def test_render_band_out_of_range(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bands, message", [
+    ("0,1,x", "--bands expects integers, got '0,1,x'"),
+    ("0,1", "--bands expects exactly three comma-separated indices")])
+def test_render_rejects_malformed_bands(tmp_path, capsys, bands, message):
+    cube = _make_phantom(tmp_path, nv=4, nh=4, ns=4)
+    capsys.readouterr()
+    out = tmp_path / "img.ppm"
+    rc = main(["render", "--cube", str(cube), "--bands", bands,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_render_deterministic_bytes(tmp_path):
     cube = _make_phantom(tmp_path)
     a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
@@ -486,6 +530,16 @@ def test_sweep_single_pair_two_rows(tmp_path):
     assert {r["method"] for r in rows} == {"bpdn", "hybrid"}
     assert list(rows[0]) == ["method", "r_p", "r_s", "seed", "relative_error",
                              "iterations", "wall_time_s", "reason"]
+
+
+def test_sweep_rejects_a_rate_pair_without_a_colon(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--nv", "8", "--nh", "8", "--ns", "4",
+               "--rates", "0.5:0.5,0.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad rate pair '0.5'; expected rp:rs\n")
+    assert not out.exists()
 
 
 def test_sweep_grid_cardinality(tmp_path):

@@ -59,8 +59,9 @@ def test_matrix_round_trip():
 
 
 def test_cube_from_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        cube_from_matrix(np.zeros((2, 11)), 3, 4)
+    for x in (np.zeros((2, 11)), np.zeros(12), np.zeros((1, 2, 12))):
+        with pytest.raises(ValueError, match="does not match a 3x4 grid"):
+            cube_from_matrix(x, 3, 4)
 
 
 def test_frame_access():

@@ -313,6 +313,18 @@ def test_measurements_write_refuses_a_seed_set_after_construction(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field, value", [("m_p", -1), ("n_v", 2**32)])
+def test_measurements_write_refuses_a_header_field_out_of_range(tmp_path, field,
+                                                                value):
+    meas = _measurements()
+    setattr(meas.spatial, field, value)  # struct.pack would raise struct.error
+    path = tmp_path / "meas.hsm"
+    with pytest.raises(ValueError, match="header field out of range") as info:
+        write_measurements(path, meas)
+    assert str(info.value).startswith(f"{path}: ")
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------- named errors
 
 def _patched(name, fmt, offset, value):

@@ -28,6 +28,14 @@ def test_relative_error_is_quadratic_in_the_residual():
     assert large == pytest.approx(9.0 * small, rel=1e-12)
 
 
+def test_relative_error_refuses_unequal_shapes():
+    # (1, 3) against (4, 3) would broadcast to a meaningless 0.0
+    for a, b in ((np.ones((1, 3)), np.ones((4, 3))),
+                 (np.ones((4, 3)), np.ones((1, 3)))):
+        with pytest.raises(ValueError, match="differ"):
+            relative_error(a, b)
+
+
 def test_relative_error_rejects_zero_truth():
     with pytest.raises(ValueError):
         relative_error(np.zeros((2, 2)), np.ones((2, 2)))
@@ -100,7 +108,7 @@ def test_sample_training_columns_floor_is_band_count():
 
 def test_experiment_spec_validation():
     for sigma in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise level"):
             ExperimentSpec(sigma=sigma)
     with pytest.raises(ValueError):
         ExperimentSpec(rates=())

@@ -51,8 +51,8 @@ def _counts(n, case, frac):
 
 
 def _paths(chunk_rows, n):
-    """Regenerate Rademacher rows of length n in chunks of chunk_rows rows
-    instead of caching the block; None keeps the cached path."""
+    """Expand the packed Rademacher rows of length n in chunks of chunk_rows
+    rows instead of caching the block; None keeps the cached path."""
     if chunk_rows is None:
         return contextlib.nullcontext()
     return mock.patch.multiple(sensing, _MATERIALIZE_LIMIT=0,

@@ -36,6 +36,12 @@ def test_rates_to_counts_rejects_bad_rates():
             rates_to_counts(r_p, r_s, 64, 8)
 
 
+def test_rates_to_counts_rejects_empty_dimensions():
+    for n_p, n_s, what in ((0, 8, "spatial"), (64, 0, "spectral")):
+        with pytest.raises(ValueError, match=f"{what} dimension must be >= 1"):
+            rates_to_counts(0.5, 0.5, n_p, n_s)
+
+
 def test_default_lowpass_counts_rule():
     assert default_lowpass_counts(1024, 64, 512, 16) == (102, 3)
     # full rate keeps the complete orthonormal transform
@@ -528,6 +534,14 @@ def test_acquire_rejects_negative_sigma():
     for sigma in (-0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             acquire(np.zeros((8, 16)), sp, pp, sigma=sigma)
+
+
+def test_acquire_checks_the_noise_level_before_it_projects():
+    # the cube's shape is wrong too: the noise level is refused first
+    pp = SpatialProjector(4, 4, 6, 2, seed=22)
+    sp = SpectralProjector(8, 4, 1, seed=23)
+    with pytest.raises(ValueError, match="noise level must be finite and >= 0"):
+        acquire(np.zeros((8, 15)), sp, pp, sigma=float("nan"))
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])

@@ -284,6 +284,26 @@ def test_basis_apply_rejects_bad_input():
         basis_apply(ident, np.zeros((4, 3)), "analysis")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fwht_sequency(np.ones((2, 2))), "expected a vector"),
+    (lambda: zigzag_indices(0, 4), "grid dimensions must be >= 1"),
+    (lambda: SpectralBasis(np.ones((2, 3))), "must be square"),
+    (lambda: SpectralBasis(np.full((2, 2), np.nan)), "must be finite"),
+    (lambda: learn_spectral_basis(np.ones((3, 0))), "samples must be n_s x m"),
+    (lambda: learn_spectral_basis(np.full((2, 3), np.inf)),
+     "samples must be finite"),
+    (lambda: HaarBasis(4, 2).analyze(np.zeros((3, 7))),
+     "does not match a 4x2 grid"),
+    (lambda: HaarBasis(4, 2).synthesize(np.zeros(8)),
+     "does not match a 4x2 grid"),
+], ids=["fwht-matrix", "zigzag-empty-grid", "basis-not-square",
+        "basis-not-finite", "learn-no-samples", "learn-not-finite",
+        "haar-analyze-columns", "haar-synthesize-vector"])
+def test_malformed_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_basis_apply_singular_gram_raises():
     # a singular dictionary is rejected when the basis is built, so no
     # inverse mode ever sees it
