@@ -8,9 +8,10 @@ estimated scale (draw_s: the Philox draw, the sign packing and, for at
 most _MATERIALIZE_LIMIT Rademacher entries, their float64 cache, but no
 power iteration). The probe fails unless that build applies bit for bit
 like the default one. norm_s, the norm estimate's share, is their
-difference. It then times one pass over the spatial Rademacher rows as the
-operators see them (expand_s: the chunk expansion alone, near 0 when the
-rows are cached as float64), `project`, `adjoint`, one fused
+difference. It then times one pass over the spatial Rademacher rows as a
+solver's operator calls see them (expand_s: the chunk expansion alone, in
+the chunks a pass over the m_s spectral rows expands, near 0 when the rows
+are cached as float64), `project`, `adjoint`, one fused
 `residual_and_adjoint` pass (the solvers' per-iterate operator call),
 `read_measurements` of an HSM2 file of its own acquisition (read_s; the
 probe fails unless both stored scales read back equal) and one hybrid
@@ -78,7 +79,8 @@ def main():
     spatial_build_s = _median_seconds(build)
     draw_s = _median_seconds(lambda: build(scale=pp.scale))
 
-    expand_s = _median_seconds(lambda: collections.deque(pp._blocks(), 0))
+    expand_s = _median_seconds(
+        lambda: collections.deque(pp._blocks(sp.m_s), 0))
     project_s = _median_seconds(lambda: sensing.project(x, sp, pp))
     adjoint_s = _median_seconds(lambda: sensing.adjoint(meas.y, sp, pp))
     residual_adjoint_s = _median_seconds(

@@ -21,7 +21,8 @@ Small spatial rows are also cached as float64; large ones are expanded
 chunk by chunk instead of being held whole, once per apply, adjoint or
 residual_and_adjoint. That fused pass runs both products of a chunk while
 it is expanded: the solvers make one per iterate, and the spatial power
-iteration one per step, at y = 0.
+iteration one per step, at y = 0. A pass picks its chunk size from its
+row count (see _WORKSET_BYTES).
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
@@ -46,9 +47,18 @@ from .transforms import _check_pow2, _walsh_rows, zigzag_indices
 # Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
 # spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
 # entries of them are also cached as float64, more are expanded in row
-# chunks once per apply, adjoint and fused residual-and-adjoint pass.
+# chunks once per apply, adjoint and fused residual-and-adjoint pass. A pass
+# over m input rows whose input, accumulator and product blocks (24 m n_p
+# bytes) take at most two thirds of _WORKSET_BYTES fills the rest with each
+# chunk, at most _CHUNK_ENTRIES entries, so that both stay in a 2 MiB L2
+# cache: 24 rows at 64x64 with m = 8, not 256. Other passes keep
+# _CHUNK_ENTRIES chunks, since smaller ones ran slower there: a fused pass at
+# 64x64 took 25 and 28 ms in the 12 and 9 rows this rule would give m = 12
+# and 13 against 23 and 24 ms in 256, and at 128x128 with m = 8 276 ms in
+# 4 rows against 186 ms in 64.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
+_WORKSET_BYTES = 3 << 19
 _NORM_ITERATIONS = 50
 # Largest Rademacher block a projector may draw: 256 MiB of packed spatial
 # signs, enough for 128x128 frames at any rate and 256x256 at r_p <= 0.5.
@@ -179,17 +189,21 @@ class SpatialProjector:
             return out
         return np.multiply(signs, self._unit, out=out)
 
-    def _blocks(self):
-        """(first output row, Rademacher rows) pairs: the cached block when
-        there is one, else chunks expanded into one buffer reused per call."""
+    def _blocks(self, m):
+        """(first output row, Rademacher rows) pairs for a pass over m input
+        rows: the cached block when there is one, else chunks sized by the
+        _WORKSET_BYTES rule, expanded into one buffer reused per call."""
         q = self.q_p
         if self._cache is not None:
             yield q, self._cache
             return
-        rows = self.m_p - q
-        buf = np.empty((min(self._chunk, rows), self.n_p))
-        for lo in range(0, rows, self._chunk):
-            hi = min(lo + self._chunk, rows)
+        rows, n = self.m_p - q, self.n_p
+        chunk = self._chunk
+        if 3 * 24 * m * n <= 2 * _WORKSET_BYTES:
+            chunk = min((_WORKSET_BYTES - 24 * m * n) // (8 * n), chunk)
+        buf = np.empty((min(chunk, rows), n))
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
             yield q + lo, self._expand(lo, hi, buf[:hi - lo])
 
     def _low(self, x):
@@ -205,7 +219,7 @@ class SpatialProjector:
         """x: (..., n_p) -> (..., m_p)."""
         out = np.empty(x.shape[:-1] + (self.m_p,))
         out[..., :self.q_p] = self._low(x)
-        for lo, block in self._blocks():
+        for lo, block in self._blocks(math.prod(x.shape[:-1])):
             np.multiply(x @ block.T, self._gain,
                         out=out[..., lo:lo + len(block)])
         return self.scale * out
@@ -213,7 +227,7 @@ class SpatialProjector:
     def adjoint(self, y):
         """y: (..., m_p) -> (..., n_p)."""
         back = np.zeros(y.shape[:-1] + (self.n_p,))
-        for lo, block in self._blocks():
+        for lo, block in self._blocks(math.prod(y.shape[:-1])):
             back += y[..., lo:lo + len(block)] @ block
         back *= self._gain
         return self.scale * (self._low_adjoint(y[..., :self.q_p]) + back)
@@ -226,7 +240,7 @@ class SpatialProjector:
         resid[..., :q] = y[..., :q] - self.scale * self._low(x)
         back = np.zeros(x.shape[:-1] + (self.n_p,))
         gain = self.scale * self._gain
-        for lo, block in self._blocks():
+        for lo, block in self._blocks(math.prod(x.shape[:-1])):
             hi = lo + len(block)
             np.subtract(y[..., lo:hi], gain * (x @ block.T),
                         out=resid[..., lo:hi])

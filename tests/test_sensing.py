@@ -376,41 +376,81 @@ def _written_out_passes(pp, rad, chunk_rows, x, y):
             resid, s * (pp._low_adjoint(resid[..., :q]) + fused_back))
 
 
-@pytest.mark.parametrize("chunked", [False, True], ids=["cached", "chunked"])
+@pytest.mark.parametrize("layout", ["cached", "chunked", "rule-sized"])
 @pytest.mark.parametrize("n_v, n_h, m_p, q_p", [
     (8, 8, 20, 0), (8, 8, 20, 5),      # log2 n_p even: +/-1 rows
     (8, 16, 40, 0), (8, 16, 40, 7),    # log2 n_p odd: +/-1/sqrt(2) rows
     (1, 2, 2, 0), (1, 2, 2, 1),
 ])
-def test_operator_bits_match_written_out_dense_rows(monkeypatch, chunked,
+def test_operator_bits_match_written_out_dense_rows(monkeypatch, layout,
                                                     n_v, n_h, m_p, q_p):
     # however the rows are held and expanded, the public operator gives the
     # bits of the products with +/-1/sqrt(n_p) rows, and its default scale
     # those of a power iteration run on them
     n, rows = n_v * n_h, m_p - q_p
-    chunk_rows = 3 if chunked else rows
-    if chunked:
+    pass_rows = norm_rows = rows
+    if layout != "cached":
+        pass_rows = norm_rows = 3
         monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
-        monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", chunk_rows * n)
+        monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * n)
+    if layout == "rule-sized":
+        # the rule gives the 3-row passes below 5-row chunks and the 1-row
+        # norm passes 11-row ones, under the 12-row cap
+        pass_rows, norm_rows = 5, 11
+        monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 12 * n)
+        monkeypatch.setattr(sensing, "_WORKSET_BYTES", (24 * 3 + 8 * 5) * n)
     pp = SpatialProjector(n_v, n_h, m_p, q_p, seed=19)
     unit = SpatialProjector(n_v, n_h, m_p, q_p, seed=19, scale=1.0)
-    assert (pp._cache is None) == chunked
+    assert (pp._cache is None) == (layout != "cached")
     rad = spatial_matrix(unit)[q_p:]  # the dense +/-1/sqrt(n_p) rows
     gen = np.random.default_rng(20)
     x, y = gen.normal(size=(3, n)), gen.normal(size=(3, m_p))
-    want = _written_out_passes(pp, rad, chunk_rows, x, y)
+    want = _written_out_passes(pp, rad, pass_rows, x, y)
     got = (pp.apply(x), pp.adjoint(y), *pp.residual_and_adjoint(y, x))
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+    resid = y - pp.apply(x)
+    assert got[2].tobytes() == resid.tobytes()
+    assert got[3].tobytes() == pp.adjoint(resid).tobytes()
 
     zero = np.zeros(m_p)
     v = rng.gaussian(rng.stream(pp.seed, rng.SPATIAL_NORM), (n,))
     v /= np.linalg.norm(v)
     for _ in range(sensing._NORM_ITERATIONS):
-        w = _written_out_passes(unit, rad, chunk_rows, v, zero)[3]
+        w = _written_out_passes(unit, rad, norm_rows, v, zero)[3]
         sigma2 = np.linalg.norm(w)
         v = w / sigma2
     assert pp.scale == 1.0 / float(np.sqrt(sigma2))
+
+
+@pytest.mark.parametrize("lead, chunk_rows", [
+    ((8,), 12),     # (W - 24 * 8 * 64) // (8 * 64): the blocks take 2/3 of W
+    ((2, 4), 12),   # m is the product of the leading axes
+    ((), 33),       # a 1-row pass, as in the norm estimate, is sized too
+    ((9,), 40),     # 24 * 9 * 64 > 2/3 W: the rule's 9 rows are not used
+], ids=["m=8", "m=2x4", "m=1", "m=9"])
+def test_pass_chunks_follow_the_workset_rule(monkeypatch, lead, chunk_rows):
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 40 * 64)
+    monkeypatch.setattr(sensing, "_WORKSET_BYTES", (24 * 8 + 8 * 12) * 64)
+    pp = SpatialProjector(8, 8, 64, 0, seed=15, scale=0.5)
+    assert pp._chunk == 40
+    calls = []
+    expand = SpatialProjector._expand
+
+    def spy(self, lo, hi, out):
+        calls.append((lo, hi))
+        return expand(self, lo, hi, out)
+
+    monkeypatch.setattr(SpatialProjector, "_expand", spy)
+    want = [(lo, min(lo + chunk_rows, 64)) for lo in range(0, 64, chunk_rows)]
+    gen = np.random.default_rng(21)
+    x, y = gen.normal(size=lead + (64,)), gen.normal(size=lead + (64,))
+    for run in (lambda: pp.apply(x), lambda: pp.adjoint(y),
+                lambda: pp.residual_and_adjoint(y, x)):
+        calls.clear()
+        run()
+        assert calls == want
 
 
 def test_rademacher_block_bound_is_checked_before_drawing(monkeypatch):

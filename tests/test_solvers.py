@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -226,6 +227,39 @@ def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
         assert trace.iterations == n
         assert calls == dict.fromkeys(range(0, pp.m_p - pp.q_p, pp._chunk),
                                       n + 2)
+
+
+def test_rule_sized_chunks_drift_within_tolerance(monkeypatch):
+    # the 4-row passes of a 16x16x8 solve take 6-row chunks under the rule
+    # and 16-row chunks with _WORKSET_BYTES = 0: only the adjoint's summation
+    # order differs. Ten iterations agree to 1e-12 of the largest entry; a
+    # full default run stops alike, though TV's subgradient can grow the
+    # rounding to 1e-3 there, so its error to the truth agrees to 1e-4
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 16 * 256)
+    rule = (24 * 4 + 8 * 6) * 256
+    x, meas, basis = _desk_measurements()
+    assert meas.spatial._cache is None and meas.y.shape[0] == 4
+    for short in (True, False):
+        runs = []
+        for workset in (rule, 0):
+            monkeypatch.setattr(sensing, "_WORKSET_BYTES", workset)
+            configs = [default_hybrid_config(), default_bpdn_config()]
+            if short:
+                configs = [dataclasses.replace(c, tau=1e-30, max_iters=10)
+                           for c in configs]
+            runs.append([recover_hybrid(meas, basis, configs[0]),
+                         apg_bpdn(meas, HaarBasis(16, 16), basis, configs[1])])
+        for (x_rule, t_rule), (x_old, t_old) in zip(*runs):
+            assert (t_rule.iterations, t_rule.reason) == (t_old.iterations,
+                                                          t_old.reason)
+            assert not np.array_equal(x_rule, x_old)
+            if short:
+                assert (np.max(np.abs(x_rule - x_old))
+                        <= 1e-12 * np.max(np.abs(x_old)))
+            else:
+                assert relative_error(x, x_rule) == pytest.approx(
+                    relative_error(x, x_old), rel=1e-4)
 
 
 def test_zero_l1_weight_skips_the_prox(monkeypatch):
