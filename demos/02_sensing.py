@@ -3,6 +3,9 @@ Separable compressive acquisition
 ==================================
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from hsrec.datacube import as_band_pixel_matrix
@@ -48,7 +51,9 @@ print("adjoint identity gap:", abs(lhs - rhs))
 
 # Measurement files store the seeds and the two operator scales, not the
 # projectors: a read rebuilds them from the seeds and skips the norm estimate.
-write_measurements("/tmp/demo.hsm", meas)
-again = read_measurements("/tmp/demo.hsm")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo.hsm")
+    write_measurements(path, meas)
+    again = read_measurements(path)
 print("round trip: sigma=%s, max |Y - Y'| = %.2e"
       % (again.sigma, np.abs(again.y - meas.y).max()))

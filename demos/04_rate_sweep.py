@@ -5,8 +5,8 @@ Sweeping measurement rates
 
 import numpy as np
 
-from hsrec.harness import (ExperimentSpec, PhantomSpec, generate_phantom,
-                           run_experiment)
+from hsrec.harness import (METHODS, ExperimentSpec, PhantomSpec,
+                           generate_phantom, run_experiment)
 
 # Both solvers on the reference phantom, across three rate pairs and three
 # random draws each.
@@ -18,7 +18,7 @@ spec = ExperimentSpec(
 rows = run_experiment(spec, cube)
 
 print("method   r_p    r_s    mean err   min..max        iters")
-for method in ("bpdn", "hybrid"):
+for method in METHODS:
     for r_p, r_s in spec.rates:
         errs = [r["relative_error"] for r in rows
                 if r["method"] == method and r["r_p"] == r_p]

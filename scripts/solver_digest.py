@@ -47,8 +47,8 @@ def main():
     parser.add_argument("--seeds", default="0,1,2")
     args = parser.parse_args()
     seeds = [int(tok) for tok in args.seeds.split(",")]
-    configs = {"bpdn": harness.default_bpdn_config(),
-               "hybrid": harness.default_hybrid_config()}
+    configs = {name: method.default_config()
+               for name, method in harness.METHODS.items()}
     for (n_v, n_h, n_s), rates in CASES:
         cube = harness.generate_phantom(
             harness.PhantomSpec(n_v, n_h, n_s, seed=0))

@@ -25,6 +25,7 @@ from .transforms import (SpectralBasis, _check_pow2, _walsh_rows,
 def _phantom(args, seed):
     for flag in ("nv", "nh", "ns"):
         _check_pow2(getattr(args, flag), "--" + flag)
+    formats.check_cube_size(args.nv, args.nh, args.ns)  # before allocating
     return harness.generate_phantom(harness.PhantomSpec(
         args.nv, args.nh, args.ns, n_regions=args.regions,
         n_atoms=args.atoms, seed=seed))
@@ -49,17 +50,14 @@ def _cmd_acquire(args):
 
 
 def _write_trace(path, trace):
+    columns = {"rel_change": trace.rel_change, "cost": trace.cost}
+    if trace.truth_error is not None:
+        columns["rel_error"] = trace.truth_error
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["iter", "rel_change", "cost"]
-        if trace.truth_error is not None:
-            header.append("rel_error")
-        writer.writerow(header)
-        for i in range(trace.iterations):
-            row = [i + 1, f"{trace.rel_change[i]:.12e}", f"{trace.cost[i]:.12e}"]
-            if trace.truth_error is not None:
-                row.append(f"{trace.truth_error[i]:.12e}")
-            writer.writerow(row)
+        writer.writerow(["iter", *columns])
+        for i, row in enumerate(zip(*columns.values()), start=1):
+            writer.writerow([i, *(f"{value:.12e}" for value in row)])
 
 
 # SolverConfig fields settable from `hsrec recover`; an omitted flag keeps
@@ -67,9 +65,17 @@ def _write_trace(path, trace):
 _CONFIG_FLAGS = ("step_size", "gamma", "gamma1", "gamma2", "tau", "max_iters")
 
 
+def _check_grid(truth, grid, other):
+    """A ValueError unless the truth cube's shape is grid, which other names."""
+    if truth.data.shape != grid:
+        raise ValueError("truth cube is {}x{}x{}, {} {}x{}x{}".format(
+            *truth.data.shape, other, *grid))
+
+
 def _cmd_recover(args):
-    for flag in ("gamma1", "gamma2") if args.method == "bpdn" else ("gamma",):
-        if getattr(args, flag) is not None:
+    method = harness.METHODS[args.method]
+    for flag in (w for other in harness.METHODS.values() for w in other.weights):
+        if flag not in method.weights and getattr(args, flag) is not None:
             raise ValueError(f"--{flag} does not apply to --method {args.method}")
     if args.basis_sample_seed is not None and not args.truth:
         raise ValueError("--basis-sample-seed does not apply without --truth")
@@ -78,18 +84,13 @@ def _cmd_recover(args):
     x_truth = None
     if args.truth:
         truth_cube = formats.read_cube(args.truth)
-        if (truth_cube.n_v, truth_cube.n_h, truth_cube.n_s) != (n_v, n_h, n_s):
-            raise ValueError(
-                f"truth cube is {truth_cube.n_v}x{truth_cube.n_h}x"
-                f"{truth_cube.n_s}, measurements describe {n_v}x{n_h}x{n_s}")
+        _check_grid(truth_cube, (n_v, n_h, n_s), "measurements describe")
         x_truth = as_band_pixel_matrix(truth_cube)
         basis = learn_spectral_basis(
             harness.sample_training_columns(x_truth, args.basis_sample_seed or 0))
     else:
         basis = SpectralBasis(_walsh_rows(n_s))
-    defaults = (harness.default_bpdn_config() if args.method == "bpdn"
-                else harness.default_hybrid_config())
-    config = dataclasses.replace(defaults, **{
+    config = dataclasses.replace(method.default_config(), **{
         name: getattr(args, name) for name in _CONFIG_FLAGS
         if getattr(args, name) is not None})
     x_hat, trace = harness.recover(args.method, meas, basis, config,
@@ -108,9 +109,7 @@ def _cmd_recover(args):
 def _cmd_eval(args):
     truth = formats.read_cube(args.truth)
     recovered = formats.read_cube(args.recovered)
-    if (truth.n_v, truth.n_h, truth.n_s) != (recovered.n_v, recovered.n_h,
-                                             recovered.n_s):
-        raise ValueError("cube dimensions do not match")
+    _check_grid(truth, recovered.data.shape, "recovered cube is")
     err = harness.relative_error(as_band_pixel_matrix(truth),
                                  as_band_pixel_matrix(recovered))
     print(f"{err:.6e}")
@@ -156,15 +155,15 @@ def _parse_rates(text):
 def _cmd_sweep(args):
     cube = (formats.read_cube(args.cube) if args.cube
             else _phantom(args, args.phantom_seed))
-    spec = harness.ExperimentSpec(
-        rates=_parse_rates(args.rates),
-        sigma=args.sigma,
-        seeds=tuple(int(tok) for tok in args.seeds.split(",")))
+    # an omitted flag keeps the ExperimentSpec default
+    parsers = {"rates": _parse_rates, "sigma": float,
+               "seeds": lambda text: tuple(map(int, text.split(",")))}
+    spec = harness.ExperimentSpec(**{
+        name: parse(getattr(args, name)) for name, parse in parsers.items()
+        if getattr(args, name) is not None})
     rows = harness.run_experiment(spec, cube)
-    fields = ["method", "r_p", "r_s", "seed", "relative_error", "iterations",
-              "wall_time_s", "reason"]
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({**row,
@@ -184,13 +183,14 @@ def _build_parser():
     grid.add_argument("--nv", type=int, default=32)
     grid.add_argument("--nh", type=int, default=32)
     grid.add_argument("--ns", type=int, default=16)
-    grid.add_argument("--regions", type=int, default=4)
-    grid.add_argument("--atoms", type=int, default=2)
+    grid.add_argument("--regions", type=int,
+                      default=harness.PhantomSpec.n_regions)
+    grid.add_argument("--atoms", type=int, default=harness.PhantomSpec.n_atoms)
 
     p = sub.add_parser("phantom", parents=[grid],
                        help="generate a synthetic datacube file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=harness.PhantomSpec.seed)
     p.set_defaults(func=_cmd_phantom)
 
     p = sub.add_parser("acquire", help="simulate compressive acquisition")
@@ -199,7 +199,7 @@ def _build_parser():
                    help="spatial measurement rate in (0, 1]")
     p.add_argument("--rs", type=float, required=True,
                    help="spectral measurement rate in (0, 1]")
-    p.add_argument("--sigma", type=float, default=0.01)
+    p.add_argument("--sigma", type=float, default=harness.ExperimentSpec.sigma)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--qp", type=int, default=None,
                    help="override the structured spatial row count")
@@ -210,7 +210,7 @@ def _build_parser():
 
     p = sub.add_parser("recover", help="recover a datacube from measurements")
     p.add_argument("--meas", required=True)
-    p.add_argument("--method", choices=("bpdn", "hybrid"), default="hybrid")
+    p.add_argument("--method", choices=tuple(harness.METHODS), default="hybrid")
     p.add_argument("--gamma", type=float, default=None,
                    help="bpdn l1 weight")
     p.add_argument("--gamma1", type=float, default=None,
@@ -244,11 +244,10 @@ def _build_parser():
                        help="run the two-method rate sweep")
     p.add_argument("--cube", default=None,
                    help="input cube; omit to generate a phantom")
-    p.add_argument("--phantom-seed", type=int, default=0)
-    p.add_argument("--rates", default="0.3:0.25,0.5:0.5",
-                   help='comma-separated pairs "rp:rs,..."')
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--phantom-seed", type=int, default=harness.PhantomSpec.seed)
+    p.add_argument("--rates", help='comma-separated pairs "rp:rs,..."')
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seeds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

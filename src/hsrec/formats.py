@@ -2,8 +2,8 @@
 
 Every file is a 4-byte magic, a header of little-endian fields and a
 payload of little-endian float32 samples in row-major order. _LAYOUTS is
-the one table of headers, which one reader, one payload decoder and one
-writer serve:
+the one table of headers, which one reader, one payload decoder, one
+header packer and one writer serve:
 
   HSC1  n_v n_h n_s (u32)                                  16 bytes in all
   HSM1  m_s m_p q_s q_p n_v n_h n_s (u32), the spectral, spatial and
@@ -27,10 +27,11 @@ neither leaves a file its reader refuses. Every ValueError of the four
 file functions starts with the file's path, once.
 
 A measurement file is refused, before any large allocation, if it declares
-a cube of more than 2^27 entries or a Rademacher block, (m - q) rows of n
-entries on either axis, of more than 2^31 entries (256 MiB of packed
-spatial signs; sensing._MAX_RADEMACHER_ENTRIES). No projector over that
-bound can be built, so no written file declares one.
+a cube of more than 2^27 entries (check_cube_size) or a Rademacher block,
+(m - q) rows of n entries on either axis, of more than 2^31 entries (256
+MiB of packed spatial signs; sensing._MAX_RADEMACHER_ENTRIES). The writer
+refuses the same cube before it opens the file, and no projector over the
+Rademacher bound can be built, so no written file declares either.
 """
 import functools
 import struct
@@ -47,6 +48,12 @@ _LAYOUTS = {b"HSC1": struct.Struct("<3I"),
             b"HSM2": struct.Struct("<7I3Q3d")}
 # Largest cube a measurement file may declare: 1 GiB of float64 samples.
 _MAX_CUBE_ENTRIES = 1 << 27
+
+
+def check_cube_size(n_v, n_h, n_s):
+    if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
+        raise ValueError(f"declared cube {n_v}x{n_h}x{n_s} exceeds "
+                         f"{_MAX_CUBE_ENTRIES} entries")
 
 
 def _names_file(fn):
@@ -92,14 +99,18 @@ def _decode(payload, count):
     return _float32_payload(np.frombuffer(payload, "<f4")).astype(np.float64)
 
 
-def _write(path, magic, fields, a):
-    """magic, the header fields and a as float32; the payload is checked and
-    the header packed before the file is opened, so a refusal leaves none."""
-    x = _float32_payload(a)
+def _pack(magic, fields):
+    """magic and the header fields as bytes; a ValueError for a field its
+    layout cannot hold."""
     try:
-        header = magic + _LAYOUTS[magic].pack(*fields)
+        return magic + _LAYOUTS[magic].pack(*fields)
     except struct.error as exc:
         raise ValueError(f"{magic.decode()} header field out of range: {exc}")
+
+
+def _write(path, header, x):
+    """header, then the float32 samples x; the writers check and pack both
+    before they call it, so a refusal leaves no file."""
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(x.tobytes())
@@ -107,8 +118,8 @@ def _write(path, magic, fields, a):
 
 @_names_file
 def write_cube(path, cube):
-    _write(path, b"HSC1", (cube.n_v, cube.n_h, cube.n_s),
-           as_band_pixel_matrix(cube))
+    x = _float32_payload(as_band_pixel_matrix(cube))
+    _write(path, _pack(b"HSC1", (cube.n_v, cube.n_h, cube.n_s)), x)
 
 
 @_names_file
@@ -120,19 +131,20 @@ def read_cube(path):
 
 @_names_file
 def write_measurements(path, meas):
+    x = _float32_payload(meas.y)
     sp, pp = meas.spectral, meas.spatial
     seeds = map(rng.check_seed, (sp.seed, pp.seed, meas.noise_seed))
-    _write(path, b"HSM2", (sp.m_s, pp.m_p, sp.q_s, pp.q_p, pp.n_v, pp.n_h, sp.n_s,
-                           *seeds, meas.sigma, sp.scale, pp.scale), meas.y)
+    header = _pack(b"HSM2", (sp.m_s, pp.m_p, sp.q_s, pp.q_p, pp.n_v, pp.n_h,
+                             sp.n_s, *seeds, meas.sigma, sp.scale, pp.scale))
+    check_cube_size(pp.n_v, pp.n_h, sp.n_s)  # as the reader does
+    _write(path, header, x)
 
 
 @_names_file
 def read_measurements(path):
     (m_s, m_p, q_s, q_p, n_v, n_h, n_s, spectral_seed, spatial_seed,
      noise_seed, sigma, *scales), payload = _read(path, (b"HSM1", b"HSM2"))
-    if n_v * n_h * n_s > _MAX_CUBE_ENTRIES:
-        raise ValueError(f"declared cube {n_v}x{n_h}x{n_s} exceeds "
-                         f"{_MAX_CUBE_ENTRIES} entries")
+    check_cube_size(n_v, n_h, n_s)
     check_noise_level(sigma)
     y = _decode(payload, m_s * m_p)
     # an HSM1 file stores no scales: the constructors estimate them

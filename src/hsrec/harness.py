@@ -7,6 +7,7 @@ and a low-rank band-by-pixel matrix (at most one signature per region).
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,8 @@ import numpy as np
 from . import rng
 from .datacube import Datacube, as_band_pixel_matrix
 from .sensing import (SpatialProjector, SpectralProjector, acquire,
-                      check_noise_level, default_lowpass_counts, rates_to_counts)
+                      check_noise_level, check_rates, default_lowpass_counts,
+                      rates_to_counts)
 from .solvers import SolverConfig, apg_bpdn, recover_hybrid, relative_error
 from .transforms import HaarBasis, learn_spectral_basis
 
@@ -31,11 +33,9 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_v", "n_h", "n_s"):
+        for name in ("n_v", "n_h", "n_s", "n_regions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_regions < 1:
-            raise ValueError(f"n_regions must be >= 1, got {self.n_regions}")
         if not 1 <= self.n_atoms <= self.n_s:
             raise ValueError(
                 f"n_atoms must lie in [1, {self.n_s}], got {self.n_atoms}")
@@ -110,8 +110,7 @@ class ExperimentSpec:
         if not self.rates or not self.seeds:
             raise ValueError("rates and seeds must be non-empty")
         for r_p, r_s in self.rates:
-            if not (0 < r_p <= 1 and 0 < r_s <= 1):
-                raise ValueError(f"rates must lie in (0, 1], got ({r_p}, {r_s})")
+            check_rates(r_p, r_s)
 
 
 def sample_training_columns(x, seed):
@@ -132,14 +131,26 @@ def acquire_at_rates(cube, r_p, r_s, sigma, seed, q_p=None, q_s=None):
     return acquire(as_band_pixel_matrix(cube), sp, pp, sigma, noise_seed=seed)
 
 
+def _recover_bpdn(meas, basis, config, x_truth=None):
+    haar = HaarBasis(meas.spatial.n_v, meas.spatial.n_h)
+    return apg_bpdn(meas, haar, basis, config, x_truth=x_truth)
+
+
+# Each recovery method by name: its solver, its default settings and the
+# SolverConfig weights it reads. recover, run_experiment and the CLI read it.
+Method = namedtuple("Method", "solve default_config weights")
+METHODS = {"bpdn": Method(_recover_bpdn, default_bpdn_config, ("gamma",)),
+           "hybrid": Method(recover_hybrid, default_hybrid_config,
+                            ("gamma1", "gamma2"))}
+
+
 def recover(method, meas, basis, config, x_truth=None):
-    """(x_hat, trace) of "bpdn", over the grid's HaarBasis, or "hybrid"."""
-    if method == "bpdn":
-        haar = HaarBasis(meas.spatial.n_v, meas.spatial.n_h)
-        return apg_bpdn(meas, haar, basis, config, x_truth=x_truth)
-    if method == "hybrid":
-        return recover_hybrid(meas, basis, config, x_truth=x_truth)
-    raise ValueError(f"unknown method {method!r}; expected 'bpdn' or 'hybrid'")
+    """(x_hat, trace) of the METHODS entry named method; bpdn runs over the
+    grid's HaarBasis."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected "
+                         + " or ".join(map(repr, METHODS)))
+    return METHODS[method].solve(meas, basis, config, x_truth=x_truth)
 
 
 def run_experiment(spec, cube):
@@ -155,7 +166,7 @@ def run_experiment(spec, cube):
         basis = learn_spectral_basis(sample_training_columns(x_true, seed))
         for r_p, r_s in spec.rates:
             meas = acquire_at_rates(cube, r_p, r_s, spec.sigma, seed)
-            for method in ("bpdn", "hybrid"):
+            for method in METHODS:
                 start = time.perf_counter()
                 x_hat, trace = recover(method, meas, basis,
                                        getattr(spec, method))

@@ -65,12 +65,17 @@ _NORM_ITERATIONS = 50
 _MAX_RADEMACHER_ENTRIES = 1 << 31
 
 
-def rates_to_counts(r_p, r_s, n_p, n_s):
-    """Projection counts (m_p, m_s) for rates in (0, 1], round-half-up."""
-    counts = []
-    for rate, n, what in ((r_p, n_p, "spatial"), (r_s, n_s, "spectral")):
+def check_rates(r_p, r_s):
+    for rate, what in ((r_p, "spatial"), (r_s, "spectral")):
         if not 0.0 < rate <= 1.0:
             raise ValueError(f"{what} rate must be in (0, 1], got {rate}")
+
+
+def rates_to_counts(r_p, r_s, n_p, n_s):
+    """Projection counts (m_p, m_s) for rates in (0, 1], round-half-up."""
+    check_rates(r_p, r_s)
+    counts = []
+    for rate, n, what in ((r_p, n_p, "spatial"), (r_s, n_s, "spectral")):
         if n < 1:
             raise ValueError(f"{what} dimension must be >= 1, got {n}")
         counts.append(min(n, max(1, int(math.floor(rate * n + 0.5)))))

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import hsrec
-from hsrec import harness
+from hsrec import formats, harness
 from hsrec.cli import main
-from hsrec.datacube import Datacube, as_band_pixel_matrix
+from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
+from hsrec.transforms import SpectralBasis, _walsh_rows
 from oracles import hsm1_bytes
 
 
@@ -50,6 +51,34 @@ def test_phantom_deterministic_bytes(tmp_path):
     a = _make_phantom(tmp_path, "a.hsc")
     b = _make_phantom(tmp_path, "b.hsc")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_phantom_flags_default_to_the_phantom_spec(tmp_path):
+    # --regions, --atoms and --seed omitted: PhantomSpec's own defaults
+    path = tmp_path / "cube.hsc"
+    assert main(["phantom", "--out", str(path), "--nv", "16", "--nh", "8",
+                 "--ns", "8"]) == 0
+    want = tmp_path / "want.hsc"
+    write_cube(want, harness.generate_phantom(harness.PhantomSpec(16, 8, 8)))
+    assert path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["phantom", "sweep"])
+def test_phantom_refuses_a_grid_over_the_cube_bound(tmp_path, capsys,
+                                                    monkeypatch, command):
+    # the bound a measurement file's cube must keep, checked before the
+    # phantom is generated: 8x8x4 stands in for 2048x2048x64
+    def no_phantom(spec):
+        raise AssertionError("the phantom was generated")
+    monkeypatch.setattr(formats, "_MAX_CUBE_ENTRIES", 8 * 8 * 4 - 1)
+    monkeypatch.setattr(harness, "generate_phantom", no_phantom)
+    out = tmp_path / "out"
+    rc = main([command, "--nv", "8", "--nh", "8", "--ns", "4",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: declared cube 8x8x4 exceeds 255 entries\n")
+    assert not out.exists()
 
 
 def test_phantom_single_region_constant_frames(tmp_path):
@@ -248,6 +277,23 @@ def test_recover_hybrid_end_to_end(tmp_path):
     assert list(rows[0]) == ["iter", "rel_change", "cost"]
     assert [int(r["iter"]) for r in rows] == list(range(1, len(rows) + 1))
     assert read_cube(out).data.shape == (16, 16, 8)
+
+
+@pytest.mark.parametrize("method", list(harness.METHODS))
+def test_recover_runs_the_harness_method_with_its_defaults(tmp_path, method):
+    # no weight flag: the METHODS entry's default settings, over a Walsh basis
+    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
+    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
+    out = tmp_path / "r.hsc"
+    assert main(["recover", "--meas", str(meas), "--method", method,
+                 "--out", str(out)]) == 0
+    x_hat, _ = harness.recover(
+        method, read_measurements(meas),
+        SpectralBasis(_walsh_rows(4)),
+        harness.METHODS[method].default_config())
+    want = tmp_path / "want.hsc"
+    write_cube(want, cube_from_matrix(x_hat, 8, 8))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_recover_hybrid_beats_bpdn_with_truth(tmp_path):
@@ -530,6 +576,24 @@ def test_sweep_single_pair_two_rows(tmp_path):
     assert {r["method"] for r in rows} == {"bpdn", "hybrid"}
     assert list(rows[0]) == ["method", "r_p", "r_s", "seed", "relative_error",
                              "iterations", "wall_time_s", "reason"]
+
+
+def test_sweep_flags_default_to_the_experiment_spec(tmp_path):
+    # no --rates, --sigma or --seeds: the rows of run_experiment on
+    # ExperimentSpec(), in its order
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--nv", "8", "--nh", "8", "--ns", "4",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cube = harness.generate_phantom(harness.PhantomSpec(8, 8, 4))
+    want = harness.run_experiment(harness.ExperimentSpec(), cube)
+    assert len(rows) == len(want) == 20
+    for row, expected in zip(rows, want):
+        assert (row["method"], float(row["r_p"]), float(row["r_s"]),
+                int(row["seed"]), row["relative_error"]) == (
+            expected["method"], expected["r_p"], expected["r_s"],
+            expected["seed"], f"{expected['relative_error']:.12e}")
 
 
 def test_sweep_rejects_a_rate_pair_without_a_colon(tmp_path, capsys):

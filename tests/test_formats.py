@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsrec.formats as formats
 import hsrec.sensing as sensing
 from hsrec.datacube import Datacube, as_band_pixel_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
@@ -149,6 +150,24 @@ def test_measurements_write_rejects_float32_overflow(tmp_path):
     with pytest.raises(ValueError, match="not finite in float32"):
         write_measurements(path, meas)
     assert not path.exists()
+
+
+def test_measurements_write_refuses_a_cube_its_reader_refuses(tmp_path,
+                                                              monkeypatch):
+    # the reader's cube bound, lowered to 4x8x4 - 1 entries
+    meas = _measurements()
+    written = tmp_path / "at_bound.hsm"
+    write_measurements(written, meas)
+    monkeypatch.setattr(formats, "_MAX_CUBE_ENTRIES", 4 * 8 * 4 - 1)
+    with pytest.raises(ValueError) as read:
+        read_measurements(written)
+    path = tmp_path / "over.hsm"
+    with pytest.raises(ValueError) as wrote:
+        write_measurements(path, meas)
+    assert not path.exists()
+    message = "declared cube 4x8x4 exceeds 127 entries"
+    assert (str(read.value), str(wrote.value)) == (f"{written}: {message}",
+                                                   f"{path}: {message}")
 
 
 def _written_files(path, meas):

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hsrec.datacube import as_band_pixel_matrix
-from hsrec.harness import (ExperimentSpec, PhantomSpec, acquire_at_rates,
-                           default_bpdn_config, default_hybrid_config,
-                           generate_phantom, recover, relative_error,
-                           run_experiment, sample_training_columns)
+from hsrec.harness import (METHODS, ExperimentSpec, PhantomSpec,
+                           acquire_at_rates, default_bpdn_config,
+                           default_hybrid_config, generate_phantom, recover,
+                           relative_error, run_experiment,
+                           sample_training_columns)
 from hsrec.regularizers import tv_sum_and_subgradient
+from hsrec.sensing import check_rates
 from hsrec.solvers import SolverConfig
 from hsrec.transforms import learn_spectral_basis
 
@@ -114,10 +118,13 @@ def test_experiment_spec_validation():
         ExperimentSpec(rates=())
     with pytest.raises(ValueError):
         ExperimentSpec(seeds=())
-    with pytest.raises(ValueError):
-        ExperimentSpec(rates=((0.0, 0.5),))
-    with pytest.raises(ValueError):
-        ExperimentSpec(rates=((0.5, 1.5),))
+    for rate in ((0.0, 0.5), (0.5, 1.5), (-0.1, 0.5)):
+        # the rate rule's own message, as rates_to_counts gives it
+        with pytest.raises(ValueError) as rule:
+            check_rates(*rate)
+        with pytest.raises(ValueError, match=r"rate must be in \(0, 1\]") as spec:
+            ExperimentSpec(rates=((0.5, 0.5), rate))
+        assert str(spec.value) == str(rule.value)
 
 
 def test_run_experiment_row_grid():
@@ -193,6 +200,21 @@ def test_recover_rejects_unknown_methods():
         sample_training_columns(as_band_pixel_matrix(cube), 0))
     with pytest.raises(ValueError, match="'dict'"):
         recover("dict", meas, basis, default_hybrid_config())
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_methods_read_exactly_their_weights(name):
+    # the CLI refuses a weight flag its method ignores by METHODS' list
+    cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
+    meas = acquire_at_rates(cube, 0.5, 0.5, 0.01, 0)
+    basis = learn_spectral_basis(
+        sample_training_columns(as_band_pixel_matrix(cube), 0))
+    config = dataclasses.replace(METHODS[name].default_config(), max_iters=5)
+    x0, _ = recover(name, meas, basis, config)
+    for weight in ("gamma", "gamma1", "gamma2"):
+        x, _ = recover(name, meas, basis,
+                       dataclasses.replace(config, **{weight: 0.05}))
+        assert (weight in METHODS[name].weights) == (not np.array_equal(x, x0))
 
 
 def test_default_configs():
