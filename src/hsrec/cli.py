@@ -3,7 +3,7 @@ recovery, evaluation, rendering, and rate sweeps.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage or
 validation failure (or a warning that a filter such as -W error escalates),
-3 numerical failure (divergence, singular dictionary).
+3 numerical failure (divergence, singular dictionary) or memory exhausted.
 Every command is deterministic given its flags, wall-clock timings aside.
 """
 
@@ -60,9 +60,9 @@ def _write_trace(path, trace):
             writer.writerow([i, *(f"{value:.12e}" for value in row)])
 
 
-# SolverConfig fields settable from `hsrec recover`; an omitted flag keeps
-# the method's default, and a weight the method ignores is an error.
-_CONFIG_FLAGS = ("step_size", "gamma", "gamma1", "gamma2", "tau", "max_iters")
+# SolverConfig fields other than the weights settable from `hsrec recover`;
+# an omitted flag keeps the method's default.
+_CONFIG_FLAGS = ("step_size", "tau", "max_iters")
 
 
 def _check_grid(truth, grid, other):
@@ -91,7 +91,7 @@ def _cmd_recover(args):
     else:
         basis = SpectralBasis(_walsh_rows(n_s))
     config = dataclasses.replace(method.default_config(), **{
-        name: getattr(args, name) for name in _CONFIG_FLAGS
+        name: getattr(args, name) for name in (*_CONFIG_FLAGS, *method.weights)
         if getattr(args, name) is not None})
     x_hat, trace = harness.recover(args.method, meas, basis, config,
                                    x_truth=x_truth)
@@ -153,14 +153,15 @@ def _parse_rates(text):
 
 
 def _cmd_sweep(args):
-    cube = (formats.read_cube(args.cube) if args.cube
-            else _phantom(args, args.phantom_seed))
-    # an omitted flag keeps the ExperimentSpec default
+    # an omitted flag keeps the ExperimentSpec default; the spec is checked
+    # before the cube is read or built
     parsers = {"rates": _parse_rates, "sigma": float,
                "seeds": lambda text: tuple(map(int, text.split(",")))}
     spec = harness.ExperimentSpec(**{
         name: parse(getattr(args, name)) for name, parse in parsers.items()
         if getattr(args, name) is not None})
+    cube = (formats.read_cube(args.cube) if args.cube
+            else _phantom(args, args.phantom_seed))
     rows = harness.run_experiment(spec, cube)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
@@ -211,12 +212,11 @@ def _build_parser():
     p = sub.add_parser("recover", help="recover a datacube from measurements")
     p.add_argument("--meas", required=True)
     p.add_argument("--method", choices=tuple(harness.METHODS), default="hybrid")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="bpdn l1 weight")
-    p.add_argument("--gamma1", type=float, default=None,
-                   help="hybrid TV weight")
-    p.add_argument("--gamma2", type=float, default=None,
-                   help="hybrid spectral l1 weight")
+    methods = harness.METHODS.items()  # one flag per weight, shared or not
+    for weight in dict.fromkeys(w for _, m in methods for w in m.weights):
+        p.add_argument("--" + weight, type=float, help=", ".join(
+            f"{name} {m.weights[weight]} weight" for name, m in methods
+            if weight in m.weights))
     p.add_argument("--lambda", dest="step_size", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
@@ -264,6 +264,11 @@ def main(argv=None):
             return args.func(args)
     except (DivergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's text names the allocation; a bare MemoryError() has none
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     except (ValueError, OSError, Warning) as exc:
         # a Warning arrives here only when a filter escalates it to an error

@@ -94,21 +94,38 @@ def default_hybrid_config():
     return SolverConfig(gamma1=2e-4, gamma2=2e-4)
 
 
+def _recover_bpdn(meas, basis, config, x_truth=None):
+    haar = HaarBasis(meas.spatial.n_v, meas.spatial.n_h)
+    return apg_bpdn(meas, haar, basis, config, x_truth=x_truth)
+
+
+# Each recovery method by name: its solver, its default settings, and each
+# SolverConfig weight it reads with the term it weighs. Nothing else names one.
+Method = namedtuple("Method", "solve default_config weights")
+METHODS = {"bpdn": Method(_recover_bpdn, default_bpdn_config, {"gamma": "l1"}),
+           "hybrid": Method(recover_hybrid, default_hybrid_config,
+                            {"gamma1": "TV", "gamma2": "spectral l1"})}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A full sweep over one cube: a grid of sampling rates, several seeds,
-    and the solver settings of each method."""
+    and the solver settings of each METHODS entry, keyed by its name."""
 
     rates: tuple = ((0.3, 0.25), (0.5, 0.5))
     sigma: float = 0.01
     seeds: tuple = (0, 1, 2, 3, 4)
-    bpdn: SolverConfig = field(default_factory=default_bpdn_config)
-    hybrid: SolverConfig = field(default_factory=default_hybrid_config)
+    configs: dict = field(hash=False, default_factory=lambda: {
+        name: method.default_config() for name, method in METHODS.items()})
 
     def __post_init__(self):
         check_noise_level(self.sigma)
         if not self.rates or not self.seeds:
             raise ValueError("rates and seeds must be non-empty")
+        for seed in self.seeds:
+            rng.check_seed(seed)
+        if set(self.configs) != set(METHODS):
+            raise ValueError(f"configs must be keyed by {list(METHODS)}")
         for r_p, r_s in self.rates:
             check_rates(r_p, r_s)
 
@@ -124,24 +141,12 @@ def sample_training_columns(x, seed):
 def acquire_at_rates(cube, r_p, r_s, sigma, seed, q_p=None, q_s=None):
     """Acquire cube at rates (r_p, r_s); seed keys both projectors and the
     noise, and q_p, q_s override the default low-pass counts."""
+    check_noise_level(sigma)  # before the projectors are built
     m_p, m_s = rates_to_counts(r_p, r_s, cube.n_p, cube.n_s)
     q_p, q_s = default_lowpass_counts(cube.n_p, cube.n_s, m_p, m_s, q_p, q_s)
     pp = SpatialProjector(cube.n_v, cube.n_h, m_p, q_p, seed)
     sp = SpectralProjector(cube.n_s, m_s, q_s, seed)
     return acquire(as_band_pixel_matrix(cube), sp, pp, sigma, noise_seed=seed)
-
-
-def _recover_bpdn(meas, basis, config, x_truth=None):
-    haar = HaarBasis(meas.spatial.n_v, meas.spatial.n_h)
-    return apg_bpdn(meas, haar, basis, config, x_truth=x_truth)
-
-
-# Each recovery method by name: its solver, its default settings and the
-# SolverConfig weights it reads. recover, run_experiment and the CLI read it.
-Method = namedtuple("Method", "solve default_config weights")
-METHODS = {"bpdn": Method(_recover_bpdn, default_bpdn_config, ("gamma",)),
-           "hybrid": Method(recover_hybrid, default_hybrid_config,
-                            ("gamma1", "gamma2"))}
 
 
 def recover(method, meas, basis, config, x_truth=None):
@@ -154,7 +159,7 @@ def recover(method, meas, basis, config, x_truth=None):
 
 
 def run_experiment(spec, cube):
-    """Run both solvers over the rate/seed grid; returns one row per run.
+    """Run each METHODS entry over the rate/seed grid; one row per run.
 
     Row keys: method, r_p, r_s, seed, relative_error, iterations,
     wall_time_s, reason (the solver's stop reason). The cube is fixed;
@@ -168,8 +173,7 @@ def run_experiment(spec, cube):
             meas = acquire_at_rates(cube, r_p, r_s, spec.sigma, seed)
             for method in METHODS:
                 start = time.perf_counter()
-                x_hat, trace = recover(method, meas, basis,
-                                       getattr(spec, method))
+                x_hat, trace = recover(method, meas, basis, spec.configs[method])
                 rows.append({
                     "method": method,
                     "r_p": r_p,

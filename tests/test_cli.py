@@ -16,6 +16,7 @@ from hsrec.cli import main
 from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
+from hsrec.solvers import SolverConfig, recover_hybrid
 from hsrec.transforms import SpectralBasis, _walsh_rows
 from oracles import hsm1_bytes
 
@@ -342,6 +343,37 @@ def test_recover_rejects_weights_the_method_ignores(tmp_path, capsys, method,
     assert not out.exists()
 
 
+def test_recover_takes_the_weight_flags_of_a_method_added_to_the_table(
+        tmp_path, capsys, monkeypatch):
+    # a weight two methods read is one flag, and its help names both
+    monkeypatch.setitem(harness.METHODS, "hybrid2", harness.Method(
+        recover_hybrid, lambda: SolverConfig(gamma2=2e-4),
+        {"gamma2": "spectral l1"}))
+    with pytest.raises(SystemExit):
+        main(["recover", "--help"])
+    assert ("hybrid spectral l1 weight, hybrid2 spectral l1 weight"
+            in " ".join(capsys.readouterr().out.split()))
+    cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
+    meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
+    out = tmp_path / "r.hsc"
+    assert main(["recover", "--meas", str(meas), "--method", "hybrid2",
+                 "--gamma2", "1e-3", "--max-iters", "20",
+                 "--out", str(out)]) == 0
+    x_hat, _ = recover_hybrid(read_measurements(meas),
+                              SpectralBasis(_walsh_rows(4)),
+                              SolverConfig(gamma2=1e-3, max_iters=20))
+    want = tmp_path / "want.hsc"
+    write_cube(want, cube_from_matrix(x_hat, 8, 8))
+    assert out.read_bytes() == want.read_bytes()
+    capsys.readouterr()
+    refused = tmp_path / "refused.hsc"
+    assert main(["recover", "--meas", str(meas), "--method", "hybrid2",
+                 "--gamma1", "5", "--out", str(refused)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --gamma1 does not apply to --method hybrid2\n")
+    assert not refused.exists()
+
+
 def test_recover_basis_sample_seed_needs_truth(tmp_path, capsys):
     # without --truth no basis is trained, so the seed would change nothing
     cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
@@ -596,6 +628,21 @@ def test_sweep_flags_default_to_the_experiment_spec(tmp_path):
             expected["seed"], f"{expected['relative_error']:.12e}")
 
 
+def test_sweep_refuses_a_bad_seed_before_any_solve(tmp_path, capsys,
+                                                 monkeypatch):
+    # it used to run seed 0's solves first
+    def no_recover(*args, **kwargs):
+        raise AssertionError("a method was run")
+    monkeypatch.setattr(harness, "recover", no_recover)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--nv", "8", "--nh", "8", "--ns", "4",
+               "--seeds", f"0,{1 << 64}", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: seeds must lie in [0, 2^64), got {1 << 64}\n")
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_rate_pair_without_a_colon(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--nv", "8", "--nh", "8", "--ns", "4",
@@ -635,3 +682,22 @@ def test_sweep_repeated_seeds_identical_errors(tmp_path):
         errs.setdefault(row["method"], []).append(row["relative_error"])
     for values in errs.values():
         assert values[0] == values[1]
+
+
+# ---------------------------------------------------------------- exit codes
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 8.00 GiB for an array"),
+     "error: out of memory: Unable to allocate 8.00 GiB for an array"),
+], ids=["bare", "numpy"])
+def test_memory_error_is_one_line_and_exit_3(tmp_path, capsys, monkeypatch,
+                                             exc, line):
+    # a stand-in reader raises it: no test allocates a real large array
+    def exhausted(path):
+        raise exc
+    monkeypatch.setattr(formats, "read_cube", exhausted)
+    cube = tmp_path / "cube.hsc"
+    rc = main(["eval", "--truth", str(cube), "--recovered", str(cube)])
+    assert rc == 3
+    assert capsys.readouterr().err == line + "\n"

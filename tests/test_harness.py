@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hsrec import harness, rng
 from hsrec.datacube import as_band_pixel_matrix
-from hsrec.harness import (METHODS, ExperimentSpec, PhantomSpec,
+from hsrec.harness import (METHODS, ExperimentSpec, Method, PhantomSpec,
                            acquire_at_rates, default_bpdn_config,
                            default_hybrid_config, generate_phantom, recover,
                            relative_error, run_experiment,
                            sample_training_columns)
 from hsrec.regularizers import tv_sum_and_subgradient
 from hsrec.sensing import check_rates
-from hsrec.solvers import SolverConfig
+from hsrec.solvers import SolverConfig, recover_hybrid
 from hsrec.transforms import learn_spectral_basis
 
 
@@ -108,6 +109,20 @@ def test_sample_training_columns_floor_is_band_count():
     assert sample_training_columns(tiny, seed=0).shape == (4, 4)
 
 
+# ---------------------------------------------------------------- acquisition
+
+def test_acquire_at_rates_checks_sigma_before_any_projector(monkeypatch):
+    # the spatial build and its power iteration took seconds at 128x128x32
+    def no_projector(*args):
+        raise AssertionError("a projector was built")
+    monkeypatch.setattr(harness, "SpatialProjector", no_projector)
+    monkeypatch.setattr(harness, "SpectralProjector", no_projector)
+    cube = generate_phantom(PhantomSpec(8, 8, 4))
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise level"):
+            acquire_at_rates(cube, 0.5, 0.5, sigma, 0)
+
+
 # ---------------------------------------------------------------- experiments
 
 def test_experiment_spec_validation():
@@ -125,14 +140,49 @@ def test_experiment_spec_validation():
         with pytest.raises(ValueError, match=r"rate must be in \(0, 1\]") as spec:
             ExperimentSpec(rates=((0.5, 0.5), rate))
         assert str(spec.value) == str(rule.value)
+    for seed in (1 << 64, -1, 1.0):
+        # the seed rule's own message, before any solve of the seeds before it
+        with pytest.raises(ValueError) as rule:
+            rng.check_seed(seed)
+        with pytest.raises(ValueError, match="seeds must lie in") as spec:
+            ExperimentSpec(seeds=(0, seed))
+        assert str(spec.value) == str(rule.value)
+
+
+def test_experiment_spec_configs_are_keyed_by_the_methods():
+    assert ExperimentSpec().configs == {
+        name: method.default_config() for name, method in METHODS.items()}
+    assert hash(ExperimentSpec()) == hash(ExperimentSpec())  # a dict field
+    for configs in ({"bpdn": default_bpdn_config()},
+                    {**ExperimentSpec().configs, "dict": default_bpdn_config()}):
+        with pytest.raises(ValueError, match="configs must be keyed by"):
+            ExperimentSpec(configs=configs)
+
+
+def test_a_method_added_to_the_table_alone_runs_in_experiments(monkeypatch):
+    # no ExperimentSpec field or run_experiment line names a method
+    monkeypatch.setitem(METHODS, "hybrid2", Method(
+        recover_hybrid, lambda: SolverConfig(gamma2=2e-4),
+        {"gamma2": "spectral l1"}))
+    cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
+    spec = ExperimentSpec(rates=((0.5, 0.5),), seeds=(5,))
+    assert spec.configs["hybrid2"] == SolverConfig(gamma2=2e-4)
+    rows = run_experiment(spec, cube)
+    assert [row["method"] for row in rows] == ["bpdn", "hybrid", "hybrid2"]
+    x = as_band_pixel_matrix(cube)
+    basis = learn_spectral_basis(sample_training_columns(x, 5))
+    meas = acquire_at_rates(cube, 0.5, 0.5, spec.sigma, 5)
+    x_hat, _ = recover_hybrid(meas, basis, SolverConfig(gamma2=2e-4))
+    assert rows[2]["relative_error"] == relative_error(x, x_hat)
 
 
 def test_run_experiment_row_grid():
     spec = ExperimentSpec(
         rates=((0.5, 0.5), (0.75, 0.75)),
         seeds=(0, 1),
-        bpdn=SolverConfig(gamma=2e-4, max_iters=30),
-        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=30))
+        configs={"bpdn": SolverConfig(gamma=2e-4, max_iters=30),
+                 "hybrid": SolverConfig(gamma1=2e-4, gamma2=2e-4,
+                                        max_iters=30)})
     rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4, seed=0)))
     assert len(rows) == 2 * 2 * 2  # methods x rates x seeds
     keys = {"method", "r_p", "r_s", "seed", "relative_error", "iterations",
@@ -151,8 +201,9 @@ def test_run_experiment_repeatable_per_seed():
     spec = ExperimentSpec(
         rates=((0.5, 0.5),),
         seeds=(7, 7),
-        bpdn=SolverConfig(gamma=2e-4, max_iters=20),
-        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=20))
+        configs={"bpdn": SolverConfig(gamma=2e-4, max_iters=20),
+                 "hybrid": SolverConfig(gamma1=2e-4, gamma2=2e-4,
+                                        max_iters=20)})
     rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4, seed=1)))
     by_method = {}
     for row in rows:
@@ -166,8 +217,8 @@ def test_run_experiment_full_sampling_near_exact():
         rates=((1.0, 1.0),),
         sigma=0.0,
         seeds=(0,),
-        bpdn=SolverConfig(gamma=1e-8),
-        hybrid=SolverConfig(gamma1=1e-8, gamma2=1e-8))
+        configs={"bpdn": SolverConfig(gamma=1e-8),
+                 "hybrid": SolverConfig(gamma1=1e-8, gamma2=1e-8)})
     cube = generate_phantom(PhantomSpec(8, 8, 4, seed=2))
     for row in run_experiment(spec, cube):
         assert row["relative_error"] <= 1e-3
@@ -180,8 +231,9 @@ def test_run_experiment_rows_are_acquire_then_recover():
     spec = ExperimentSpec(
         rates=((0.5, 0.5),),
         seeds=(5,),
-        bpdn=SolverConfig(gamma=2e-4, max_iters=20),
-        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=20))
+        configs={"bpdn": SolverConfig(gamma=2e-4, max_iters=20),
+                 "hybrid": SolverConfig(gamma1=2e-4, gamma2=2e-4,
+                                        max_iters=20)})
     x = as_band_pixel_matrix(cube)
     basis = learn_spectral_basis(sample_training_columns(x, 5))
     meas = acquire_at_rates(cube, 0.5, 0.5, spec.sigma, 5)
@@ -189,7 +241,7 @@ def test_run_experiment_rows_are_acquire_then_recover():
     assert [row["method"] for row in rows] == ["bpdn", "hybrid"]
     for row in rows:
         method = row["method"]
-        x_hat, _ = recover(method, meas, basis, getattr(spec, method))
+        x_hat, _ = recover(method, meas, basis, spec.configs[method])
         assert row["relative_error"] == relative_error(x, x_hat)
 
 
