@@ -93,8 +93,7 @@ def _cmd_recover(args):
     config = dataclasses.replace(method.default_config(), **{
         name: getattr(args, name) for name in (*_CONFIG_FLAGS, *method.weights)
         if getattr(args, name) is not None})
-    x_hat, trace = harness.recover(args.method, meas, basis, config,
-                                   x_truth=x_truth)
+    x_hat, trace = method.solve(meas, basis, config, x_truth=x_truth)
     formats.write_cube(args.out, cube_from_matrix(x_hat, n_v, n_h))
     if args.trace:
         _write_trace(args.trace, trace)

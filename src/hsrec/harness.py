@@ -6,9 +6,10 @@ two structures the solvers exploit: piecewise-constant frames (small TV)
 and a low-rank band-by-pixel matrix (at most one signature per region).
 """
 
+import numbers
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +34,14 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_v", "n_h", "n_s", "n_regions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 1 <= self.n_atoms <= self.n_s:
+        for name in ("n_v", "n_h", "n_s", "n_regions", "n_atoms"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        if self.n_atoms > self.n_s:
             raise ValueError(
                 f"n_atoms must lie in [1, {self.n_s}], got {self.n_atoms}")
+        rng.check_seed(self.seed)
 
 
 def _spectral_atoms(n_s):
@@ -109,14 +112,12 @@ METHODS = {"bpdn": Method(_recover_bpdn, default_bpdn_config, {"gamma": "l1"}),
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A full sweep over one cube: a grid of sampling rates, several seeds,
-    and the solver settings of each METHODS entry, keyed by its name."""
+    """A full sweep over one cube: a grid of sampling rates and several
+    seeds. Each METHODS entry runs at its default_config()."""
 
     rates: tuple = ((0.3, 0.25), (0.5, 0.5))
     sigma: float = 0.01
     seeds: tuple = (0, 1, 2, 3, 4)
-    configs: dict = field(hash=False, default_factory=lambda: {
-        name: method.default_config() for name, method in METHODS.items()})
 
     def __post_init__(self):
         check_noise_level(self.sigma)
@@ -124,8 +125,6 @@ class ExperimentSpec:
             raise ValueError("rates and seeds must be non-empty")
         for seed in self.seeds:
             rng.check_seed(seed)
-        if set(self.configs) != set(METHODS):
-            raise ValueError(f"configs must be keyed by {list(METHODS)}")
         for r_p, r_s in self.rates:
             check_rates(r_p, r_s)
 
@@ -149,17 +148,9 @@ def acquire_at_rates(cube, r_p, r_s, sigma, seed, q_p=None, q_s=None):
     return acquire(as_band_pixel_matrix(cube), sp, pp, sigma, noise_seed=seed)
 
 
-def recover(method, meas, basis, config, x_truth=None):
-    """(x_hat, trace) of the METHODS entry named method; bpdn runs over the
-    grid's HaarBasis."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected "
-                         + " or ".join(map(repr, METHODS)))
-    return METHODS[method].solve(meas, basis, config, x_truth=x_truth)
-
-
 def run_experiment(spec, cube):
-    """Run each METHODS entry over the rate/seed grid; one row per run.
+    """Run each METHODS entry, at the default_config() it holds when the
+    sweep runs, over the rate/seed grid; one row per run.
 
     Row keys: method, r_p, r_s, seed, relative_error, iterations,
     wall_time_s, reason (the solver's stop reason). The cube is fixed;
@@ -171,11 +162,11 @@ def run_experiment(spec, cube):
         basis = learn_spectral_basis(sample_training_columns(x_true, seed))
         for r_p, r_s in spec.rates:
             meas = acquire_at_rates(cube, r_p, r_s, spec.sigma, seed)
-            for method in METHODS:
+            for name, method in METHODS.items():
                 start = time.perf_counter()
-                x_hat, trace = recover(method, meas, basis, spec.configs[method])
+                x_hat, trace = method.solve(meas, basis, method.default_config())
                 rows.append({
-                    "method": method,
+                    "method": name,
                     "r_p": r_p,
                     "r_s": r_s,
                     "seed": seed,

@@ -288,10 +288,9 @@ def test_recover_runs_the_harness_method_with_its_defaults(tmp_path, method):
     out = tmp_path / "r.hsc"
     assert main(["recover", "--meas", str(meas), "--method", method,
                  "--out", str(out)]) == 0
-    x_hat, _ = harness.recover(
-        method, read_measurements(meas),
-        SpectralBasis(_walsh_rows(4)),
-        harness.METHODS[method].default_config())
+    entry = harness.METHODS[method]
+    x_hat, _ = entry.solve(read_measurements(meas),
+                           SpectralBasis(_walsh_rows(4)), entry.default_config())
     want = tmp_path / "want.hsc"
     write_cube(want, cube_from_matrix(x_hat, 8, 8))
     assert out.read_bytes() == want.read_bytes()
@@ -631,9 +630,11 @@ def test_sweep_flags_default_to_the_experiment_spec(tmp_path):
 def test_sweep_refuses_a_bad_seed_before_any_solve(tmp_path, capsys,
                                                  monkeypatch):
     # it used to run seed 0's solves first
-    def no_recover(*args, **kwargs):
+    def no_solve(*args, **kwargs):
         raise AssertionError("a method was run")
-    monkeypatch.setattr(harness, "recover", no_recover)
+    for name, method in harness.METHODS.items():
+        monkeypatch.setitem(harness.METHODS, name,
+                            method._replace(solve=no_solve))
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--nv", "8", "--nh", "8", "--ns", "4",
                "--seeds", f"0,{1 << 64}", "--out", str(out)])

@@ -7,7 +7,7 @@ from hsrec import harness, rng
 from hsrec.datacube import as_band_pixel_matrix
 from hsrec.harness import (METHODS, ExperimentSpec, Method, PhantomSpec,
                            acquire_at_rates, default_bpdn_config,
-                           default_hybrid_config, generate_phantom, recover,
+                           default_hybrid_config, generate_phantom,
                            relative_error, run_experiment,
                            sample_training_columns)
 from hsrec.regularizers import tv_sum_and_subgradient
@@ -57,6 +57,19 @@ def test_phantom_spec_validation():
         PhantomSpec(4, 4, 4, n_atoms=0)
     with pytest.raises(ValueError):
         PhantomSpec(4, 4, 4, n_atoms=5)  # more atoms than bands
+    # generate_phantom would round an n_v of 2.5 up to 3 rows, and fail on a
+    # fractional count or seed only after the spec was accepted
+    for name in ("n_v", "n_h", "n_s", "n_regions", "n_atoms"):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be an integer >= 1, got 2.5"):
+            PhantomSpec(**{"n_v": 4, "n_h": 4, "n_s": 4, name: 2.5})
+    for seed in (1.5, -1, 1 << 64):
+        with pytest.raises(ValueError) as rule:
+            rng.check_seed(seed)
+        with pytest.raises(ValueError, match="seeds must lie in") as spec:
+            PhantomSpec(4, 4, 4, seed=seed)
+        assert str(spec.value) == str(rule.value)
+    assert PhantomSpec(np.int64(4), 4, 4, seed=np.uint64(7)).seed == 7
 
 
 def test_phantom_deterministic_and_normalized():
@@ -149,16 +162,6 @@ def test_experiment_spec_validation():
         assert str(spec.value) == str(rule.value)
 
 
-def test_experiment_spec_configs_are_keyed_by_the_methods():
-    assert ExperimentSpec().configs == {
-        name: method.default_config() for name, method in METHODS.items()}
-    assert hash(ExperimentSpec()) == hash(ExperimentSpec())  # a dict field
-    for configs in ({"bpdn": default_bpdn_config()},
-                    {**ExperimentSpec().configs, "dict": default_bpdn_config()}):
-        with pytest.raises(ValueError, match="configs must be keyed by"):
-            ExperimentSpec(configs=configs)
-
-
 def test_a_method_added_to_the_table_alone_runs_in_experiments(monkeypatch):
     # no ExperimentSpec field or run_experiment line names a method
     monkeypatch.setitem(METHODS, "hybrid2", Method(
@@ -166,7 +169,6 @@ def test_a_method_added_to_the_table_alone_runs_in_experiments(monkeypatch):
         {"gamma2": "spectral l1"}))
     cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
     spec = ExperimentSpec(rates=((0.5, 0.5),), seeds=(5,))
-    assert spec.configs["hybrid2"] == SolverConfig(gamma2=2e-4)
     rows = run_experiment(spec, cube)
     assert [row["method"] for row in rows] == ["bpdn", "hybrid", "hybrid2"]
     x = as_band_pixel_matrix(cube)
@@ -176,13 +178,18 @@ def test_a_method_added_to_the_table_alone_runs_in_experiments(monkeypatch):
     assert rows[2]["relative_error"] == relative_error(x, x_hat)
 
 
-def test_run_experiment_row_grid():
-    spec = ExperimentSpec(
-        rates=((0.5, 0.5), (0.75, 0.75)),
-        seeds=(0, 1),
-        configs={"bpdn": SolverConfig(gamma=2e-4, max_iters=30),
-                 "hybrid": SolverConfig(gamma1=2e-4, gamma2=2e-4,
-                                        max_iters=30)})
+def _set_default_configs(monkeypatch, **configs):
+    # a sweep runs each METHODS entry at its default_config()
+    for name, config in configs.items():
+        monkeypatch.setitem(METHODS, name, METHODS[name]._replace(
+            default_config=lambda config=config: config))
+
+
+def test_run_experiment_row_grid(monkeypatch):
+    _set_default_configs(
+        monkeypatch, bpdn=SolverConfig(gamma=2e-4, max_iters=30),
+        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=30))
+    spec = ExperimentSpec(rates=((0.5, 0.5), (0.75, 0.75)), seeds=(0, 1))
     rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4, seed=0)))
     assert len(rows) == 2 * 2 * 2  # methods x rates x seeds
     keys = {"method", "r_p", "r_s", "seed", "relative_error", "iterations",
@@ -197,13 +204,11 @@ def test_run_experiment_row_grid():
     assert {(r["r_p"], r["r_s"]) for r in rows} == {(0.5, 0.5), (0.75, 0.75)}
 
 
-def test_run_experiment_repeatable_per_seed():
-    spec = ExperimentSpec(
-        rates=((0.5, 0.5),),
-        seeds=(7, 7),
-        configs={"bpdn": SolverConfig(gamma=2e-4, max_iters=20),
-                 "hybrid": SolverConfig(gamma1=2e-4, gamma2=2e-4,
-                                        max_iters=20)})
+def test_run_experiment_repeatable_per_seed(monkeypatch):
+    _set_default_configs(
+        monkeypatch, bpdn=SolverConfig(gamma=2e-4, max_iters=20),
+        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=20))
+    spec = ExperimentSpec(rates=((0.5, 0.5),), seeds=(7, 7))
     rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4, seed=1)))
     by_method = {}
     for row in rows:
@@ -212,46 +217,45 @@ def test_run_experiment_repeatable_per_seed():
         assert errs[0] == errs[1]
 
 
-def test_run_experiment_full_sampling_near_exact():
-    spec = ExperimentSpec(
-        rates=((1.0, 1.0),),
-        sigma=0.0,
-        seeds=(0,),
-        configs={"bpdn": SolverConfig(gamma=1e-8),
-                 "hybrid": SolverConfig(gamma1=1e-8, gamma2=1e-8)})
+def test_run_experiment_full_sampling_near_exact(monkeypatch):
+    _set_default_configs(monkeypatch, bpdn=SolverConfig(gamma=1e-8),
+                         hybrid=SolverConfig(gamma1=1e-8, gamma2=1e-8))
+    spec = ExperimentSpec(rates=((1.0, 1.0),), sigma=0.0, seeds=(0,))
     cube = generate_phantom(PhantomSpec(8, 8, 4, seed=2))
     for row in run_experiment(spec, cube):
         assert row["relative_error"] <= 1e-3
         assert row["reason"] == "threshold"
 
 
-def test_run_experiment_rows_are_acquire_then_recover():
-    # run_experiment and the CLI share acquire_at_rates and recover
+def test_run_experiment_rows_are_acquire_then_recover(monkeypatch):
+    # run_experiment and the CLI share acquire_at_rates and the METHODS table
+    _set_default_configs(
+        monkeypatch, bpdn=SolverConfig(gamma=2e-4, max_iters=20),
+        hybrid=SolverConfig(gamma1=2e-4, gamma2=2e-4, max_iters=20))
     cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
-    spec = ExperimentSpec(
-        rates=((0.5, 0.5),),
-        seeds=(5,),
-        configs={"bpdn": SolverConfig(gamma=2e-4, max_iters=20),
-                 "hybrid": SolverConfig(gamma1=2e-4, gamma2=2e-4,
-                                        max_iters=20)})
+    spec = ExperimentSpec(rates=((0.5, 0.5),), seeds=(5,))
     x = as_band_pixel_matrix(cube)
     basis = learn_spectral_basis(sample_training_columns(x, 5))
     meas = acquire_at_rates(cube, 0.5, 0.5, spec.sigma, 5)
     rows = run_experiment(spec, cube)
     assert [row["method"] for row in rows] == ["bpdn", "hybrid"]
     for row in rows:
-        method = row["method"]
-        x_hat, _ = recover(method, meas, basis, spec.configs[method])
+        method = METHODS[row["method"]]
+        x_hat, _ = method.solve(meas, basis, method.default_config())
         assert row["relative_error"] == relative_error(x, x_hat)
 
 
-def test_recover_rejects_unknown_methods():
-    cube = generate_phantom(PhantomSpec(8, 8, 4, seed=3))
-    meas = acquire_at_rates(cube, 0.5, 0.5, 0.01, 0)
-    basis = learn_spectral_basis(
-        sample_training_columns(as_band_pixel_matrix(cube), 0))
-    with pytest.raises(ValueError, match="'dict'"):
-        recover("dict", meas, basis, default_hybrid_config())
+def test_run_experiment_reads_the_table_when_it_runs(monkeypatch):
+    # the spec holds no solver settings: an entry's default_config() as it
+    # stands when the sweep runs is the one the sweep runs
+    spec = ExperimentSpec()
+    _set_default_configs(monkeypatch, **{
+        name: dataclasses.replace(method.default_config(), max_iters=3)
+        for name, method in METHODS.items()})
+    rows = run_experiment(spec, generate_phantom(PhantomSpec(8, 8, 4)))
+    assert len(rows) == 20
+    assert {(row["iterations"], row["reason"]) for row in rows} == {
+        (3, "max-iters")}
 
 
 @pytest.mark.parametrize("name", list(METHODS))
@@ -262,10 +266,10 @@ def test_methods_read_exactly_their_weights(name):
     basis = learn_spectral_basis(
         sample_training_columns(as_band_pixel_matrix(cube), 0))
     config = dataclasses.replace(METHODS[name].default_config(), max_iters=5)
-    x0, _ = recover(name, meas, basis, config)
+    x0, _ = METHODS[name].solve(meas, basis, config)
     for weight in ("gamma", "gamma1", "gamma2"):
-        x, _ = recover(name, meas, basis,
-                       dataclasses.replace(config, **{weight: 0.05}))
+        x, _ = METHODS[name].solve(
+            meas, basis, dataclasses.replace(config, **{weight: 0.05}))
         assert (weight in METHODS[name].weights) == (not np.array_equal(x, x0))
 
 
