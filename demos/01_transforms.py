@@ -10,12 +10,13 @@ from sample spectra.
 import numpy as np
 
 from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
-from hsrec.transforms import (HaarBasis, fwht_sequency, learn_spectral_basis,
-                              sequency_row_order, zigzag_indices)
+from hsrec.transforms import (HaarBasis, learn_spectral_basis,
+                              sequency_row_order, walsh_rows, zigzag_indices)
 
-# A constant vector has all its energy in the zero-sequency coefficient.
+# The transform is a product with the orthonormal Walsh matrix. A constant
+# vector has all its energy in the zero-sequency coefficient.
 v = np.ones(8)
-print("fwht of a constant vector:", fwht_sequency(v))
+print("fwht of a constant vector:", walsh_rows(8) @ v)
 
 # Sequency ordering sorts rows by their number of sign changes, so row k
 # oscillates exactly k times. Natural Hadamard order is scrambled.
@@ -23,15 +24,14 @@ print("natural->sequency permutation for n=8:", sequency_row_order(8))
 
 impulse = np.zeros(8)
 impulse[0] = 1.0
-coeffs = fwht_sequency(impulse)
+coeffs = walsh_rows(8) @ impulse
 print("fwht of an impulse is flat:", coeffs)
 print("transform is its own inverse:",
-      np.allclose(fwht_sequency(coeffs), impulse))
+      np.allclose(walsh_rows(8) @ coeffs, impulse))
 
 # The 2-D version transforms columns, then rows, independently.
 frame = np.add.outer(np.arange(4.0), np.arange(4.0))
-cf = np.apply_along_axis(fwht_sequency, 1,
-                         np.apply_along_axis(fwht_sequency, 0, frame))
+cf = walsh_rows(4) @ frame @ walsh_rows(4).T
 print("\n2-D coefficients of a smooth ramp (energy in the corner):")
 print(np.round(cf, 3))
 

@@ -7,12 +7,11 @@ from .harness import (ExperimentSpec, PhantomSpec, generate_phantom,
                       relative_error, run_experiment)
 from .regularizers import prox_l1, tv_sum_and_subgradient
 from .sensing import (Measurements, SpatialProjector, SpectralProjector, acquire,
-                      adjoint, default_lowpass_counts, operator_norm_estimate,
-                      project, rates_to_counts)
+                      adjoint, default_lowpass_counts, project, rates_to_counts)
 from .solvers import (DivergenceError, SolverConfig, Trace, apg_bpdn,
                       recover_hybrid, recover_hybrid_nonortho)
-from .transforms import (HaarBasis, SpectralBasis, basis_apply, fwht_sequency,
-                         learn_spectral_basis, sequency_row_order,
+from .transforms import (HaarBasis, SpectralBasis, basis_apply,
+                         learn_spectral_basis, sequency_row_order, walsh_rows,
                          zigzag_indices)
 
 __version__ = "0.1.0"
@@ -24,11 +23,10 @@ __all__ = [
     "run_experiment",
     "prox_l1", "tv_sum_and_subgradient",
     "Measurements", "SpatialProjector", "SpectralProjector", "acquire",
-    "adjoint", "default_lowpass_counts", "operator_norm_estimate", "project",
-    "rates_to_counts",
+    "adjoint", "default_lowpass_counts", "project", "rates_to_counts",
     "DivergenceError", "SolverConfig", "Trace", "apg_bpdn", "recover_hybrid",
     "recover_hybrid_nonortho",
-    "HaarBasis", "SpectralBasis", "basis_apply", "fwht_sequency",
-    "learn_spectral_basis", "sequency_row_order", "zigzag_indices",
+    "HaarBasis", "SpectralBasis", "basis_apply", "learn_spectral_basis",
+    "sequency_row_order", "walsh_rows", "zigzag_indices",
     "__version__",
 ]

@@ -18,13 +18,13 @@ import numpy as np
 from . import formats, harness
 from .datacube import as_band_pixel_matrix, cube_from_matrix
 from .solvers import DivergenceError
-from .transforms import (SpectralBasis, _check_pow2, _walsh_rows,
-                         learn_spectral_basis)
+from .transforms import (SpectralBasis, check_pow2, learn_spectral_basis,
+                         walsh_rows)
 
 
 def _phantom(args, seed):
     for flag in ("nv", "nh", "ns"):
-        _check_pow2(getattr(args, flag), "--" + flag)
+        check_pow2(getattr(args, flag), "--" + flag)
     formats.check_cube_size(args.nv, args.nh, args.ns)  # before allocating
     return harness.generate_phantom(harness.PhantomSpec(
         args.nv, args.nh, args.ns, n_regions=args.regions,
@@ -89,7 +89,7 @@ def _cmd_recover(args):
         basis = learn_spectral_basis(
             harness.sample_training_columns(x_truth, args.basis_sample_seed or 0))
     else:
-        basis = SpectralBasis(_walsh_rows(n_s))
+        basis = SpectralBasis(walsh_rows(n_s))
     config = dataclasses.replace(method.default_config(), **{
         name: getattr(args, name) for name in (*_CONFIG_FLAGS, *method.weights)
         if getattr(args, name) is not None})
@@ -141,21 +141,32 @@ def _cmd_render(args):
     return 0
 
 
-def _parse_rates(text):
-    pairs = []
+def _parse_list(text, parse, error):
+    """parse(token) for each comma-separated token of text, as a tuple; a
+    ValueError with the error format filled in by the first token refused."""
+    out = []
     for tok in text.split(","):
-        rp, sep, rs = tok.partition(":")
-        if not sep:
-            raise ValueError(f"bad rate pair {tok!r}; expected rp:rs")
-        pairs.append((float(rp), float(rs)))
-    return tuple(pairs)
+        try:
+            out.append(parse(tok))
+        except ValueError:
+            raise ValueError(error.format(tok)) from None
+    return tuple(out)
+
+
+def _rate_pair(tok):
+    rp, rs = tok.split(":")  # a ValueError unless exactly two fields
+    return float(rp), float(rs)
 
 
 def _cmd_sweep(args):
     # an omitted flag keeps the ExperimentSpec default; the spec is checked
     # before the cube is read or built
-    parsers = {"rates": _parse_rates, "sigma": float,
-               "seeds": lambda text: tuple(map(int, text.split(",")))}
+    parsers = {
+        "rates": lambda text: _parse_list(
+            text, _rate_pair, "bad rate pair {!r}; expected rp:rs"),
+        "sigma": float,
+        "seeds": lambda text: _parse_list(
+            text, int, "bad seed {!r} in --seeds; expected integers")}
     spec = harness.ExperimentSpec(**{
         name: parse(getattr(args, name)) for name, parse in parsers.items()
         if getattr(args, name) is not None})

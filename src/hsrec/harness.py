@@ -9,6 +9,7 @@ and a low-rank band-by-pixel matrix (at most one signature per region).
 import numbers
 import time
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,20 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_noise_level(self.sigma)
-        if not self.rates or not self.seeds:
-            raise ValueError("rates and seeds must be non-empty")
+        for name, value in (("rates", self.rates), ("seeds", self.seeds)):
+            if not (_is_sequence(value) and value):
+                raise ValueError(
+                    f"{name} must be a non-empty sequence, got {value!r}")
         for seed in self.seeds:
             rng.check_seed(seed)
-        for r_p, r_s in self.rates:
-            check_rates(r_p, r_s)
+        for pair in self.rates:
+            if not (_is_sequence(pair) and len(pair) == 2):
+                raise ValueError(f"bad rate pair {pair!r}; expected (r_p, r_s)")
+            check_rates(*pair)
+
+
+def _is_sequence(value):
+    return isinstance(value, Sequence) and not isinstance(value, str)
 
 
 def sample_training_columns(x, seed):

@@ -23,7 +23,6 @@ NOISE = 3
 BASIS_SAMPLE = 4
 SPECTRAL_NORM = 5
 SPATIAL_NORM = 6
-COMBINED_NORM = 7
 
 
 def check_seed(seed):

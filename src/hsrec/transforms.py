@@ -30,7 +30,8 @@ from .datacube import checked_frames, matrix_from_frames
 MAX_WALSH_LENGTH = 2048
 
 
-def _check_pow2(n, what):
+def check_pow2(n, what):
+    """The grid rule: n (named what) is a power of two <= MAX_WALSH_LENGTH."""
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
     if n > MAX_WALSH_LENGTH:
@@ -43,7 +44,7 @@ def sequency_row_order(n):
     Entry k names the row of the Sylvester-ordered Hadamard matrix that has
     exactly k sign changes: bit-reverse of the Gray code of k.
     """
-    _check_pow2(n, "transform length")
+    check_pow2(n, "transform length")
     bits = n.bit_length() - 1
     k = np.arange(n, dtype=np.int64)
     g = k ^ (k >> 1)
@@ -54,7 +55,7 @@ def sequency_row_order(n):
     return perm
 
 
-def _walsh_rows(n, count=None):
+def walsh_rows(n, count=None):
     """First count rows (all n by default) of the orthonormal
     sequency-ordered Walsh matrix of length n.
 
@@ -63,7 +64,7 @@ def _walsh_rows(n, count=None):
     (-1)^parity(sequency_row_order(n)[k] & j) / sqrt(n). The full matrix is
     symmetric, so it is its own inverse.
     """
-    _check_pow2(n, "transform length")
+    check_pow2(n, "transform length")
     shift = np.arange(n.bit_length() - 1)
     a = (sequency_row_order(n)[:count, None] >> shift) & 1
     b = (np.arange(n)[:, None] >> shift) & 1
@@ -78,7 +79,7 @@ def _haar_matrix(n):
     its first half, -1/sqrt(w) on its second. So the rows run coarse to
     fine, left to right within a level, and H^T is the inverse.
     """
-    _check_pow2(n, "transform length")
+    check_pow2(n, "transform length")
     k = np.arange(n)[:, None]
     level = np.frexp(np.maximum(k, 1))[1] - 1  # floor(log2 k), exact
     w = n >> level
@@ -87,18 +88,6 @@ def _haar_matrix(n):
     h = np.where(col // w == k - (1 << level), sign, 0.0) / np.sqrt(w)
     h[0] = 1.0 / np.sqrt(n)
     return h
-
-
-def fwht_sequency(v):
-    """Sequency-ordered orthonormal Walsh-Hadamard transform of a vector.
-
-    The transform matrix is symmetric and orthonormal, so applying this
-    twice returns the input.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    return _walsh_rows(len(v)) @ v
 
 
 def zigzag_indices(n_v, n_h, count=None):
@@ -133,8 +122,8 @@ class HaarBasis:
     """
 
     def __init__(self, n_v, n_h):
-        _check_pow2(n_v, "frame rows")
-        _check_pow2(n_h, "frame cols")
+        check_pow2(n_v, "frame rows")
+        check_pow2(n_h, "frame cols")
         self.n_v, self.n_h = n_v, n_h
         self._hv, self._hh = _haar_matrix(n_v), _haar_matrix(n_h)
 

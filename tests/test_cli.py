@@ -17,7 +17,7 @@ from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
 from hsrec.solvers import SolverConfig, recover_hybrid
-from hsrec.transforms import SpectralBasis, _walsh_rows
+from hsrec.transforms import SpectralBasis, walsh_rows
 from oracles import hsm1_bytes
 
 
@@ -290,7 +290,7 @@ def test_recover_runs_the_harness_method_with_its_defaults(tmp_path, method):
                  "--out", str(out)]) == 0
     entry = harness.METHODS[method]
     x_hat, _ = entry.solve(read_measurements(meas),
-                           SpectralBasis(_walsh_rows(4)), entry.default_config())
+                           SpectralBasis(walsh_rows(4)), entry.default_config())
     want = tmp_path / "want.hsc"
     write_cube(want, cube_from_matrix(x_hat, 8, 8))
     assert out.read_bytes() == want.read_bytes()
@@ -359,7 +359,7 @@ def test_recover_takes_the_weight_flags_of_a_method_added_to_the_table(
                  "--gamma2", "1e-3", "--max-iters", "20",
                  "--out", str(out)]) == 0
     x_hat, _ = recover_hybrid(read_measurements(meas),
-                              SpectralBasis(_walsh_rows(4)),
+                              SpectralBasis(walsh_rows(4)),
                               SolverConfig(gamma2=1e-3, max_iters=20))
     want = tmp_path / "want.hsc"
     write_cube(want, cube_from_matrix(x_hat, 8, 8))
@@ -651,6 +651,22 @@ def test_sweep_rejects_a_rate_pair_without_a_colon(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: bad rate pair '0.5'; expected rp:rs\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rates", "0.5:0.5:0.5", "bad rate pair '0.5:0.5:0.5'; expected rp:rs"),
+    ("--rates", "0.5:0.5,0.5:x", "bad rate pair '0.5:x'; expected rp:rs"),
+    ("--seeds", "0,1.5", "bad seed '1.5' in --seeds; expected integers"),
+    ("--seeds", "", "bad seed '' in --seeds; expected integers"),
+], ids=["three-fields", "not-a-number", "float-seed", "empty-seeds"])
+def test_sweep_names_the_bad_token(tmp_path, capsys, flag, value, message):
+    # these used to print float()'s or int()'s message for a part of a token
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--nv", "8", "--nh", "8", "--ns", "4", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

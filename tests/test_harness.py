@@ -146,6 +146,15 @@ def test_experiment_spec_validation():
         ExperimentSpec(rates=())
     with pytest.raises(ValueError):
         ExperimentSpec(seeds=())
+    # a malformed grid: these used to escape as a TypeError or an
+    # unpacking error
+    for rates in ((0.5,), ((0.5, 0.5, 0.5),), ((0.5, 0.5), "05")):
+        with pytest.raises(ValueError, match="bad rate pair"):
+            ExperimentSpec(rates=rates)
+    for kwargs in ({"rates": "0.5"}, {"rates": 0.5}, {"seeds": 5},
+                   {"seeds": "5"}):
+        with pytest.raises(ValueError, match="must be a non-empty sequence"):
+            ExperimentSpec(**kwargs)
     for rate in ((0.0, 0.5), (0.5, 1.5), (-0.1, 0.5)):
         # the rate rule's own message, as rates_to_counts gives it
         with pytest.raises(ValueError) as rule:

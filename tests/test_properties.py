@@ -30,7 +30,7 @@ from hsrec.formats import (read_cube, read_measurements, write_cube,
 from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, project)
 from hsrec.transforms import (MAX_WALSH_LENGTH, HaarBasis, _haar_matrix,
-                              _walsh_rows)
+                              walsh_rows)
 from oracles import haar_matrix, rademacher_draw, walsh_matrix
 
 CASES = ("q=0", "0<q<m", "q=m", "m=n")
@@ -202,8 +202,8 @@ def test_walsh_matrix_matches_oracle_and_is_an_involution(n):
     w = walsh_matrix(n)
     # a leading-row prefix is the oracle's, bit for bit, at every length
     for count in (0, 1, n // 2, n):
-        assert np.array_equal(_walsh_rows(n, count), w[:count])
-    assert np.array_equal(_walsh_rows(n), w)
+        assert np.array_equal(walsh_rows(n, count), w[:count])
+    assert np.array_equal(walsh_rows(n), w)
     assert np.array_equal(w, w.T)
     v = np.random.default_rng(n).normal(size=(n, 3))
     assert np.allclose(w @ (w @ v), v, atol=1e-12)
@@ -212,7 +212,7 @@ def test_walsh_matrix_matches_oracle_and_is_an_involution(n):
 def test_walsh_length_is_capped():
     assert MAX_WALSH_LENGTH == 2048
     with pytest.raises(ValueError, match="at most 2048"):
-        _walsh_rows(4096)
+        walsh_rows(4096)
     with pytest.raises(ValueError, match="frame rows must be at most"):
         SpatialProjector(4096, 1, 1, 0, seed=0)
     with pytest.raises(ValueError, match="band count must be at most"):

@@ -11,10 +11,12 @@ import pytest
 
 import hsrec.sensing as sensing
 from hsrec import rng
+from hsrec.datacube import Datacube
+from hsrec.harness import ExperimentSpec, acquire_at_rates
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
-                           acquire, adjoint, default_lowpass_counts,
-                           operator_norm_estimate, project, rates_to_counts)
-from hsrec.transforms import fwht_sequency, zigzag_indices
+                           acquire, adjoint, default_lowpass_counts, project,
+                           rates_to_counts)
+from hsrec.transforms import walsh_rows, zigzag_indices
 from oracles import (rademacher_draw, spatial_matrix, spectral_matrix,
                      walsh_matrix)
 
@@ -167,8 +169,7 @@ def test_pure_lowpass_rows_are_walsh_coefficients():
     # q = m: spectral rows are the leading sequency coefficients
     sp = SpectralProjector(8, 3, 3, seed=9)
     x = np.random.default_rng(4).normal(size=(8, 5))
-    coeff = np.array([fwht_sequency(x[:, c]) for c in range(5)]).T
-    assert np.allclose(sp.apply(x), coeff[:3], atol=1e-12)
+    assert np.allclose(sp.apply(x), (walsh_rows(8) @ x)[:3], atol=1e-12)
     # spatial q = m: rows are zig-zag ordered 2-D coefficients
     pp = SpatialProjector(4, 4, 5, 5, seed=9)
     frame = np.random.default_rng(5).normal(size=(4, 4))
@@ -638,24 +639,24 @@ def test_numpy_integer_seeds_draw_like_plain_ints(kind):
     assert np.array_equal(*ys)
 
 
-def test_operator_norm_estimate_near_one(monkeypatch):
+def test_combined_norm_is_the_product_of_the_axis_norms():
+    # on column-major vec(X), X -> Phi_s X Phi_p^T is Phi_p kron Phi_s, whose
+    # top singular value is the product of the axes'
     pp = SpatialProjector(4, 4, 6, 2, seed=26)
     sp = SpectralProjector(8, 4, 1, seed=27)
-    est = operator_norm_estimate(sp, pp)
-    assert 0.0 < est <= 1.6
-    # the fused pass at y = 0 negates adjoint(project(v)) exactly and the
-    # norm ignores the sign: a cached and a chunked build give the estimate
-    # of the adjoint(project(.)) route to the last bit
-    for (n_v, n_h, n_s), limit in (((32, 32, 16), sensing._MATERIALIZE_LIMIT),
-                                   ((16, 16, 8), 0)):
-        monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
-        monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 16 * n_v * n_h)
-        m_p, m_s = rates_to_counts(0.3, 0.25, n_v * n_h, n_s)
-        pp = SpatialProjector(n_v, n_h, m_p, n_v * n_h // 10, seed=1)
-        sp = SpectralProjector(n_s, m_s, 1, seed=1)
-        assert (pp._cache is None) == (limit == 0)
-        routed = sensing._power_norm(
-            lambda v: adjoint(project(v.reshape(n_s, pp.n_p), sp, pp), sp,
-                              pp).ravel(),
-            n_s * pp.n_p, rng.stream(0, rng.COMBINED_NORM))
-        assert operator_norm_estimate(sp, pp) == routed
+    phi_s, phi_p = sp.apply(np.eye(8)), pp.apply(np.eye(16)).T
+    dense = np.stack([project(e.reshape(8, 16, order="F"), sp, pp)
+                      .ravel(order="F") for e in np.eye(8 * 16)], axis=1)
+    np.testing.assert_allclose(dense, np.kron(phi_p, phi_s), rtol=0,
+                               atol=1e-12)
+    assert np.linalg.norm(dense, 2) == pytest.approx(
+        np.linalg.norm(phi_s, 2) * np.linalg.norm(phi_p, 2), rel=1e-12)
+    # each axis is divided by a power-iteration estimate, which reads from
+    # below, so on the reference sweep every normalized axis norm is >= 1
+    spec, cube = ExperimentSpec(), Datacube(np.zeros((32, 32, 16)))
+    for r_p, r_s in spec.rates:
+        for seed in spec.seeds:
+            meas = acquire_at_rates(cube, r_p, r_s, 0.0, seed)
+            for norm in (np.linalg.norm(meas.spectral.apply(np.eye(16)), 2),
+                         np.linalg.norm(meas.spatial.apply(np.eye(1024)), 2)):
+                assert 1.0 - 1e-12 <= norm <= 1.02

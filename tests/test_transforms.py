@@ -6,8 +6,8 @@ import pytest
 import hsrec.transforms as transforms
 from hsrec.sensing import SpatialProjector
 from hsrec.transforms import (HaarBasis, SpectralBasis, basis_apply,
-                              fwht_sequency, learn_spectral_basis,
-                              sequency_row_order, zigzag_indices)
+                              learn_spectral_basis, sequency_row_order,
+                              walsh_rows, zigzag_indices)
 from oracles import haar_matrix, walsh_matrix, zigzag_order
 
 
@@ -33,28 +33,29 @@ def _haar2d(frm, direction="analysis"):
 # ---------------------------------------------------------------- Walsh
 
 def test_fwht_constant_and_impulse():
-    assert np.allclose(fwht_sequency(np.ones(4)), [2, 0, 0, 0])
-    assert np.allclose(fwht_sequency(np.array([1.0, 0, 0, 0])), [0.5] * 4)
+    assert np.allclose(walsh_rows(4) @ np.ones(4), [2, 0, 0, 0])
+    assert np.allclose(walsh_rows(4) @ np.array([1.0, 0, 0, 0]), [0.5] * 4)
 
 
 def test_fwht_requires_power_of_two():
     with pytest.raises(ValueError):
-        fwht_sequency(np.ones(6))
+        walsh_rows(6)
 
 
 def test_fwht_self_inverse():
     gen = np.random.default_rng(0)
     for n in (2, 4, 16, 64):
         v = gen.normal(size=n)
-        assert np.allclose(fwht_sequency(fwht_sequency(v)), v, atol=1e-12)
+        w = walsh_rows(n)
+        assert np.allclose(w @ (w @ v), v, atol=1e-12)
 
 
 def test_fwht_linear():
     gen = np.random.default_rng(1)
     v, w = gen.normal(size=16), gen.normal(size=16)
-    lhs = fwht_sequency(2.5 * v - 0.5 * w)
-    assert np.allclose(lhs, 2.5 * fwht_sequency(v) - 0.5 * fwht_sequency(w),
-                       atol=1e-12)
+    wht = walsh_rows(16)
+    lhs = wht @ (2.5 * v - 0.5 * w)
+    assert np.allclose(lhs, 2.5 * (wht @ v) - 0.5 * (wht @ w), atol=1e-12)
 
 
 def test_fwht_matches_dense_walsh():
@@ -62,7 +63,7 @@ def test_fwht_matches_dense_walsh():
     for n in (2, 8, 32):
         w = walsh_matrix(n)
         v = gen.normal(size=n)
-        assert np.allclose(fwht_sequency(v), w @ v, atol=1e-12)
+        assert np.allclose(walsh_rows(n) @ v, w @ v, atol=1e-12)
 
 
 def test_sequency_order_small_sizes():
@@ -78,8 +79,7 @@ def test_sequency_order_refuses_lengths_over_the_cap():
 def test_sequency_rows_have_ascending_sign_changes():
     # row k of the implied matrix must flip sign exactly k times
     for n in (2, 4, 8, 16, 64, 256):
-        e = np.eye(n)
-        mat = np.array([fwht_sequency(e[k]) for k in range(n)]).T
+        mat = walsh_rows(n)
         assert np.allclose(mat.T @ mat, np.eye(n), atol=1e-12)
         for k in range(n):
             signs = np.sign(mat[k])
@@ -285,7 +285,6 @@ def test_basis_apply_rejects_bad_input():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: fwht_sequency(np.ones((2, 2))), "expected a vector"),
     (lambda: zigzag_indices(0, 4), "grid dimensions must be >= 1"),
     (lambda: SpectralBasis(np.ones((2, 3))), "must be square"),
     (lambda: SpectralBasis(np.full((2, 2), np.nan)), "must be finite"),
@@ -296,7 +295,7 @@ def test_basis_apply_rejects_bad_input():
      "does not match a 4x2 grid"),
     (lambda: HaarBasis(4, 2).synthesize(np.zeros(8)),
      "does not match a 4x2 grid"),
-], ids=["fwht-matrix", "zigzag-empty-grid", "basis-not-square",
+], ids=["zigzag-empty-grid", "basis-not-square",
         "basis-not-finite", "learn-no-samples", "learn-not-finite",
         "haar-analyze-columns", "haar-synthesize-vector"])
 def test_malformed_input_is_refused(call, message):
