@@ -8,7 +8,12 @@ the TV part of the term f the solvers step along.
 
 import numpy as np
 
-from .datacube import checked_frames, matrix_from_frames
+from .datacube import checked_frames
+
+# The least nonzero pair norm, the square root of the least subnormal. Where
+# a norm is zero, both differences are below it in size, so (dv, dh) divided
+# by it is a vector of norm at most 1: a subgradient, +/-0 for exact zeros.
+_NORM_FLOOR = 2.0 ** -537
 
 
 def prox_l1(z, xi):
@@ -16,7 +21,7 @@ def prox_l1(z, xi):
     if xi < 0:
         raise ValueError(f"threshold weight must be >= 0, got {xi}")
     z = np.asarray(z, dtype=np.float64)
-    return np.sign(z) * np.maximum(np.abs(z) - xi, 0.0)
+    return z - np.clip(z, -xi, xi)
 
 
 def tv_sum_and_subgradient(x, n_v, n_h):
@@ -28,22 +33,27 @@ def tv_sum_and_subgradient(x, n_v, n_h):
     with the differences zero at the far edges.
     Subgradient entry (i, j) sums three contributions: +dv(i-1,j)/||d(i-1,j)||
     when i > 0, +dh(i,j-1)/||d(i,j-1)|| when j > 0, and
-    -(dv+dh)(i,j)/||d(i,j)||, each dropped where the pair norm is zero. It
-    equals the gradient wherever tv is differentiable.
+    -(dv+dh)(i,j)/||d(i,j)||, each +/-0 where the pair norm and its
+    differences are zero. It equals the gradient wherever tv is
+    differentiable.
     """
-    frames = checked_frames(x, n_v, n_h)
-    dv = np.zeros_like(frames)
-    dh = np.zeros_like(frames)
-    dv[..., :-1, :] = frames[..., 1:, :] - frames[..., :-1, :]
-    dh[..., :, :-1] = frames[..., :, 1:] - frames[..., :, :-1]
-    norm = np.sqrt(dv * dv + dh * dh)
-    # unit difference vectors where the pair norm is nonzero (exact test)
-    nz = norm > 0.0
-    uv = np.zeros_like(dv)
-    uh = np.zeros_like(dh)
-    np.divide(dv, norm, out=uv, where=nz)
-    np.divide(dh, norm, out=uh, where=nz)
-    g = -(uv + uh)
-    g[..., 1:, :] += uv[..., :-1, :]
-    g[..., :, 1:] += uh[..., :, :-1]
-    return float(norm.sum(axis=(-2, -1)).sum()), matrix_from_frames(g)
+    # (rows, n_h, n_v) frames in the matrix's own order, vertical index last
+    cols = checked_frames(x, n_v, n_h).swapaxes(-1, -2)
+    dv = np.empty_like(cols)
+    dh = np.empty_like(cols)
+    dv[..., -1] = 0.0
+    dh[..., -1, :] = 0.0
+    np.subtract(cols[..., 1:], cols[..., :-1], out=dv[..., :-1])
+    np.subtract(cols[..., 1:, :], cols[..., :-1, :], out=dh[..., :-1, :])
+    norm = dv * dv
+    norm += dh * dh
+    np.sqrt(norm, out=norm)
+    total = float(norm.sum(axis=(-2, -1)).sum())
+    # unit difference vectors, in place; only zero norms meet the floor
+    np.maximum(norm, _NORM_FLOOR, out=norm)
+    dv /= norm
+    dh /= norm
+    g = np.negative(np.add(dv, dh, out=norm), out=norm)
+    g[..., 1:] += dv[..., :-1]
+    g[..., 1:, :] += dh[..., :-1, :]
+    return total, g.reshape(-1, n_v * n_h)

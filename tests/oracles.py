@@ -8,6 +8,9 @@ matrices from explicit outer-product rows. Tests compare the library's
 fast paths against these dense forms. The transformed prox is checked by
 cvxpy when it is installed and by an optimality certificate otherwise.
 Old-layout HSM1 measurement files are cut from HSM2 files byte by byte.
+The soft threshold and the TV value and subgradient are also kept in their
+first, frame-layout form, which the in-place library forms must match bit
+for bit.
 """
 
 import numpy as np
@@ -88,6 +91,33 @@ def prox_l1_grid(z, xi):
         u = np.linspace(best - 2 * step, best + 2 * step, 2001)
         out[k] = u[np.argmin(xi * np.abs(u) + 0.5 * (zk - u) ** 2)]
     return out.reshape(z.shape)
+
+
+def prox_l1_signs(z, xi):
+    """Soft threshold as sign(z) * max(|z| - xi, 0)."""
+    return np.sign(z) * np.maximum(np.abs(z) - xi, 0.0)
+
+
+def tv_frames(x, n_v, n_h):
+    """(TV sum, subgradient matrix) on (rows, n_v, n_h) frames: zero-padded
+    forward differences, unit vectors by masked division where the pair
+    norm is nonzero (0 elsewhere), the same per-frame-then-total sum."""
+    frames = x.reshape(-1, n_h, n_v).swapaxes(-1, -2)
+    dv = np.zeros_like(frames)
+    dh = np.zeros_like(frames)
+    dv[..., :-1, :] = frames[..., 1:, :] - frames[..., :-1, :]
+    dh[..., :, :-1] = frames[..., :, 1:] - frames[..., :, :-1]
+    norm = np.sqrt(dv * dv + dh * dh)
+    nz = norm > 0.0
+    uv = np.zeros_like(dv)
+    uh = np.zeros_like(dh)
+    np.divide(dv, norm, out=uv, where=nz)
+    np.divide(dh, norm, out=uh, where=nz)
+    g = -(uv + uh)
+    g[..., 1:, :] += uv[..., :-1, :]
+    g[..., :, 1:] += uh[..., :, :-1]
+    total = float(norm.sum(axis=(-2, -1)).sum())
+    return total, g.swapaxes(-1, -2).reshape(len(g), -1)
 
 
 def prox_transformed_error(u, z, xi, a, b):

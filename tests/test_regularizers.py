@@ -4,7 +4,8 @@ import pytest
 from hsrec.regularizers import prox_l1, tv_sum_and_subgradient
 from hsrec.solvers import prox_transformed
 from hsrec.transforms import HaarBasis, SpectralBasis
-from oracles import haar_matrix, prox_l1_grid, prox_transformed_error
+from oracles import (haar_matrix, prox_l1_grid, prox_l1_signs,
+                     prox_transformed_error, tv_frames)
 
 
 # ---------------------------------------------------------------- soft threshold
@@ -46,6 +47,25 @@ def test_prox_l1_optimality():
     base = objective(u)
     for _ in range(20):
         assert base <= objective(u + 0.01 * gen.normal(size=u.shape)) + 1e-12
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.5, np.inf, np.nan])
+def test_prox_l1_values_match_the_sign_form(xi):
+    # z - clip(z, -xi, xi) against sign(z) * max(|z| - xi, 0): the same
+    # values, infinities and NaNs; only the sign of a zero may differ
+    gen = np.random.default_rng(9)
+    z = np.concatenate([gen.normal(size=20),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, -0.5]])
+    with np.errstate(invalid="ignore"):  # inf - inf, in both forms
+        got, want = prox_l1(z, xi), prox_l1_signs(z, xi)
+    assert np.array_equal(got, want, equal_nan=True)
+    # a thresholded entry is +0, where the sign form gives -0 for z < 0
+    assert not np.signbit(got[np.isfinite(z) & (np.abs(z) <= xi)]).any()
+
+
+def test_prox_l1_refuses_a_negative_infinite_weight():
+    with pytest.raises(ValueError):
+        prox_l1(np.ones(3), -np.inf)
 
 
 # ---------------------------------------------------------------- transformed prox
@@ -155,3 +175,27 @@ def test_tv_sum_constant_cube():
 def test_tv_sum_shape_validation():
     with pytest.raises(ValueError):
         tv_sum_and_subgradient(np.zeros((2, 15)), 4, 4)
+
+
+def _flat_regions(gen, rows, n_v, n_h):
+    """Frames of constant 2x4 blocks (+0 in some), one block noisy."""
+    blocks = gen.integers(0, 3, size=(rows, n_v // 2, n_h // 4)).astype(float)
+    frames = np.kron(blocks, np.ones((2, 4)))
+    frames[:, :2, :4] += gen.normal(size=(rows, 2, 4))
+    return frames.swapaxes(-1, -2).reshape(rows, -1)
+
+
+@pytest.mark.parametrize("n_v, n_h, make", [
+    (8, 16, _flat_regions),  # zero-difference regions, +0 frames included
+    (8, 16, lambda gen, rows, n_v, n_h: gen.normal(size=(rows, n_v * n_h))),
+    (1, 16, lambda gen, rows, n_v, n_h: gen.normal(size=(rows, n_v * n_h))),
+    (16, 1, lambda gen, rows, n_v, n_h: gen.normal(size=(rows, n_v * n_h))),
+    (1, 1, lambda gen, rows, n_v, n_h: gen.normal(size=(rows, n_v * n_h))),
+], ids=["flat-regions", "8x16", "1x16", "16x1", "1x1"])
+def test_tv_bits_match_the_frame_layout_form(n_v, n_h, make):
+    x = make(np.random.default_rng(10), 3, n_v, n_h)
+    total, sub = tv_sum_and_subgradient(x, n_v, n_h)
+    want_total, want_sub = tv_frames(x, n_v, n_h)
+    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+    assert sub.shape == x.shape
+    assert sub.tobytes() == want_sub.tobytes()
