@@ -19,10 +19,11 @@ odd); the rest of 1/sqrt(n_p), a power of two, is a gain on each product,
 so every output and scale is that of +/-1/sqrt(n_p) rows bit for bit.
 Small spatial rows are also cached as float64; large ones are expanded
 chunk by chunk instead of being held whole, once per apply, adjoint or
-residual_and_adjoint. That fused pass runs both products of a chunk while
-it is expanded: the solvers make one per iterate, and the spatial power
-iteration one per step, at y = 0. A pass picks its chunk size from its
-row count (see _WORKSET_BYTES).
+residual_and_adjoint. Either way a pass sweeps the rows in chunks whose
+size it picks from its row count (see _WORKSET_BYTES): a chunk is expanded
+into one reused buffer, or is a view of the cache. The fused pass runs both
+products of a chunk while it is in cache: the solvers make one per iterate,
+and the spatial power iteration one per step, at y = 0.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
@@ -50,15 +51,25 @@ from .transforms import check_pow2, walsh_rows, zigzag_indices
 # Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
 # spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
 # entries of them are also cached as float64, more are expanded in row
-# chunks once per apply, adjoint and fused residual-and-adjoint pass. A pass
+# chunks once per apply, adjoint and fused residual-and-adjoint pass. Every
+# pass sweeps the rows in chunks, expanded or sliced from the cache, so that
+# the fused pass reads each chunk from memory once for both products. A pass
 # over m input rows whose input, accumulator and product blocks (24 m n_p
-# bytes) take at most two thirds of _WORKSET_BYTES fills the rest with each
-# chunk, at most _CHUNK_ENTRIES entries, so that both stay in a 2 MiB L2
-# cache: 24 rows at 64x64 with m = 8, not 256. Other passes keep
-# _CHUNK_ENTRIES chunks, since smaller ones ran slower there: a fused pass at
-# 64x64 took 25 and 28 ms in the 12 and 9 rows this rule would give m = 12
-# and 13 against 23 and 24 ms in 256, and at 128x128 with m = 8 276 ms in
-# 4 rows against 186 ms in 64.
+# bytes) take at most two thirds of a budget B fills the rest of B with each
+# chunk, so that both stay in a 2 MiB L2 cache. An expanded chunk, at most
+# _CHUNK_ENTRIES entries, has B = _WORKSET_BYTES: 24 rows at 64x64 with
+# m = 8, not 256. A cached slice, which BLAS copies into a packed buffer as it
+# reads it, has half: 72 rows at 32x32 with m = 8, 84 with m = 4 and 21 in a
+# 64x64 norm pass (m = 1). Timed on a 2-vCPU Xeon (2 MiB L2 per core), one
+# BLAS thread, medians of 9: slicing took the fused pass at 32x32x16, rates
+# (0.5, 0.5), from 783 to 540 us and at (0.3, 0.25) from 173 to 162 us, and
+# that 64x64 norm pass from 2320 to 1964 us; 168-row slices (the full budget)
+# took 748 us, and halving the budget of expanded chunks too took the fused
+# pass at 64x64x32, rates (0.5, 0.25), from 11.6 to 16.9 ms. Past the rule's
+# bound a pass takes _CHUNK_ENTRIES chunks or the whole cache, since smaller
+# chunks ran slower there: a fused pass at 64x64 took 25 and 28 ms in the 12
+# and 9 rows the rule would give m = 12 and 13 against 23 and 24 ms in 256,
+# and at 128x128 with m = 8 276 ms in 4 rows against 186 ms in 64.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _WORKSET_BYTES = 3 << 19
@@ -199,20 +210,21 @@ class SpatialProjector:
 
     def _blocks(self, m):
         """(first output row, Rademacher rows) pairs for a pass over m input
-        rows: the cached block when there is one, else chunks sized by the
-        _WORKSET_BYTES rule, expanded into one buffer reused per call."""
-        q = self.q_p
-        if self._cache is not None:
-            yield q, self._cache
-            return
-        rows, n = self.m_p - q, self.n_p
-        chunk = self._chunk
-        if 3 * 24 * m * n <= 2 * _WORKSET_BYTES:
-            chunk = min((_WORKSET_BYTES - 24 * m * n) // (8 * n), chunk)
-        buf = np.empty((min(chunk, rows), n))
+        rows, in slices sized by the _WORKSET_BYTES rule: views of the cached
+        block when there is one, else chunks expanded into one buffer
+        reused per call."""
+        rows, n, cache = self.m_p - self.q_p, self.n_p, self._cache
+        chunk, budget = self._chunk, _WORKSET_BYTES
+        if cache is not None:
+            chunk, budget = max(rows, 1), _WORKSET_BYTES // 2
+        if 3 * 24 * m * n <= 2 * budget:
+            chunk = min((budget - 24 * m * n) // (8 * n), chunk)
+        buf = None if cache is not None else np.empty((min(chunk, rows), n))
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
-            yield q + lo, self._expand(lo, hi, buf[:hi - lo])
+            block = (cache[lo:hi] if buf is None
+                     else self._expand(lo, hi, buf[:hi - lo]))
+            yield self.q_p + lo, block
 
     def _low(self, x):
         coeff = self._wv @ frames_from_matrix(x, self.n_v, self.n_h) @ self._wh.T

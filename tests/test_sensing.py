@@ -377,7 +377,8 @@ def _written_out_passes(pp, rad, chunk_rows, x, y):
             resid, s * (pp._low_adjoint(resid[..., :q]) + fused_back))
 
 
-@pytest.mark.parametrize("layout", ["cached", "chunked", "rule-sized"])
+@pytest.mark.parametrize("layout",
+                         ["cached", "cached-sliced", "chunked", "rule-sized"])
 @pytest.mark.parametrize("n_v, n_h, m_p, q_p", [
     (8, 8, 20, 0), (8, 8, 20, 5),      # log2 n_p even: +/-1 rows
     (8, 16, 40, 0), (8, 16, 40, 7),    # log2 n_p odd: +/-1/sqrt(2) rows
@@ -390,7 +391,12 @@ def test_operator_bits_match_written_out_dense_rows(monkeypatch, layout,
     # those of a power iteration run on them
     n, rows = n_v * n_h, m_p - q_p
     pass_rows = norm_rows = rows
-    if layout != "cached":
+    if layout == "cached-sliced":
+        # a cached slice gets half the budget: the 3-row passes below take
+        # 5-row slices of the cache and the 1-row norm passes 11-row ones
+        pass_rows, norm_rows = 5, 11
+        monkeypatch.setattr(sensing, "_WORKSET_BYTES", 2 * (24 * 3 + 8 * 5) * n)
+    elif layout != "cached":
         pass_rows = norm_rows = 3
         monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
         monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * n)
@@ -402,7 +408,7 @@ def test_operator_bits_match_written_out_dense_rows(monkeypatch, layout,
         monkeypatch.setattr(sensing, "_WORKSET_BYTES", (24 * 3 + 8 * 5) * n)
     pp = SpatialProjector(n_v, n_h, m_p, q_p, seed=19)
     unit = SpatialProjector(n_v, n_h, m_p, q_p, seed=19, scale=1.0)
-    assert (pp._cache is None) == (layout != "cached")
+    assert (pp._cache is None) == (not layout.startswith("cached"))
     rad = spatial_matrix(unit)[q_p:]  # the dense +/-1/sqrt(n_p) rows
     gen = np.random.default_rng(20)
     x, y = gen.normal(size=(3, n)), gen.normal(size=(3, m_p))
@@ -424,26 +430,37 @@ def test_operator_bits_match_written_out_dense_rows(monkeypatch, layout,
     assert pp.scale == 1.0 / float(np.sqrt(sigma2))
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["chunked", "cached"])
 @pytest.mark.parametrize("lead, chunk_rows", [
-    ((8,), 12),     # (W - 24 * 8 * 64) // (8 * 64): the blocks take 2/3 of W
+    ((8,), 12),     # (B - 24 * 8 * 64) // (8 * 64): the blocks take 2/3 of B
     ((2, 4), 12),   # m is the product of the leading axes
     ((), 33),       # a 1-row pass, as in the norm estimate, is sized too
-    ((9,), 40),     # 24 * 9 * 64 > 2/3 W: the rule's 9 rows are not used
+    ((9,), None),   # 24 * 9 * 64 > 2/3 B: the rule's 9 rows are not used
 ], ids=["m=8", "m=2x4", "m=1", "m=9"])
-def test_pass_chunks_follow_the_workset_rule(monkeypatch, lead, chunk_rows):
-    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
+def test_pass_chunks_follow_the_workset_rule(monkeypatch, cached, lead,
+                                             chunk_rows):
+    # the budget B is _WORKSET_BYTES for an expanded chunk and half of it
+    # for a slice of the cached block; past the rule's bound a pass takes
+    # _CHUNK_ENTRIES chunks or the whole cache
+    budget = (24 * 8 + 8 * 12) * 64
+    monkeypatch.setattr(sensing, "_WORKSET_BYTES", budget * (1 + cached))
+    monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 64 * 64 * cached)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 40 * 64)
-    monkeypatch.setattr(sensing, "_WORKSET_BYTES", (24 * 8 + 8 * 12) * 64)
     pp = SpatialProjector(8, 8, 64, 0, seed=15, scale=0.5)
-    assert pp._chunk == 40
+    assert pp._chunk == 40 and (pp._cache is not None) == cached
+    if chunk_rows is None:
+        chunk_rows = 64 if cached else 40
     calls = []
-    expand = SpatialProjector._expand
+    blocks = SpatialProjector._blocks
 
-    def spy(self, lo, hi, out):
-        calls.append((lo, hi))
-        return expand(self, lo, hi, out)
+    def spy(self, m):
+        for lo, block in blocks(self, m):
+            # a cached slice is a view of the cache, never a copy
+            assert (block.base is self._cache) == cached
+            calls.append((lo, lo + len(block)))
+            yield lo, block
 
-    monkeypatch.setattr(SpatialProjector, "_expand", spy)
+    monkeypatch.setattr(SpatialProjector, "_blocks", spy)
     want = [(lo, min(lo + chunk_rows, 64)) for lo in range(0, 64, chunk_rows)]
     gen = np.random.default_rng(21)
     x, y = gen.normal(size=lead + (64,)), gen.normal(size=lead + (64,))

@@ -262,6 +262,26 @@ def test_rule_sized_chunks_drift_within_tolerance(monkeypatch):
                     relative_error(x, x_old), rel=1e-4)
 
 
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_cached_slices_drift_within_tolerance(monkeypatch, seed):
+    # the 4-row passes of a 16x16x8 solve read the cached 102-row block in
+    # 6-row slices at this budget and whole with _WORKSET_BYTES = 0: only the
+    # adjoint's summation order differs. A default hybrid run stops alike,
+    # and its error to the truth agrees to 1e-4, the benchmark's gate
+    x, meas, basis = _desk_measurements(seed=seed)
+    assert meas.spatial._cache is not None and meas.y.shape[0] == 4
+    runs = []
+    for workset in (2 * (24 * 4 + 8 * 6) * 256, 0):
+        monkeypatch.setattr(sensing, "_WORKSET_BYTES", workset)
+        runs.append(recover_hybrid(meas, basis, default_hybrid_config()))
+    (x_sliced, t_sliced), (x_whole, t_whole) = runs
+    assert (t_sliced.iterations, t_sliced.reason) == (t_whole.iterations,
+                                                      t_whole.reason)
+    assert not np.array_equal(x_sliced, x_whole)
+    assert relative_error(x, x_sliced) == pytest.approx(
+        relative_error(x, x_whole), rel=1e-4)
+
+
 def test_zero_l1_weight_skips_the_prox(monkeypatch):
     _, meas = _small_measurements()
     ident = SpectralBasis(np.eye(8))
