@@ -1,30 +1,32 @@
 """Time the sensing operator at paper scale and print one JSON line.
 
-At rates (0.3, 0.25) and seed 1, on 128x128x32 unless --grid names
-another size, this acquires the phantom through harness.acquire_at_rates
-and times the spatial projector's build (spatial_build_s, a default build
-with its 50-step power-iteration norm estimate) and a build given the
-estimated scale (draw_s: the Philox draw, the sign packing and, for at
-most _MATERIALIZE_LIMIT Rademacher entries, their float64 cache, but no
-power iteration). The probe fails unless that build applies bit for bit
-like the default one. norm_s, the norm estimate's share, is their
-difference. It then times one pass over the spatial Rademacher rows as a
-solver's operator calls see them (expand_s: the chunk expansion alone, in
-the chunks a pass over the m_s spectral rows expands, near 0 when the rows
-are cached as float64), `project`, `adjoint`, one fused
-`residual_and_adjoint` pass (the solvers' per-iterate operator call),
-`read_measurements` of an HSM2 file of its own acquisition (read_s; the
-probe fails unless both stored scales read back equal) and one hybrid
-iteration on the default weights; the iteration is the difference of a
-1-iteration and a (1 + k)-iteration solve, divided by k = 2, so the
-solver's setup is not counted. calib_s times a fixed float64 product,
-a seeded (8, 4096) @ (4096, 1024) that does not depend on --grid: a
-time divided by it can be compared across hosts and sessions. Every time
-except norm_s is the median of 5 runs.
+At seed 1, on 128x128x32 unless --grid names another size and at rates
+(0.3, 0.25) unless --rates names others, this acquires the phantom
+through harness.acquire_at_rates and times the spatial projector's build
+(spatial_build_s, a default build with its 50-step power-iteration norm
+estimate) and a build given the estimated scale (draw_s: the Philox
+draw, the sign packing and, for at most _MATERIALIZE_LIMIT Rademacher
+entries, their float64 cache, but no power iteration). The probe fails
+unless that build applies bit for bit like the default one. norm_s, the
+norm estimate's share, is their difference. It then times one pass over
+the spatial Rademacher rows as a solver's operator calls see them
+(expand_s: the chunk expansion alone, in the chunks a pass over the m_s
+spectral rows expands, near 0 when the rows are cached as float64),
+`project`, `adjoint`, one fused `residual_and_adjoint` pass (the
+solvers' per-iterate operator call), `read_measurements` of an HSM2 file
+of its own acquisition (read_s; the probe fails unless both stored
+scales read back equal) and one hybrid iteration on the default weights;
+the iteration is the difference of a 1-iteration and a (1 + k)-iteration
+solve, divided by k = 2, so the solver's setup is not counted. calib_s
+times a fixed float64 product, a seeded (8, 4096) @ (4096, 1024) that
+does not depend on --grid: a time divided by it can be compared across
+hosts and sessions. Every time except norm_s is the median of 5 runs.
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
     PYTHONPATH=src python3 scripts/operator_probe.py --grid 32x32x16
+    PYTHONPATH=src python3 scripts/operator_probe.py --grid 32x32x16 \
+        --rates 0.5:0.5
 """
 
 import argparse
@@ -42,7 +44,6 @@ from hsrec import formats, harness, sensing, solvers, transforms
 from hsrec.datacube import as_band_pixel_matrix
 
 
-RATES = (0.3, 0.25)
 SEED = 1
 REPEATS = 5
 EXTRA_ITERS = 2
@@ -63,12 +64,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", default="128x128x32",
                         help="n_v x n_h x n_s (default 128x128x32)")
+    parser.add_argument("--rates", default="0.3:0.25",
+                        help="r_p:r_s (default 0.3:0.25)")
     args = parser.parse_args()
     n_v, n_h, n_s = (int(tok) for tok in args.grid.split("x"))
+    r_p, r_s = (float(tok) for tok in args.rates.split(":"))
     cube = harness.generate_phantom(
         harness.PhantomSpec(n_v, n_h, n_s, seed=0))
     x = as_band_pixel_matrix(cube)
-    meas = harness.acquire_at_rates(cube, *RATES, 0.01, SEED)
+    meas = harness.acquire_at_rates(cube, r_p, r_s, 0.01, SEED)
     sp, pp = meas.spectral, meas.spatial
 
     def build(**scale):
@@ -108,7 +112,7 @@ def main():
     a, b = (gen.standard_normal(shape) for shape in CALIB_SHAPES)
     calib_s = _median_seconds(lambda: a @ b)
     print(json.dumps({
-        "grid": args.grid, "rates": list(RATES), "seed": SEED,
+        "grid": args.grid, "rates": [r_p, r_s], "seed": SEED,
         "counts": {"m_p": pp.m_p, "q_p": pp.q_p, "m_s": sp.m_s, "q_s": sp.q_s},
         "rademacher_entries": (pp.m_p - pp.q_p) * pp.n_p,
         "spatial_build_s": spatial_build_s, "draw_s": draw_s,

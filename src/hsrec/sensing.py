@@ -39,6 +39,7 @@ acquisition, so reading one skips the power iteration.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -50,26 +51,27 @@ from .transforms import check_pow2, walsh_rows, zigzag_indices
 
 # Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
 # spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
-# entries of them are also cached as float64, more are expanded in row
-# chunks once per apply, adjoint and fused residual-and-adjoint pass. Every
-# pass sweeps the rows in chunks, expanded or sliced from the cache, so that
-# the fused pass reads each chunk from memory once for both products. A pass
-# over m input rows whose input, accumulator and product blocks (24 m n_p
-# bytes) take at most two thirds of a budget B fills the rest of B with each
-# chunk, so that both stay in a 2 MiB L2 cache. An expanded chunk, at most
+# entries of them are also cached as float64, more are expanded in row chunks
+# once per apply, adjoint and fused residual-and-adjoint pass. Every pass
+# sweeps the rows in chunks, expanded or sliced from the cache, so that the
+# fused pass reads each chunk from memory once for both products. A pass over
+# m input rows whose input, accumulator and product blocks (24 m n_p bytes)
+# take at most two thirds of a budget B fills the rest of B with each chunk,
+# so that both stay in a 2 MiB L2 cache. An expanded chunk, at most
 # _CHUNK_ENTRIES entries, has B = _WORKSET_BYTES: 24 rows at 64x64 with
-# m = 8, not 256. A cached slice, which BLAS copies into a packed buffer as it
-# reads it, has half: 72 rows at 32x32 with m = 8, 84 with m = 4 and 21 in a
-# 64x64 norm pass (m = 1). Timed on a 2-vCPU Xeon (2 MiB L2 per core), one
-# BLAS thread, medians of 9: slicing took the fused pass at 32x32x16, rates
-# (0.5, 0.5), from 783 to 540 us and at (0.3, 0.25) from 173 to 162 us, and
-# that 64x64 norm pass from 2320 to 1964 us; 168-row slices (the full budget)
-# took 748 us, and halving the budget of expanded chunks too took the fused
-# pass at 64x64x32, rates (0.5, 0.25), from 11.6 to 16.9 ms. Past the rule's
-# bound a pass takes _CHUNK_ENTRIES chunks or the whole cache, since smaller
-# chunks ran slower there: a fused pass at 64x64 took 25 and 28 ms in the 12
-# and 9 rows the rule would give m = 12 and 13 against 23 and 24 ms in 256,
-# and at 128x128 with m = 8 276 ms in 4 rows against 186 ms in 64.
+# m = 8, not 256. A cached slice has half, room also for the packed copy BLAS
+# makes of it (Goto and van de Geijn, ACM TOMS 2008), which timed best: 72
+# rows at 32x32 with m = 8, 84 with m = 4 and 21 in a 64x64 norm pass
+# (m = 1). Timed on a 2-vCPU Xeon (2 MiB L2 per core), one BLAS thread,
+# medians of 9: slicing took the fused pass at 32x32x16, rates (0.5, 0.5),
+# from 783 to 540 us and at (0.3, 0.25) from 173 to 162 us, and that 64x64
+# norm pass from 2320 to 1964 us; 168-row slices (the full budget) took 748
+# us, and halving the budget of expanded chunks too took the fused pass at
+# 64x64x32, rates (0.5, 0.25), from 11.6 to 16.9 ms. Past the rule's bound a
+# pass takes _CHUNK_ENTRIES chunks or the whole cache, since smaller chunks
+# ran slower there: a fused pass at 64x64 took 25 and 28 ms in the 12 and 9
+# rows the rule would give m = 12 and 13 against 23 and 24 ms in 256, and at
+# 128x128 with m = 8 276 ms in 4 rows against 186 ms in 64.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
 _WORKSET_BYTES = 3 << 19
@@ -80,9 +82,11 @@ _MAX_RADEMACHER_ENTRIES = 1 << 31
 
 
 def check_rates(r_p, r_s):
+    """A ValueError unless each rate is a real number in (0, 1], not a bool."""
     for rate, what in ((r_p, "spatial"), (r_s, "spectral")):
-        if not 0.0 < rate <= 1.0:
-            raise ValueError(f"{what} rate must be in (0, 1], got {rate}")
+        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
+                or not 0.0 < rate <= 1.0):
+            raise ValueError(f"{what} rate must be in (0, 1], got {rate!r}")
 
 
 def rates_to_counts(r_p, r_s, n_p, n_s):
@@ -219,12 +223,11 @@ class SpatialProjector:
             chunk, budget = max(rows, 1), _WORKSET_BYTES // 2
         if 3 * 24 * m * n <= 2 * budget:
             chunk = min((budget - 24 * m * n) // (8 * n), chunk)
-        buf = None if cache is not None else np.empty((min(chunk, rows), n))
+        buf = np.empty((min(chunk, rows), n)) if cache is None else None
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
-            block = (cache[lo:hi] if buf is None
-                     else self._expand(lo, hi, buf[:hi - lo]))
-            yield self.q_p + lo, block
+            yield self.q_p + lo, (cache[lo:hi] if cache is not None
+                                  else self._expand(lo, hi, buf[:hi - lo]))
 
     def _low(self, x):
         coeff = self._wv @ frames_from_matrix(x, self.n_v, self.n_h) @ self._wh.T

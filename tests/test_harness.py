@@ -155,7 +155,8 @@ def test_experiment_spec_validation():
                    {"seeds": "5"}):
         with pytest.raises(ValueError, match="must be a non-empty sequence"):
             ExperimentSpec(**kwargs)
-    for rate in ((0.0, 0.5), (0.5, 1.5), (-0.1, 0.5)):
+    for rate in ((0.0, 0.5), (0.5, 1.5), (-0.1, 0.5), (True, 0.5),
+                 ("0.3", 0.25), (0.5, None)):
         # the rate rule's own message, as rates_to_counts gives it
         with pytest.raises(ValueError) as rule:
             check_rates(*rate)

@@ -21,6 +21,8 @@ def test_soft_threshold_rejects_negative_weight():
         prox_l1(1.0, -0.1)
     with pytest.raises(ValueError):
         prox_l1(np.ones(3), -0.1)
+    with pytest.raises(ValueError):
+        prox_l1(np.ones(3), -np.inf)
 
 
 def test_prox_l1_edge_weights():
@@ -61,11 +63,6 @@ def test_prox_l1_values_match_the_sign_form(xi):
     assert np.array_equal(got, want, equal_nan=True)
     # a thresholded entry is +0, where the sign form gives -0 for z < 0
     assert not np.signbit(got[np.isfinite(z) & (np.abs(z) <= xi)]).any()
-
-
-def test_prox_l1_refuses_a_negative_infinite_weight():
-    with pytest.raises(ValueError):
-        prox_l1(np.ones(3), -np.inf)
 
 
 # ---------------------------------------------------------------- transformed prox

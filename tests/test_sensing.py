@@ -33,8 +33,11 @@ def test_rates_to_counts_reference_sizes():
 
 
 def test_rates_to_counts_rejects_bad_rates():
-    for r_p, r_s in ((0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (0.5, 1.5)):
-        with pytest.raises(ValueError):
+    # a bool is not read as 1, and a rate that is not a real number is
+    # refused by the rate rule, not by a failed comparison
+    for r_p, r_s in ((0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (0.5, 1.5),
+                     (True, 0.5), (0.5, np.True_), ("0.3", 0.25), (0.5, None)):
+        with pytest.raises(ValueError, match=r"rate must be in \(0, 1\]"):
             rates_to_counts(r_p, r_s, 64, 8)
 
 
@@ -430,13 +433,20 @@ def test_operator_bits_match_written_out_dense_rows(monkeypatch, layout,
     assert pp.scale == 1.0 / float(np.sqrt(sigma2))
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["chunked", "cached"])
-@pytest.mark.parametrize("lead, chunk_rows", [
-    ((8,), 12),     # (B - 24 * 8 * 64) // (8 * 64): the blocks take 2/3 of B
-    ((2, 4), 12),   # m is the product of the leading axes
-    ((), 33),       # a 1-row pass, as in the norm estimate, is sized too
-    ((9,), None),   # 24 * 9 * 64 > 2/3 B: the rule's 9 rows are not used
-], ids=["m=8", "m=2x4", "m=1", "m=9"])
+@pytest.mark.parametrize("cached, lead, chunk_rows", [
+    # (B - 24 * 8 * 64) // (8 * 64): the blocks take 2/3 of B
+    pytest.param(False, (8,), 12, id="m=8"),
+    # m is the product of the leading axes
+    pytest.param(False, (2, 4), 12, id="m=2x4"),
+    # a 1-row pass, as in the norm estimate, is sized too
+    pytest.param(False, (), 33, id="m=1"),
+    # 24 * 9 * 64 > 2/3 B: the rule's 9 rows are not used
+    pytest.param(False, (9,), 40, id="m=9"),
+    pytest.param(True, (8,), 12, id="cached-m=8"),
+    pytest.param(True, (2, 4), 12, id="cached-m=2x4"),
+    pytest.param(True, (), 33, id="cached-m=1"),
+    pytest.param(True, (9,), 64, id="cached-m=9"),
+])
 def test_pass_chunks_follow_the_workset_rule(monkeypatch, cached, lead,
                                              chunk_rows):
     # the budget B is _WORKSET_BYTES for an expanded chunk and half of it
@@ -448,8 +458,6 @@ def test_pass_chunks_follow_the_workset_rule(monkeypatch, cached, lead,
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 40 * 64)
     pp = SpatialProjector(8, 8, 64, 0, seed=15, scale=0.5)
     assert pp._chunk == 40 and (pp._cache is not None) == cached
-    if chunk_rows is None:
-        chunk_rows = 64 if cached else 40
     calls = []
     blocks = SpatialProjector._blocks
 
