@@ -15,9 +15,10 @@ spectral rows expands, near 0 when the rows are cached as float64),
 `project`, `adjoint`, one fused `residual_and_adjoint` pass (the
 solvers' per-iterate operator call), `read_measurements` of an HSM2 file
 of its own acquisition (read_s; the probe fails unless both stored
-scales read back equal) and one hybrid iteration on the default weights;
-the iteration is the difference of a 1-iteration and a (1 + k)-iteration
-solve, divided by k = 2, so the solver's setup is not counted. calib_s
+scales read back equal) and one hybrid iteration on the default weights:
+hybrid_iter_s is (T_11 - T_1) / 10, with T_k the time of a k-iteration
+solve: the mean of the ten iterations after the first, without the
+solver's setup. calib_s
 times a fixed float64 product, a seeded (8, 4096) @ (4096, 1024) that
 does not depend on --grid: a time divided by it can be compared across
 hosts and sessions. Every time except norm_s is the median of 5 runs.
@@ -46,7 +47,7 @@ from hsrec.datacube import as_band_pixel_matrix
 
 SEED = 1
 REPEATS = 5
-EXTRA_ITERS = 2
+EXTRA_ITERS = 10
 CALIB_SHAPES = ((8, 4096), (4096, 1024))
 
 

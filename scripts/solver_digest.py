@@ -15,7 +15,10 @@ and of Trace.cost. Then, per seed, one line for a SpectralProjector(2048,
 a boundary no smaller case crosses, and the line gives the digest of
 sp.apply(I) and the repr of its scale. Two source trees give the same
 numbers exactly when their outputs match line for line under the same BLAS
-thread count (a scale may differ in the last bit across thread counts):
+thread count. The acquisition and its scales do not depend on that count,
+but a solve does once a cached spatial pass takes the whole cache, as at
+m_s = 8 on 64x64: the 64x64x32 (0.3, 0.25) lines differ between one and
+two OpenBLAS threads, with equal scales and iteration counts:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
         python3 scripts/solver_digest.py --seeds 0,1,2 > a.txt

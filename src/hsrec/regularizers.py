@@ -18,7 +18,7 @@ _NORM_FLOOR = 2.0 ** -537
 
 def prox_l1(z, xi):
     """Entrywise soft threshold; minimizes xi*||U||_1 + 0.5*||Z - U||_F^2."""
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError(f"threshold weight must be >= 0, got {xi}")
     z = np.asarray(z, dtype=np.float64)
     return z - np.clip(z, -xi, xi)

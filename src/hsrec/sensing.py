@@ -133,8 +133,6 @@ def _power_norm(gram_fn, dim, gen):
     for _ in range(_NORM_ITERATIONS):
         w = gram_fn(v)
         sigma2 = np.linalg.norm(w)
-        if sigma2 == 0.0:
-            return 0.0
         v = w / sigma2
     return float(np.sqrt(sigma2))
 

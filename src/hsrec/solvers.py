@@ -50,7 +50,7 @@ class SolverConfig:
     step_size is the fixed gradient step; gamma weights the BPDN l1 term;
     gamma1/gamma2 weight the hybrid objective's TV and spectral-l1 terms;
     tau is the relative-change stopping threshold; max_iters caps the
-    iteration count; accelerate toggles FISTA extrapolation.
+    iteration count. Every run takes FISTA extrapolation.
     """
 
     step_size: float = 0.25
@@ -59,7 +59,6 @@ class SolverConfig:
     gamma2: float = 0.0
     tau: float = 1e-3
     max_iters: int = 200
-    accelerate: bool = True
 
     def __post_init__(self):
         # a nan or inf never stops the loop or reads as a diverged run
@@ -76,11 +75,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-iteration diagnostics of one solver run."""
+    """Per-iterate relative change, cost and (given a truth, else None)
+    squared relative error of one solver run, and why the loop stopped."""
 
     rel_change: np.ndarray
     cost: np.ndarray
-    subgrad_norm: np.ndarray
     truth_error: Optional[np.ndarray]
     reason: str  # "threshold" or "max-iters"
 
@@ -96,8 +95,6 @@ def fista_momentum(alpha_prev):
     weight = (alpha_prev - 1) / alpha_next. Starting from alpha = 1 the
     first step is unextrapolated.
     """
-    if alpha_prev < 1:
-        raise ValueError(f"momentum parameter must be >= 1, got {alpha_prev}")
     alpha_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_prev * alpha_prev))
     return alpha_next, (alpha_prev - 1.0) / alpha_next
 
@@ -151,7 +148,7 @@ def prox_transformed(z, xi, spectral_basis, spatial_basis=None):
 
 def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
          config, x_truth):
-    """The accelerated proximal loop every solver runs.
+    """The FISTA proximal loop every solver runs.
 
     The cost is f(x) = 0.5 ||y - Phi x||^2 + tv_weight TV(x) plus
     l1_weight ||W Psi^T x||_1. One residual_and_adjoint pass and, when
@@ -189,21 +186,17 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     _, d = f_and_direction(x)
     x_tilde_prev = x
     alpha = 1.0
-    rels, costs, snorms, terrs = [], [], [], []
+    rels, costs, terrs = [], [], []
     reason = "max-iters"
     # overflow warnings on a diverging run are expected; the guard reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, config.max_iters + 1):
-            snorms.append(float(np.linalg.norm(d)))
             x_tilde = x + config.step_size * basis_apply(spectral_basis, d,
                                                          "gram_inverse")
             if l1_weight > 0:
                 x_tilde = prox_transformed(x_tilde, xi, spectral_basis,
                                            spatial_basis)
-            if config.accelerate:
-                alpha, weight = fista_momentum(alpha)
-            else:
-                weight = 0.0
+            alpha, weight = fista_momentum(alpha)
             x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
             rel = relative_change(x_next, x)
             cost, d = f_and_direction(
@@ -230,7 +223,6 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
     return x, Trace(
         rel_change=np.array(rels),
         cost=np.array(costs),
-        subgrad_norm=np.array(snorms),
         truth_error=np.array(terrs) if x_truth is not None else None,
         reason=reason)
 

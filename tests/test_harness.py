@@ -292,4 +292,3 @@ def test_default_configs():
         assert cfg.step_size == 0.25
         assert cfg.tau == 1e-3
         assert cfg.max_iters == 200
-        assert cfg.accelerate

@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsrec
 import hsrec.sensing as sensing
 import hsrec.solvers as solvers
 from hsrec.datacube import as_band_pixel_matrix
-from hsrec.harness import (PhantomSpec, default_bpdn_config,
+from hsrec.harness import (METHODS, PhantomSpec, default_bpdn_config,
                            default_hybrid_config, generate_phantom,
                            relative_error, sample_training_columns)
 from hsrec.regularizers import prox_l1, tv_sum_and_subgradient
@@ -66,11 +71,6 @@ def test_fista_momentum_growth():
         assert 0.0 <= weight < 1.0
         assert weight > prev_weight
         prev_weight = weight
-
-
-def test_fista_momentum_rejects_below_one():
-    with pytest.raises(ValueError):
-        fista_momentum(0.5)
 
 
 # ---------------------------------------------------------------- stopping
@@ -361,7 +361,6 @@ def test_recover_hybrid_cost_non_increasing():
     _, trace = recover_hybrid(meas, basis, default_hybrid_config())
     assert np.all(np.diff(trace.cost) <= 0.0)
     assert np.all(np.isfinite(trace.cost))
-    assert np.all(np.isfinite(trace.subgrad_norm))
 
 
 def test_recover_hybrid_truth_trace():
@@ -491,25 +490,28 @@ def test_nonortho_well_conditioned_dictionary_runs():
 # ---------------------------------------------------------------- scalar oracle
 
 def test_scalar_problem_matches_hand_rolled_oracle():
-    # 1 pixel, 1 band, full sampling: the non-accelerated iteration is
-    # plain soft-thresholded gradient descent on a scalar
+    # 1 pixel, 1 band, full sampling: the iteration is soft-thresholded
+    # gradient descent on a scalar with FISTA extrapolation
     pp = SpatialProjector(1, 1, 1, 1, seed=0)
     sp = SpectralProjector(1, 1, 1, seed=0)
     truth = np.array([[0.8]])
     meas = acquire(truth, sp, pp, sigma=0.0)
     lam, gamma, tau, budget = 0.25, 0.1, 1e-12, 50
-    cfg = SolverConfig(step_size=lam, gamma=gamma, tau=tau, max_iters=budget,
-                       accelerate=False)
+    cfg = SolverConfig(step_size=lam, gamma=gamma, tau=tau, max_iters=budget)
     x_rec, trace = apg_bpdn(meas, HaarBasis(1, 1), SpectralBasis(np.eye(1)),
                             cfg)
 
     y = float(meas.y[0, 0])
-    x = y
+    x = x_tilde_prev = y
+    alpha = 1.0
     seen = []
     for _ in range(budget):
         z = x + lam * (y - x)
         xi = lam * gamma
-        x_new = z - xi if z > xi else (z + xi if z < -xi else 0.0)
+        x_tilde = z - xi if z > xi else (z + xi if z < -xi else 0.0)
+        alpha_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha * alpha))
+        x_new = x_tilde + (alpha - 1.0) / alpha_next * (x_tilde - x_tilde_prev)
+        alpha, x_tilde_prev = alpha_next, x_tilde
         rel = 0.0 if x_new == x else (abs(x_new - x) / abs(x) if x != 0.0
                                       else math.inf)
         seen.append(x_new)
@@ -529,7 +531,53 @@ def test_trace_shape_invariants():
     n = trace.iterations
     assert len(trace.rel_change) == n
     assert len(trace.cost) == n
-    assert len(trace.subgrad_norm) == n
     assert trace.reason in ("threshold", "max-iters")
     if trace.reason == "threshold":
         assert trace.rel_change[-1] < default_hybrid_config().tau
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+_THREAD_CHILD = """
+import dataclasses, sys
+import numpy as np
+from hsrec import harness, transforms
+from hsrec.datacube import as_band_pixel_matrix
+cube = harness.generate_phantom(harness.PhantomSpec(64, 64, 32, seed=0))
+meas = harness.acquire_at_rates(cube, 0.3, 0.25, 0.01, 0)
+basis = transforms.learn_spectral_basis(
+    harness.sample_training_columns(as_band_pixel_matrix(cube), 0))
+out = {"y": meas.y, "scales": np.array([meas.spatial.scale,
+                                        meas.spectral.scale])}
+for name, method in harness.METHODS.items():
+    config = dataclasses.replace(method.default_config(), max_iters=10)
+    out[name] = method.solve(meas, basis, config)[0]
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_blas_thread_count_moves_solves_but_not_acquisitions(tmp_path):
+    # at m_s = 8 on 64x64 the fused pass multiplies by the whole cached
+    # spatial block, which a BLAS may split by its thread count. The
+    # acquisition and both scales keep their bytes; after 10 iterations
+    # the outputs at 1 and 2 OpenBLAS threads differed by 1.0e-14 (bpdn)
+    # and 6.9e-15 (hybrid) of their largest entry. The gap grows with the
+    # iterations, so the bound holds for this count only
+    env = dict(os.environ, PYTHONPATH=str(Path(hsrec.__file__).parents[1]))
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", _THREAD_CHILD,
+             str(path)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        with np.load(path) as saved:
+            runs.append(dict(saved))
+    one, two = runs
+    assert one["y"].tobytes() == two["y"].tobytes()
+    assert one["scales"].tobytes() == two["scales"].tobytes()
+    for name in METHODS:
+        gap = np.abs(one[name] - two[name]).max()
+        assert gap <= 1e-12 * np.abs(one[name]).max(), name
