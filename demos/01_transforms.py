@@ -10,8 +10,8 @@ from sample spectra.
 import numpy as np
 
 from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
-from hsrec.transforms import (HaarBasis, learn_spectral_basis,
-                              sequency_row_order, walsh_rows, zigzag_indices)
+from hsrec.transforms import (HaarBasis, learn_spectral_basis, walsh_rows,
+                              zigzag_indices)
 
 # The transform is a product with the orthonormal Walsh matrix. A constant
 # vector has all its energy in the zero-sequency coefficient.
@@ -20,7 +20,9 @@ print("fwht of a constant vector:", walsh_rows(8) @ v)
 
 # Sequency ordering sorts rows by their number of sign changes, so row k
 # oscillates exactly k times. Natural Hadamard order is scrambled.
-print("natural->sequency permutation for n=8:", sequency_row_order(8))
+signs = np.sign(walsh_rows(8))
+print("sign changes per row for n=8:",
+      np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1))
 
 impulse = np.zeros(8)
 impulse[0] = 1.0

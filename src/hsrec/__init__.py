@@ -11,8 +11,7 @@ from .sensing import (Measurements, SpatialProjector, SpectralProjector, acquire
 from .solvers import (DivergenceError, SolverConfig, Trace, apg_bpdn,
                       recover_hybrid, recover_hybrid_nonortho)
 from .transforms import (HaarBasis, SpectralBasis, basis_apply,
-                         learn_spectral_basis, sequency_row_order, walsh_rows,
-                         zigzag_indices)
+                         learn_spectral_basis, walsh_rows, zigzag_indices)
 
 __version__ = "0.1.0"
 
@@ -27,6 +26,6 @@ __all__ = [
     "DivergenceError", "SolverConfig", "Trace", "apg_bpdn", "recover_hybrid",
     "recover_hybrid_nonortho",
     "HaarBasis", "SpectralBasis", "basis_apply", "learn_spectral_basis",
-    "sequency_row_order", "walsh_rows", "zigzag_indices",
+    "walsh_rows", "zigzag_indices",
     "__version__",
 ]

@@ -127,7 +127,7 @@ def _cmd_render(args):
     for k in bands:
         if not 0 <= k < cube.n_s:
             raise ValueError(f"band index {k} out of range [0, {cube.n_s})")
-        frm = cube.frame(k)
+        frm = cube.data[:, :, k]
         lo, hi = float(frm.min()), float(frm.max())
         if hi > lo:
             channels.append(np.rint((frm - lo) / (hi - lo) * 255).astype(np.uint8))

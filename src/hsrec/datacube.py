@@ -43,12 +43,6 @@ class Datacube:
     def n_p(self):
         return self.data.shape[0] * self.data.shape[1]
 
-    def frame(self, k):
-        """Writable view of spectral band k."""
-        if not 0 <= k < self.n_s:
-            raise IndexError(f"band index {k} outside [0, {self.n_s})")
-        return self.data[:, :, k]
-
 
 def frames_from_matrix(x, n_v, n_h):
     """Unchecked view of (..., n_v * n_h) rows as (..., n_v, n_h) frames."""

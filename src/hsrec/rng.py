@@ -33,9 +33,9 @@ def check_seed(seed):
     return int(seed)
 
 
-def stream(seed, purpose=0):
+def stream(seed, purpose):
     """Independent Generator for (seed, purpose); seed must be an integer in
-    [0, 2^64)."""
+    [0, 2^64) and purpose one of the tags above."""
     key = check_seed(seed) | (int(purpose) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -40,6 +40,7 @@ acquisition, so reading one skips the power iteration.
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -81,11 +82,16 @@ _NORM_ITERATIONS = 50
 _MAX_RADEMACHER_ENTRIES = 1 << 31
 
 
+def _is_real(value):
+    """The type rule of the rate and noise-level checks: a real number and
+    not a bool, so a str, None or a complex number meets their ValueError."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_rates(r_p, r_s):
-    """A ValueError unless each rate is a real number in (0, 1], not a bool."""
+    """A ValueError unless each rate is a real number in (0, 1]."""
     for rate, what in ((r_p, "spatial"), (r_s, "spectral")):
-        if (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
-                or not 0.0 < rate <= 1.0):
+        if not (_is_real(rate) and 0.0 < rate <= 1.0):
             raise ValueError(f"{what} rate must be in (0, 1], got {rate!r}")
 
 
@@ -324,8 +330,9 @@ class Measurements:
 
 
 def check_noise_level(sigma):
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"noise level must be finite and >= 0, got {sigma}")
+    """A ValueError unless sigma is a real number, finite in float64 and >= 0."""
+    if not (_is_real(sigma) and 0.0 <= sigma <= sys.float_info.max):
+        raise ValueError(f"noise level must be finite and >= 0, got {sigma!r}")
 
 
 def _check_shape(a, shape, noun):

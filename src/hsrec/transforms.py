@@ -38,37 +38,24 @@ def check_pow2(n, what):
         raise ValueError(f"{what} must be at most {MAX_WALSH_LENGTH}, got {n}")
 
 
-def sequency_row_order(n):
-    """Natural-order Hadamard row index for each sequency position.
-
-    Entry k names the row of the Sylvester-ordered Hadamard matrix that has
-    exactly k sign changes: bit-reverse of the Gray code of k.
-    """
-    check_pow2(n, "transform length")
-    bits = n.bit_length() - 1
-    k = np.arange(n, dtype=np.int64)
-    g = k ^ (k >> 1)
-    perm = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        perm = (perm << 1) | (g & 1)
-        g >>= 1
-    return perm
-
-
 def walsh_rows(n, count=None):
     """First count rows (all n by default) of the orthonormal
     sequency-ordered Walsh matrix of length n.
 
-    Row k is row sequency_row_order(n)[k] of the Sylvester Hadamard matrix
-    divided by sqrt(n), so entry (k, j) is
-    (-1)^parity(sequency_row_order(n)[k] & j) / sqrt(n). The full matrix is
+    Row k, the one with exactly k sign changes, is Sylvester Hadamard row
+    bitrev(g) divided by sqrt(n), with g = k ^ (k >> 1) the Gray code of k.
+    Bit i of bitrev(g) is bit b-1-i of g (n = 2^b), so entry (k, j) is
+    (-1)^(sum_i bit(g, b-1-i) bit(j, i)) / sqrt(n). The full matrix is
     symmetric, so it is its own inverse.
     """
     check_pow2(n, "transform length")
-    shift = np.arange(n.bit_length() - 1)
-    a = (sequency_row_order(n)[:count, None] >> shift) & 1
-    b = (np.arange(n)[:, None] >> shift) & 1
-    return np.where((a @ b.T) & 1, -1.0, 1.0) / np.sqrt(n)
+    b = n.bit_length() - 1
+    shift = np.arange(b)
+    k = np.arange(n)[:count]
+    g = k ^ (k >> 1)
+    a = (g[:, None] >> (b - 1 - shift)) & 1
+    j = (np.arange(n)[:, None] >> shift) & 1
+    return np.where((a @ j.T) & 1, -1.0, 1.0) / np.sqrt(n)
 
 
 def _haar_matrix(n):

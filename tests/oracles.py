@@ -1,9 +1,10 @@
 """Independent reference constructions for the test suite.
 
 Everything here is built by a different route than the library code:
-Walsh matrices come from scipy's natural-order Hadamard with brute-force
-sign-change sorting, Haar matrices from the doubling Kronecker recursion,
-the zig-zag order from literal anti-diagonal enumeration, and projector
+Walsh matrices come from scipy's natural-order Hadamard, its rows sorted
+by brute-force sign counting or picked by a bit-reversal loop over the
+Gray code, Haar matrices from the doubling Kronecker recursion, the
+zig-zag order from literal anti-diagonal enumeration, and projector
 matrices from explicit outer-product rows. Tests compare the library's
 fast paths against these dense forms. The transformed prox is checked by
 cvxpy when it is installed and by an optimality certificate otherwise.
@@ -24,6 +25,18 @@ def walsh_matrix(n):
     h = hadamard(n).astype(np.float64)
     changes = [int(np.sum(row[1:] != row[:-1])) for row in h]
     return h[np.argsort(changes, kind="stable")] / np.sqrt(n)
+
+
+def gray_code_walsh_rows(n, count=None):
+    """First count sequency Walsh rows: Sylvester row bitrev(k ^ (k >> 1))
+    for row k, the bits reversed one at a time."""
+    g = np.arange(n)[:count]
+    g = g ^ (g >> 1)
+    perm = np.zeros_like(g)
+    for _ in range(n.bit_length() - 1):
+        perm = (perm << 1) | (g & 1)
+        g = g >> 1
+    return hadamard(n)[perm].astype(np.float64) / np.sqrt(n)
 
 
 def haar_matrix(n):

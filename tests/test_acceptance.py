@@ -20,8 +20,8 @@ from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            rates_to_counts)
 from hsrec.solvers import (SolverConfig, apg_bpdn, prox_transformed,
                            recover_hybrid, recover_hybrid_nonortho)
-from hsrec.transforms import (HaarBasis, SpectralBasis, learn_spectral_basis,
-                              walsh_rows, zigzag_indices)
+from hsrec.transforms import (HaarBasis, SpectralBasis, basis_apply,
+                              learn_spectral_basis, walsh_rows, zigzag_indices)
 from oracles import (haar_matrix, prox_l1_grid, prox_transformed_error,
                      spatial_matrix, spectral_matrix)
 
@@ -321,15 +321,27 @@ def test_criterion_9_dictionary_route_reduction():
     sp = SpectralProjector(8, 4, 1, seed=4)
     meas = acquire(x, sp, pp, sigma=0.01, noise_seed=9)
     q, _ = np.linalg.qr(gen.normal(size=(8, 8)))
+    # Psi = 2Q is not orthonormal, so its basis holds the pinv maps: the
+    # step is scaled by (Psi Psi^T)^-1 = I/4 and the prox and the l1 cost
+    # see coefficients 2 Q^T x. That is the orthonormal run at a quarter of
+    # the step and twice the spectral weight.
+    dictionary = SpectralBasis(2.0 * q)
+    general = np.allclose(basis_apply(dictionary, np.eye(8), "gram_inverse"),
+                          np.eye(8) / 4, rtol=0, atol=1e-12)
     cfg = SolverConfig(gamma1=2e-4, gamma2=2e-4, tau=1e-30, max_iters=20)
-    x_orth, trace_orth = recover_hybrid(meas, SpectralBasis(q), cfg)
-    x_dict, trace_dict = recover_hybrid_nonortho(meas, SpectralBasis(q), cfg)
+    cfg_orth = SolverConfig(step_size=cfg.step_size / 4, gamma1=cfg.gamma1,
+                            gamma2=2 * cfg.gamma2, tau=cfg.tau,
+                            max_iters=cfg.max_iters)
+    x_orth, trace_orth = recover_hybrid(meas, SpectralBasis(q), cfg_orth)
+    x_dict, trace_dict = recover_hybrid_nonortho(meas, dictionary, cfg)
     dev = float(np.abs(x_orth - x_dict).max())
     cost_dev = float(np.abs(trace_orth.cost - trace_dict.cost).max())
     elapsed = time.monotonic() - t0
-    ok = dev <= 1e-12 and cost_dev <= 1e-10 and elapsed < 30.0
+    ok = general and dev <= 1e-12 and cost_dev <= 1e-10 and elapsed < 30.0
     _report(9, "dictionary route reduces to the orthonormal one", ok,
-            f"iterate dev {dev:.2e}, cost dev {cost_dev:.2e}, {elapsed:.1f}s")
+            f"general maps {general}, iterate dev {dev:.2e}, "
+            f"cost dev {cost_dev:.2e}, {elapsed:.1f}s")
+    assert general
     assert dev <= 1e-12
     assert cost_dev <= 1e-10
     assert elapsed < 30.0

@@ -45,7 +45,7 @@ def test_matrix_row_is_column_major_frame():
     cube = random_cube(3, 4, 2, seed=1)
     x = as_band_pixel_matrix(cube)
     for k in range(2):
-        assert np.array_equal(x[k], np.asarray(cube.frame(k)).flatten(order="F"))
+        assert np.array_equal(x[k], cube.data[:, :, k].flatten(order="F"))
     for i in range(3):
         for j in range(4):
             for k in range(2):
@@ -63,19 +63,3 @@ def test_cube_from_matrix_validates_shape():
         with pytest.raises(ValueError, match="does not match a 3x4 grid"):
             cube_from_matrix(x, 3, 4)
 
-
-def test_frame_access():
-    cube = random_cube(3, 4, 2, seed=3)
-    zeroed = cube.data.copy()
-    zeroed[:, :, 0] = 0.0
-    assert not np.asarray(Datacube(zeroed).frame(0)).any()
-    for k in range(2):
-        assert np.array_equal(np.asarray(cube.frame(k)), cube.data[:, :, k])
-    with pytest.raises(IndexError):
-        cube.frame(2)
-
-
-def test_frame_view_writes_through():
-    cube = random_cube(2, 2, 2, seed=4)
-    cube.frame(1)[0, 1] = 42.0
-    assert cube.data[0, 1, 1] == 42.0

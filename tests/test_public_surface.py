@@ -1,13 +1,16 @@
-"""Every name hsrec exports has a caller outside the tests and demos.
+"""Every name hsrec exports has a caller outside its own module, the tests
+and the demos.
 
-A name counts as used when it appears as an identifier in the package
-sources (other than __init__.py and the name's own def/class line), the
-scripts or the benchmark. The demos are examples of the exported names, not
-callers of them, so a name only a demo shows does not count. Names
-exported for another reason are kept below, each with its reason.
+A name counts as used when it appears as an identifier in another module
+of the package (other than __init__.py, and not on a def/class line), the
+scripts or the benchmark. A function that only its own module calls is a
+private helper, not part of the surface. The demos are examples of the
+exported names, not callers of them, so a name only a demo shows does not
+count. Names exported for another reason are kept below, each with its
+reason.
 """
 
-import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -17,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KEEP = {
     "__version__": "package metadata, read by installers and users",
+    "Trace": "the type every solver returns",
 }
 
 
@@ -34,10 +38,18 @@ def _identifiers(path):
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
     package = ROOT / "src" / "hsrec"
-    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    modules = {p.resolve(): _identifiers(p) for p in package.glob("*.py")
+               if p.name != "__init__.py"}
+    outside = set()
     for folder in ("scripts", "hsbench"):
-        files += (ROOT / folder).rglob("*.py")
-    used = set().union(*(_identifiers(p) for p in files))
-    unused = [name for name in hsrec.__all__
-              if name not in used and name not in KEEP]
-    assert not unused, f"exported but called only from tests or demos: {unused}"
+        outside = outside.union(*map(_identifiers, (ROOT / folder).rglob("*.py")))
+    unused = []
+    for name in hsrec.__all__:
+        if name in KEEP:
+            continue
+        home = Path(sys.modules[getattr(hsrec, name).__module__].__file__).resolve()
+        used = outside.union(*(ids for path, ids in modules.items() if path != home))
+        if name not in used:
+            unused.append(name)
+    assert not unused, ("exported but called only from its own module, tests "
+                        f"or demos: {unused}")

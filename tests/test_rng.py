@@ -17,6 +17,12 @@ def test_stream_rejects_seeds_outside_64_bits(seed):
         rng.stream(seed, rng.NOISE)
 
 
+def test_stream_requires_a_purpose():
+    # no call falls back on a default tag, the phantom's among them
+    with pytest.raises(TypeError):
+        rng.stream(7)
+
+
 def test_streams_are_purpose_separated():
     # one master seed must feed independent draws per consumer
     a = rng.stream(7, rng.SPATIAL_RADEMACHER).random(64)

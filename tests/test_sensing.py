@@ -610,12 +610,25 @@ def test_acquire_checks_the_noise_level_before_it_projects():
         acquire(np.zeros((8, 15)), sp, pp, sigma=float("nan"))
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, 10**400])
 def test_measurements_reject_bad_sigma(sigma):
     # built directly, it would be written as a file the HSM1 reader refuses
     pp = SpatialProjector(4, 4, 6, 2, seed=24)
     sp = SpectralProjector(8, 4, 1, seed=25)
     with pytest.raises(ValueError, match="finite and >= 0"):
+        Measurements(y=np.zeros((4, 6)), spectral=sp, spatial=pp, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [True, "0.1", None, 0.1j])
+def test_noise_level_must_be_a_real_number(sigma):
+    # the rate rule's type check: the rule's ValueError, not numpy's TypeError
+    pp = SpatialProjector(4, 4, 6, 2, seed=24)
+    sp = SpectralProjector(8, 4, 1, seed=25)
+    with pytest.raises(ValueError, match="noise level"):
+        ExperimentSpec(sigma=sigma)
+    with pytest.raises(ValueError, match="noise level"):
+        acquire(np.zeros((8, 16)), sp, pp, sigma=sigma)
+    with pytest.raises(ValueError, match="noise level"):
         Measurements(y=np.zeros((4, 6)), spectral=sp, spatial=pp, sigma=sigma)
 
 

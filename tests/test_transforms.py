@@ -2,13 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 import hsrec.transforms as transforms
 from hsrec.sensing import SpatialProjector
 from hsrec.transforms import (HaarBasis, SpectralBasis, basis_apply,
-                              learn_spectral_basis, sequency_row_order,
-                              walsh_rows, zigzag_indices)
-from oracles import haar_matrix, walsh_matrix, zigzag_order
+                              learn_spectral_basis, walsh_rows, zigzag_indices)
+from oracles import gray_code_walsh_rows, haar_matrix, walsh_matrix, zigzag_order
 
 
 def _wht2d(frm):
@@ -67,13 +67,18 @@ def test_fwht_matches_dense_walsh():
 
 
 def test_sequency_order_small_sizes():
-    assert sequency_row_order(2).tolist() == [0, 1]
-    assert sequency_row_order(4).tolist() == [0, 2, 3, 1]
+    # sequency row k is Sylvester row 0, 1 at n = 2 and 0, 2, 3, 1 at n = 4
+    assert np.array_equal(walsh_rows(2) * np.sqrt(2), hadamard(2))
+    assert np.array_equal(walsh_rows(4) * 2, hadamard(4)[[0, 2, 3, 1]])
 
 
-def test_sequency_order_refuses_lengths_over_the_cap():
-    with pytest.raises(ValueError, match="at most 2048"):
-        sequency_row_order(4096)
+@pytest.mark.parametrize("n", [1 << k for k in range(12)])
+def test_walsh_rows_match_the_bit_reversed_gray_code_rows(n):
+    for count in (None, 0, 1, n // 2, n):
+        want = gray_code_walsh_rows(n, count)
+        got = walsh_rows(n, count)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sequency_rows_have_ascending_sign_changes():
