@@ -72,6 +72,13 @@ def test_sequency_order_small_sizes():
     assert np.array_equal(walsh_rows(4) * 2, hadamard(4)[[0, 2, 3, 1]])
 
 
+def test_sequency_order_refuses_lengths_over_the_cap():
+    # the cap holds however few sequency rows are asked for
+    for count in (None, 0, 1):
+        with pytest.raises(ValueError, match="at most 2048"):
+            walsh_rows(4096, count)
+
+
 @pytest.mark.parametrize("n", [1 << k for k in range(12)])
 def test_walsh_rows_match_the_bit_reversed_gray_code_rows(n):
     for count in (None, 0, 1, n // 2, n):
