@@ -22,6 +22,10 @@ solver's setup. calib_s
 times a fixed float64 product, a seeded (8, 4096) @ (4096, 1024) that
 does not depend on --grid: a time divided by it can be compared across
 hosts and sessions. Every time except norm_s is the median of 5 runs.
+After the timings, so that no time moves, tracemalloc takes two peaks:
+build_peak_mib, of one default spatial build (its packed signs and any
+float64 cache included), and solve_peak_per_cube, of the 11-iteration
+hybrid solve, in float64 cubes (x.nbytes).
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
@@ -38,6 +42,7 @@ import os
 import statistics
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -59,6 +64,15 @@ def _seconds(fn):
 
 def _median_seconds(fn):
     return statistics.median(_seconds(fn) for _ in range(REPEATS))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -112,6 +126,8 @@ def main():
     gen = np.random.default_rng(0)
     a, b = (gen.standard_normal(shape) for shape in CALIB_SHAPES)
     calib_s = _median_seconds(lambda: a @ b)
+    build_peak = _traced_peak(build)
+    solve_peak = _traced_peak(solve(1 + EXTRA_ITERS))
     print(json.dumps({
         "grid": args.grid, "rates": [r_p, r_s], "seed": SEED,
         "counts": {"m_p": pp.m_p, "q_p": pp.q_p, "m_s": sp.m_s, "q_s": sp.q_s},
@@ -121,7 +137,8 @@ def main():
         "project_s": project_s, "adjoint_s": adjoint_s,
         "residual_adjoint_s": residual_adjoint_s, "read_s": read_s,
         "hybrid_iter_s": (more - one) / EXTRA_ITERS, "calib_s": calib_s,
-        "repeats": REPEATS,
+        "build_peak_mib": build_peak / 2**20,
+        "solve_peak_per_cube": solve_peak / x.nbytes, "repeats": REPEATS,
     }))
 
 

@@ -11,9 +11,9 @@ log2 n_p is odd, so its rows are expanded to +/-1/sqrt(2) rather than +/-1.
 One line per run: method, grid, rates, seed, iterations, stop reason, the
 repr of both projectors' scales, then the digests of the returned matrix
 and of Trace.cost. Then, per seed, one line for a SpectralProjector(2048,
-1843, 460, seed) build: its 1383 Rademacher rows are drawn in three chunks,
-a boundary no smaller case crosses, and the line gives the digest of
-sp.apply(I) and the repr of its scale. Two source trees give the same
+1843, 460, seed) build: its 1383 Rademacher rows are drawn in 44 chunks of
+at most 32 rows, and the line gives the digest of sp.apply(I) and the repr
+of its scale. Two source trees give the same
 numbers exactly when their outputs match line for line under the same BLAS
 thread count. The acquisition and its scales do not depend on that count,
 but a solve does once a cached spatial pass takes the whole cache, as at

@@ -19,11 +19,16 @@ odd); the rest of 1/sqrt(n_p), a power of two, is a gain on each product,
 so every output and scale is that of +/-1/sqrt(n_p) rows bit for bit.
 Small spatial rows are also cached as float64; large ones are expanded
 chunk by chunk instead of being held whole, once per apply, adjoint or
-residual_and_adjoint. Either way a pass sweeps the rows in chunks whose
-size it picks from its row count (see _WORKSET_BYTES): a chunk is expanded
-into one reused buffer, or is a view of the cache. The fused pass runs both
-products of a chunk while it is in cache: the solvers make one per iterate,
-and the spatial power iteration one per step, at y = 0.
+residual_and_adjoint. Draws and passes are chunked separately. A build
+draws and packs its rows, then fills its cache, in chunks of at most
+_DRAW_BYTES of raw words (one row, 8 n_p bytes, past 256x256 frames), so
+beyond what it keeps it holds at most about 0.6 MiB; a much larger draw
+budget can cost resident memory through glibc's mmap threshold (see
+_CHUNK_ENTRIES). A pass sweeps the rows in chunks whose size it picks from
+its row count (see _WORKSET_BYTES): a chunk is expanded into one reused
+buffer, or is a view of the cache. The fused pass runs both products of a
+chunk while it is in cache: the solvers make one per iterate, and the
+spatial power iteration one per step, at y = 0.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
 matrix is divided by a power-iteration estimate of its largest singular
@@ -50,8 +55,19 @@ from . import rng
 from .datacube import frames_from_matrix, matrix_from_frames
 from .transforms import check_pow2, walsh_rows, zigzag_indices
 
-# Both axes draw their Rademacher rows in _CHUNK_ENTRIES row chunks. The
-# spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
+# Draws and passes are chunked separately. Both axes draw their Rademacher
+# rows, and the spatial axis packs them and then fills its cache, in row
+# chunks of at most _DRAW_BYTES of raw Philox words (one row when a row is
+# longer): the stream and every byte are those of one whole draw, and a
+# 64x64 build holds at most 0.6 MiB beyond what it keeps. A draw budget well
+# above the solvers' cube-sized temporaries may give back part of that gain
+# in resident memory even where the live peak stays small: glibc raises its
+# mmap threshold to the size of each freed mmapped block, so later
+# temporaries come from the heap and stay resident. The pass chunks below are
+# _CHUNK_ENTRIES entries and set the adjoint's summation order, so they do
+# not follow the draw budget.
+#
+# The spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
 # entries of them are also cached as float64, more are expanded in row chunks
 # once per apply, adjoint and fused residual-and-adjoint pass. Every pass
 # sweeps the rows in chunks, expanded or sliced from the cache, so that the
@@ -75,6 +91,7 @@ from .transforms import check_pow2, walsh_rows, zigzag_indices
 # 128x128 with m = 8 276 ms in 4 rows against 186 ms in 64.
 _MATERIALIZE_LIMIT = 1 << 22
 _CHUNK_ENTRIES = 1 << 20
+_DRAW_BYTES = 1 << 19
 _WORKSET_BYTES = 3 << 19
 _NORM_ITERATIONS = 50
 # Largest Rademacher block a projector may draw: 256 MiB of packed spatial
@@ -143,6 +160,13 @@ def _power_norm(gram_fn, dim, gen):
     return float(np.sqrt(sigma2))
 
 
+def _draw_chunks(rows, n):
+    """(lo, hi) row ranges of a rows x n Rademacher draw, each at least one
+    row and otherwise at most _DRAW_BYTES of raw Philox words."""
+    step = max(1, _DRAW_BYTES // (8 * n))
+    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
 def _check_counts(n, m, q, scale, what):
     if m < 1 or m > n:
         raise ValueError(
@@ -187,14 +211,16 @@ class SpatialProjector:
         self._chunk = max(1, _CHUNK_ENTRIES // self.n_p)
         gen = rng.stream(self.seed, rng.SPATIAL_RADEMACHER)
         self._signs = np.empty((rows, (self.n_p + 7) // 8), np.uint8)
-        for lo in range(0, rows, self._chunk):
-            hi = min(lo + self._chunk, rows)
+        for lo, hi in _draw_chunks(rows, self.n_p):
             # one expression: no draw outlives its packing
             self._signs[lo:hi] = np.packbits(
                 rng.negative_signs(gen, (hi - lo, self.n_p)), axis=1)
         self._cache = None
         if rows * self.n_p <= _MATERIALIZE_LIMIT:
-            self._cache = self._expand(0, rows, np.empty((rows, self.n_p)))
+            # allocated after the draws, so it never coexists with one
+            self._cache = np.empty((rows, self.n_p))
+            for lo, hi in _draw_chunks(rows, self.n_p):
+                self._expand(lo, hi, self._cache[lo:hi])
         self.scale = 1.0 if scale is None else float(scale)
         if scale is None and q_p < m_p:
             # at scale 1 the fused pass at y = 0 is -adjoint(apply(v)) bit
@@ -291,11 +317,9 @@ class SpectralProjector:
         self._m = np.empty((m_s, n_s))
         self._m[:q_s] = walsh_rows(n_s, q_s)
         s = 1.0 / np.sqrt(n_s)
-        chunk = max(1, _CHUNK_ENTRIES // n_s)
-        for lo in range(q_s, m_s, chunk):  # the Rademacher rows, +/-s
-            hi = min(lo + chunk, m_s)
-            self._m[lo:hi] = np.where(rng.negative_signs(gen, (hi - lo, n_s)),
-                                      -s, s)
+        for lo, hi in _draw_chunks(m_s - q_s, n_s):  # Rademacher rows, +/-s
+            self._m[q_s + lo:q_s + hi] = np.where(
+                rng.negative_signs(gen, (hi - lo, n_s)), -s, s)
         self.scale = 1.0 if scale is None else float(scale)
         if scale is None and q_s < m_s:
             gen = rng.stream(self.seed, rng.SPECTRAL_NORM)

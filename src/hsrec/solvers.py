@@ -178,36 +178,49 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
             tv_total, tv_grad = tv_sum_and_subgradient(x, pp.n_v, pp.n_h)
             f += tv_weight * tv_total
             if not last:
-                # in place: the caller still holds the previous direction
-                d -= tv_weight * tv_grad
+                # both in the subgradient's buffer, which is dead after it
+                tv_grad *= tv_weight
+                d -= tv_grad
         return f, d
 
     x = adjoint(y, sp, pp)
     _, d = f_and_direction(x)
-    x_tilde_prev = x
+    # the extrapolation overwrites it, and x is still read at n = 1
+    x_tilde_prev = x.copy()
     alpha = 1.0
     rels, costs, terrs = [], [], []
     reason = "max-iters"
-    # overflow warnings on a diverging run are expected; the guard reports it
+    # Each step writes into a buffer that is dead after it, with the operands
+    # of every IEEE operation as in the plain expressions, so the bits are
+    # theirs, and at most three cube-sized arrays live across the steps.
+    # Overflow warnings on a diverging run are expected; the guard reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, config.max_iters + 1):
-            x_tilde = x + config.step_size * basis_apply(spectral_basis, d,
-                                                         "gram_inverse")
+            # x + step_size * G d, in the direction's buffer
+            x_tilde = np.multiply(
+                basis_apply(spectral_basis, d, "gram_inverse"),
+                config.step_size, out=d)
+            x_tilde += x
+            del d
             if l1_weight > 0:
                 x_tilde = prox_transformed(x_tilde, xi, spectral_basis,
                                            spatial_basis)
             alpha, weight = fista_momentum(alpha)
-            x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
+            # x_tilde + weight * (x_tilde - x_tilde_prev), in x_tilde_prev
+            x_next = np.subtract(x_tilde, x_tilde_prev, out=x_tilde_prev)
+            x_next *= weight
+            x_next += x_tilde
             rel = relative_change(x_next, x)
+            x = x_next
             cost, d = f_and_direction(
-                x_next, rel < config.tau or n == config.max_iters)
+                x, rel < config.tau or n == config.max_iters)
             if l1_weight > 0:
                 cost += l1_weight * float(np.abs(_coefficients(
-                    x_next, spectral_basis, spatial_basis)).sum())
+                    x, spectral_basis, spatial_basis)).sum())
             rels.append(rel)
             costs.append(cost)
             if x_truth is not None:
-                terrs.append(relative_error(x_truth, x_next))
+                terrs.append(relative_error(x_truth, x))
             # a steady geometric blow-up can run to max-iters before the
             # cost overflows; growth far past the first cost catches it
             if (rel > _DIVERGENCE_LIMIT or not np.isfinite(cost)
@@ -216,7 +229,6 @@ def _run(measurements, spectral_basis, spatial_basis, tv_weight, l1_weight,
                     f"iteration {n} diverged with step size {config.step_size}: "
                     f"relative change {rel:.3e}, cost {cost:.3e}")
             x_tilde_prev = x_tilde
-            x = x_next
             if rel < config.tau:
                 reason = "threshold"
                 break

@@ -19,6 +19,7 @@ instead, which makes every matrix orthonormal and keeps operator norms near
 one; the +/-1 convention is the same operator times sqrt(n).
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,9 +47,14 @@ def walsh_rows(n, count=None):
     bitrev(g) divided by sqrt(n), with g = k ^ (k >> 1) the Gray code of k.
     Bit i of bitrev(g) is bit b-1-i of g (n = 2^b), so entry (k, j) is
     (-1)^(sum_i bit(g, b-1-i) bit(j, i)) / sqrt(n). The full matrix is
-    symmetric, so it is its own inverse.
+    symmetric, so it is its own inverse. A count that is a bool or not an
+    integer in [0, n] is refused.
     """
     check_pow2(n, "transform length")
+    if count is not None and (isinstance(count, bool) or not (
+            isinstance(count, numbers.Integral) and 0 <= count <= n)):
+        raise ValueError(f"row count must be an integer in [0, {n}], "
+                         f"got {count!r}")
     b = n.bit_length() - 1
     shift = np.arange(b)
     k = np.arange(n)[:count]

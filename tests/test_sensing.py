@@ -231,12 +231,13 @@ def test_chunked_block_draws_philox_once(monkeypatch):
     monkeypatch.setattr(rng, "negative_signs", spy)
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", 0)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 96)
+    monkeypatch.setattr(sensing, "_DRAW_BYTES", 2 * 8 * 32)
     pp = SpatialProjector(4, 8, 20, 4, seed=15)
     gen = np.random.default_rng(11)
     for _ in range(5):
         pp.apply(gen.normal(size=(3, 32)))
         pp.adjoint(gen.normal(size=(3, 20)))
-    assert sum(drawn) == (20 - 4) * 32
+    assert drawn == [2 * 32] * 8
 
 
 @pytest.mark.parametrize("limit, expansions", [
@@ -323,7 +324,7 @@ def test_chunked_block_values_are_exact(monkeypatch, make, rows, n, purpose,
 
 def test_spectral_matrix_values_are_exact(monkeypatch):
     # Rademacher rows drawn one per chunk straight into M
-    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 1 * 4)
+    monkeypatch.setattr(sensing, "_DRAW_BYTES", 8 * 4)
     sp = SpectralProjector(4, 3, 1, seed=16)
     redraw = rademacher_draw(rng.stream(sp.seed, rng.SPECTRAL_RADEMACHER), (2, 4))
     mat = np.vstack([walsh_matrix(4)[:1], redraw / np.sqrt(4)])
@@ -506,7 +507,7 @@ def test_spectral_build_draws_its_rows_once(monkeypatch):
     sp = SpectralProjector(64, 32, 3, seed=18)
     assert sum(r * n for r, n in drawn) == (32 - 3) * 64
     del drawn[:]
-    monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 64)  # one row per chunk
+    monkeypatch.setattr(sensing, "_DRAW_BYTES", 8 * 64)  # one row per draw
     by_row = SpectralProjector(64, 32, 3, seed=18)
     assert drawn == [(1, 64)] * (32 - 3)
     assert not expanded
@@ -514,17 +515,58 @@ def test_spectral_build_draws_its_rows_once(monkeypatch):
     assert by_row.scale == sp.scale
 
 
+@pytest.mark.parametrize("budget", [1, 8 * 32, 3 * 8 * 32],
+                         ids=["below-a-row", "one-row", "three-rows"])
+def test_draw_budget_leaves_every_byte(monkeypatch, budget):
+    # draws split in rows consume the stream like one whole draw, and the
+    # cache filled chunk by chunk is the whole-block expansion; 32 x 16 has
+    # an odd log2 n_p, so its cache takes the multiply by 1/sqrt(2)
+    def built():
+        out = []
+        for proj in (SpatialProjector(4, 8, 20, 4, seed=15),
+                     SpatialProjector(32, 16, 40, 3, seed=16),
+                     SpectralProjector(32, 20, 2, seed=17)):
+            held = (getattr(proj, name, None)
+                    for name in ("_signs", "_cache", "_m"))
+            out.append((proj.scale, [a if a is None else a.tobytes()
+                                     for a in held]))
+        return out
+
+    want = built()
+    monkeypatch.setattr(sensing, "_DRAW_BYTES", budget)
+    assert built() == want
+
+
+def test_spatial_build_transient_stays_small():
+    # a scale-given 64 x 64 build beyond its packed signs and float64 cache:
+    # one draw chunk of raw words with its mask and packed rows, or one
+    # chunk of the cache fill (0.6 and 0.1 MiB), where a whole-chunk draw
+    # held 9 MiB and a whole-block cache fill 3.2 MiB. r_p = 0.3 is cached,
+    # r_p = 0.5 is not.
+    SpatialProjector(4, 4, 4, 2, seed=0)  # stream setup outside the count
+    for m_p, cached in ((1229, True), (2048, False)):
+        tracemalloc.start()
+        try:
+            pp = SpatialProjector(64, 64, m_p, 410, seed=1, scale=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (pp._cache is not None) == cached
+        held = pp._signs.nbytes + (pp._cache.nbytes if cached else 0)
+        assert peak - held <= 2 << 20
+
+
 def test_spectral_build_peak_stays_near_m():
     # the widest band axis, built cold: next to the 16 MiB M a build holds
-    # its q_s Walsh rows, one draw chunk of raw words, its sign mask and its
-    # +/-s rows, and nothing else
+    # its q_s Walsh rows and their temporaries, one draw chunk of raw words,
+    # its sign mask and its +/-s rows, and nothing else (1.21 M)
     tracemalloc.start()
     try:
         sp = SpectralProjector(2048, 1024, 102, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.65 * sp._m.nbytes
+    assert peak <= 1.3 * sp._m.nbytes
 
 
 def test_spatial_build_holds_only_the_walsh_rows_it_applies():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import hsrec
 import hsrec.sensing as sensing
 import hsrec.solvers as solvers
 from hsrec.datacube import as_band_pixel_matrix
-from hsrec.harness import (METHODS, PhantomSpec, default_bpdn_config,
-                           default_hybrid_config, generate_phantom,
-                           relative_error, sample_training_columns)
+from hsrec.harness import (METHODS, PhantomSpec, acquire_at_rates,
+                           default_bpdn_config, default_hybrid_config,
+                           generate_phantom, relative_error,
+                           sample_training_columns)
 from hsrec.regularizers import prox_l1, tv_sum_and_subgradient
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts, project,
@@ -227,6 +229,74 @@ def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
         assert trace.iterations == n
         assert calls == dict.fromkeys(range(0, pp.m_p - pp.q_p, pp._chunk),
                                       n + 2)
+
+
+def test_solve_peak_stays_within_cube_budget():
+    # an uncached 64x64x32 (0.5, 0.25) instance: three cube-sized arrays
+    # live across the steps, plus TV's four or the Haar prox's temporaries
+    # and the expanded chunk (7.1 and 6.1 cubes; 10.1 and 8.1 with a new
+    # array per step)
+    cube = generate_phantom(PhantomSpec(64, 64, 32, seed=0))
+    x = as_band_pixel_matrix(cube)
+    meas = acquire_at_rates(cube, 0.5, 0.25, 0.01, 0)
+    assert meas.spatial._cache is None
+    basis = learn_spectral_basis(sample_training_columns(x, 0))
+    for name, budget in (("hybrid", 8), ("bpdn", 7)):
+        method = METHODS[name]
+        config = dataclasses.replace(method.default_config(), tau=1e-30,
+                                     max_iters=4)
+        tracemalloc.start()
+        try:
+            method.solve(meas, basis, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * x.nbytes, (name, peak / x.nbytes)
+
+
+@pytest.mark.parametrize("method", ["hybrid", "bpdn"])
+def test_loop_matches_written_out_fista_bit_for_bit(method):
+    # the loop's in-place steps against the plain expressions they replace
+    x_true, meas, basis = _desk_measurements()
+    y, sp, pp = meas.y, meas.spectral, meas.spatial
+    tv_weight, l1_weight, haar = 2e-4, 1e-3, None
+    if method == "bpdn":
+        tv_weight, haar = 0.0, HaarBasis(16, 16)
+    config = SolverConfig(gamma=l1_weight, gamma1=tv_weight, gamma2=l1_weight,
+                          tau=1e-30, max_iters=6)
+    if method == "bpdn":
+        x_got, trace = apg_bpdn(meas, haar, basis, config)
+    else:
+        x_got, trace = recover_hybrid(meas, basis, config)
+
+    def f_and_direction(x, last):
+        if last:
+            resid, d = y - project(x, sp, pp), None
+        else:
+            resid, d = sensing.residual_and_adjoint(y, x, sp, pp)
+        f = 0.5 * float(np.sum(resid * resid))
+        if tv_weight > 0:
+            total, grad = tv_sum_and_subgradient(x, 16, 16)
+            f += tv_weight * total
+            if not last:
+                d = d - tv_weight * grad
+        f += l1_weight * float(np.abs(solvers._coefficients(
+            x, basis, haar)).sum())
+        return f, d
+
+    x = adjoint(y, sp, pp)
+    _, d = f_and_direction(x, False)
+    x_tilde_prev, alpha, costs = x, 1.0, []
+    for n in range(1, 7):
+        x_tilde = solvers.prox_transformed(
+            x + 0.25 * d, 0.25 * l1_weight, basis, haar)
+        alpha, weight = fista_momentum(alpha)
+        x_next = x_tilde + weight * (x_tilde - x_tilde_prev)
+        cost, d = f_and_direction(x_next, n == 6)
+        costs.append(cost)
+        x_tilde_prev, x = x_tilde, x_next
+    assert x_got.tobytes() == x.tobytes()
+    assert trace.cost.tobytes() == np.array(costs).tobytes()
 
 
 def test_rule_sized_chunks_drift_within_tolerance(monkeypatch):

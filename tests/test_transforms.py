@@ -86,6 +86,10 @@ def test_walsh_rows_match_the_bit_reversed_gray_code_rows(n):
         got = walsh_rows(n, count)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # a count outside [0, n], or not an integer, is refused, not clipped
+    for count in (-1, n + 1, 20 * n, 1.0, True):
+        with pytest.raises(ValueError, match=f"got {count!r}"):
+            walsh_rows(n, count)
 
 
 def test_sequency_rows_have_ascending_sign_changes():
