@@ -5,8 +5,8 @@ At seed 1, on 128x128x32 unless --grid names another size and at rates
 through harness.acquire_at_rates and times the spatial projector's build
 (spatial_build_s, a default build with its 50-step power-iteration norm
 estimate) and a build given the estimated scale (draw_s: the Philox
-draw, the sign packing and, for at most _MATERIALIZE_LIMIT Rademacher
-entries, their float64 cache, but no power iteration). The probe fails
+draw, the sign packing and, for at most _KEEP_LIMIT Rademacher entries,
+their float64 cache, but no power iteration). The probe fails
 unless that build applies bit for bit like the default one. norm_s, the
 norm estimate's share, is their difference. It then times one pass over
 the spatial Rademacher rows as a solver's operator calls see them
@@ -25,7 +25,11 @@ hosts and sessions. Every time except norm_s is the median of 5 runs.
 After the timings, so that no time moves, tracemalloc takes two peaks:
 build_peak_mib, of one default spatial build (its packed signs and any
 float64 cache included), and solve_peak_per_cube, of the 11-iteration
-hybrid solve, in float64 cubes (x.nbytes).
+hybrid solve, in float64 cubes (x.nbytes). held_mib is what the acquired
+spatial projector keeps, from nbytes: its packed signs plus its float64
+cache, which a default build of at most _MATERIALIZE_LIMIT entries fills
+for the norm estimate and keeps only up to _KEEP_LIMIT (every 32x32 block,
+64x64 ones of up to 256 rows).
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py
@@ -127,6 +131,7 @@ def main():
     a, b = (gen.standard_normal(shape) for shape in CALIB_SHAPES)
     calib_s = _median_seconds(lambda: a @ b)
     build_peak = _traced_peak(build)
+    held = pp._signs.nbytes + (0 if pp._cache is None else pp._cache.nbytes)
     solve_peak = _traced_peak(solve(1 + EXTRA_ITERS))
     print(json.dumps({
         "grid": args.grid, "rates": [r_p, r_s], "seed": SEED,
@@ -137,7 +142,7 @@ def main():
         "project_s": project_s, "adjoint_s": adjoint_s,
         "residual_adjoint_s": residual_adjoint_s, "read_s": read_s,
         "hybrid_iter_s": (more - one) / EXTRA_ITERS, "calib_s": calib_s,
-        "build_peak_mib": build_peak / 2**20,
+        "build_peak_mib": build_peak / 2**20, "held_mib": held / 2**20,
         "solve_peak_per_cube": solve_peak / x.nbytes, "repeats": REPEATS,
     }))
 

@@ -6,8 +6,11 @@ directly, at its default_config() (sigma 0.01, truth-trained basis), on the
 64x64x32 phantom at (0.5, 0.25) and (0.3, 0.25) and on a 32x16x16 phantom
 at (0.5, 0.5), for each measurement seed. The 64x64x32 spatial Rademacher
 block at r_p = 0.5 has more than _MATERIALIZE_LIMIT entries, so that case
-runs the chunked path; the others run the cached one. On the 32x16 grid
-log2 n_p is odd, so its rows are expanded to +/-1/sqrt(2) rather than +/-1.
+runs the chunked path throughout. The one at r_p = 0.3 has more than
+_KEEP_LIMIT: its norm is estimated on a float64 cache, which the build then
+drops, so that case is solved from packed signs. The others run the cached
+path. On the 32x16 grid log2 n_p is odd, so its rows are expanded to
++/-1/sqrt(2) rather than +/-1.
 One line per run: method, grid, rates, seed, iterations, stop reason, the
 repr of both projectors' scales, then the digests of the returned matrix
 and of Trace.cost. Then, per seed, one line for a SpectralProjector(2048,
@@ -15,10 +18,13 @@ and of Trace.cost. Then, per seed, one line for a SpectralProjector(2048,
 at most 32 rows, and the line gives the digest of sp.apply(I) and the repr
 of its scale. Two source trees give the same
 numbers exactly when their outputs match line for line under the same BLAS
-thread count. The acquisition and its scales do not depend on that count,
-but a solve does once a cached spatial pass takes the whole cache, as at
-m_s = 8 on 64x64: the 64x64x32 (0.3, 0.25) lines differ between one and
-two OpenBLAS threads, with equal scales and iteration counts:
+thread count. The acquisitions and their scales here do not depend on
+that count, but a solve may once a cached spatial pass takes the whole
+cache, as at m_s = 8 on a 64x64 block of up to 256 rows, and the
+2048-band spectral scale does. Between one and two OpenBLAS threads on a
+2-vCPU VM every solve line matched, and the seed-1 spectral line differed
+in the last bit of its scale; the 64x64x32 (0.3, 0.25) lines differed too
+while that block kept its float64 cache:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
         python3 scripts/solver_digest.py --seeds 0,1,2 > a.txt

@@ -17,8 +17,12 @@ Rademacher rows that its constructor draws once and stores packed, one sign
 bit per entry, expanded to float64 +/-1 (+/-1/sqrt(2) when log2 n_p is
 odd); the rest of 1/sqrt(n_p), a power of two, is a gain on each product,
 so every output and scale is that of +/-1/sqrt(n_p) rows bit for bit.
-Small spatial rows are also cached as float64; large ones are expanded
-chunk by chunk instead of being held whole, once per apply, adjoint or
+A default build of at most _MATERIALIZE_LIMIT Rademacher entries also
+caches them as float64 for its power iteration, and keeps that cache only
+up to _KEEP_LIMIT entries (every 32x32 block, 64x64 ones of up to 256
+rows); a build given its scale fills a cache only up to _KEEP_LIMIT. Rows
+with no cache are expanded chunk by chunk instead of being held whole,
+once per apply, adjoint or
 residual_and_adjoint. Draws and passes are chunked separately. A build
 draws and packs its rows, then fills its cache, in chunks of at most
 _DRAW_BYTES of raw words (one row, 8 n_p bytes, past 256x256 frames), so
@@ -67,9 +71,21 @@ from .transforms import check_pow2, walsh_rows, zigzag_indices
 # _CHUNK_ENTRIES entries and set the adjoint's summation order, so they do
 # not follow the draw budget.
 #
-# The spatial rows are kept as packed sign bits; at most _MATERIALIZE_LIMIT
-# entries of them are also cached as float64, more are expanded in row chunks
-# once per apply, adjoint and fused residual-and-adjoint pass. Every pass
+# The spatial rows are kept as packed sign bits. A default build of at most
+# _MATERIALIZE_LIMIT entries also caches them as float64 for its norm
+# estimate, whose passes (m = 1) ran faster on slices of a cache: 1.9 against
+# 2.8-2.9 ms over 819 x 4096 rows. Only a block of at most _KEEP_LIMIT entries
+# keeps its cache after the estimate, and a build given its scale fills one
+# only then: a solver's fused pass (m = 8) ran faster on a cache at 32x32
+# (0.50 against 0.89-0.93 ms over 410 rows, 1.05-1.09 against 1.83-1.94 over
+# 900) but not at 64x64 (1.07-1.09 against 0.97-1.00 ms over 128 rows, 2.01
+# against 1.62-1.75 over 256, 3.73-3.78 against 3.49-3.62 over 512, 5.59-5.65
+# against 5.13-5.18 over 819). The rule loses one measured case: at 64x64,
+# m = 4, over 512 rows the cache took 1.62-1.64 ms against 1.94-1.96. A kept
+# cache of 819 x 4096 rows (r_p = 0.3) held 26.8 MB. Timed with one BLAS
+# thread on the host below, medians of 31 in two rounds. Rows with no cache
+# are expanded in row chunks once per apply, adjoint and fused
+# residual-and-adjoint pass. Every pass
 # sweeps the rows in chunks, expanded or sliced from the cache, so that the
 # fused pass reads each chunk from memory once for both products. A pass over
 # m input rows whose input, accumulator and product blocks (24 m n_p bytes)
@@ -90,6 +106,7 @@ from .transforms import check_pow2, walsh_rows, zigzag_indices
 # rows the rule would give m = 12 and 13 against 23 and 24 ms in 256, and at
 # 128x128 with m = 8 276 ms in 4 rows against 186 ms in 64.
 _MATERIALIZE_LIMIT = 1 << 22
+_KEEP_LIMIT = 1 << 20
 _CHUNK_ENTRIES = 1 << 20
 _DRAW_BYTES = 1 << 19
 _WORKSET_BYTES = 3 << 19
@@ -216,7 +233,9 @@ class SpatialProjector:
             self._signs[lo:hi] = np.packbits(
                 rng.negative_signs(gen, (hi - lo, self.n_p)), axis=1)
         self._cache = None
-        if rows * self.n_p <= _MATERIALIZE_LIMIT:
+        entries = rows * self.n_p
+        keep = entries <= _KEEP_LIMIT
+        if entries <= _MATERIALIZE_LIMIT and (keep or scale is None):
             # allocated after the draws, so it never coexists with one
             self._cache = np.empty((rows, self.n_p))
             for lo, hi in _draw_chunks(rows, self.n_p):
@@ -229,6 +248,8 @@ class SpatialProjector:
             gen = rng.stream(self.seed, rng.SPATIAL_NORM)
             self.scale = 1.0 / _power_norm(
                 lambda v: self.residual_and_adjoint(zero, v)[1], self.n_p, gen)
+        if not keep:
+            self._cache = None  # the estimate's copy: later passes expand
 
     def _expand(self, lo, hi, out):
         """Rademacher rows lo:hi as float64 +/-u into out: a plain cast of

@@ -1,15 +1,17 @@
 """Property tests over random power-of-two shapes.
 
 The operators must be exact adjoints of each other for every block layout
-(no low-pass rows, a mix, only low-pass rows, full sampling) on both the
-cached and the chunk-expanded Rademacher path; the fused Gram map the
-norm estimate runs on must equal adjoint(apply(v)) bit for bit, and the
-solvers' fused pass must equal y - project(x) and its adjoint; the
-spectral projector's dense matrix must be the oracle Walsh rows over the
-redrawn Rademacher rows, held once; the Walsh rows and Haar matrices must
-match the independent oracles at every supported length; the Haar basis
-must invert itself frame by frame; and HSC1/HSM1 files must round-trip
-their data (as float32), header fields and operator scales.
+(no low-pass rows, a mix, only low-pass rows, full sampling) on the cached,
+the chunk-expanded and the estimate-then-drop Rademacher paths; the fused
+Gram map the norm estimate runs on must equal adjoint(apply(v)) bit for
+bit, and a build that drops its cached block after the estimate must have
+the scale of one that keeps it; the solvers' fused pass must equal
+y - project(x) and its adjoint; the spectral projector's dense matrix must
+be the oracle Walsh rows over the redrawn Rademacher rows, held once; the
+Walsh rows and Haar matrices must match the independent oracles at every
+supported length; the Haar basis must invert itself frame by frame; and
+HSC1/HSM1 files must round-trip their data (as float32), header fields
+and operator scales.
 """
 
 import contextlib
@@ -52,9 +54,12 @@ def _counts(n, case, frac):
 
 def _paths(chunk_rows, n):
     """Expand the packed Rademacher rows of length n in chunks of chunk_rows
-    rows instead of caching the block; None keeps the cached path."""
+    rows instead of caching the block; "dropped" caches the block for the
+    norm estimate and then drops it; None keeps the cached path."""
     if chunk_rows is None:
         return contextlib.nullcontext()
+    if chunk_rows == "dropped":
+        return mock.patch.object(sensing, "_KEEP_LIMIT", 0)
     return mock.patch.multiple(sensing, _MATERIALIZE_LIMIT=0,
                                _CHUNK_ENTRIES=chunk_rows * n)
 
@@ -68,7 +73,7 @@ def _assert_adjoint(forward, backward, x, y):
 
 pow2 = st.integers(0, 4).map(lambda k: 1 << k)
 layout = st.tuples(st.sampled_from(CASES), st.floats(0, 0.999))
-chunks = st.sampled_from([None, 1, 2, 3])
+chunks = st.sampled_from([None, "dropped", 1, 2, 3])
 
 
 @_settings
@@ -166,17 +171,24 @@ def test_gram_is_adjoint_of_apply_bit_for_bit(axis, n_v, n_h, layout,
     # M^T M v: either way the scale is that of adjoint(apply(v)) at scale 1
     n = n_v * n_h if axis == "spatial" else n_h
     m, q = _counts(n, *layout)
-    with _paths(chunk_rows, n):
+
+    def build():
         if axis == "spatial":
-            proj = SpatialProjector(n_v, n_h, m, q, seed)
-            purpose = rng.SPATIAL_NORM
-        else:
-            proj = SpectralProjector(n, m, q, seed)
-            purpose = rng.SPECTRAL_NORM
-        if q < m:
-            assert proj.scale == 1.0 / _reference_norm(proj, n, purpose)
-        else:
-            assert proj.scale == 1.0
+            return SpatialProjector(n_v, n_h, m, q, seed), rng.SPATIAL_NORM
+        return SpectralProjector(n, m, q, seed), rng.SPECTRAL_NORM
+
+    with _paths(chunk_rows, n):
+        proj, purpose = build()
+    if chunk_rows == "dropped":
+        # the estimate ran on a copy that the build then dropped: its scale
+        # is that of the build that keeps the copy
+        kept = build()[0]
+        assert proj.scale == kept.scale
+        proj = kept
+    if q < m:
+        assert proj.scale == 1.0 / _reference_norm(proj, n, purpose)
+    else:
+        assert proj.scale == 1.0
 
 
 @_settings

@@ -240,12 +240,15 @@ def test_chunked_block_draws_philox_once(monkeypatch):
     assert drawn == [2 * 32] * 8
 
 
-@pytest.mark.parametrize("limit, expansions", [
-    (0, sensing._NORM_ITERATIONS * 6),  # 16 rows in chunks of 3: 6 chunks
-    (sensing._MATERIALIZE_LIMIT, 1),  # cached once, in the constructor
-], ids=["chunked", "cached"])
+@pytest.mark.parametrize("limit, keep, expansions", [
+    (0, 0, sensing._NORM_ITERATIONS * 6),  # 16 rows in chunks of 3: 6 chunks
+    # cached once, in the constructor
+    (sensing._MATERIALIZE_LIMIT, sensing._KEEP_LIMIT, 1),
+    # cached once for the estimate, then dropped
+    (sensing._MATERIALIZE_LIMIT, 0, 1),
+], ids=["chunked", "cached", "dropped"])
 def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
-                                                          expansions):
+                                                          keep, expansions):
     # each Gram step is one fused pass at y = 0
     calls, passes = [], []
     expand = SpatialProjector._expand
@@ -262,9 +265,10 @@ def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
     monkeypatch.setattr(SpatialProjector, "_expand", spy_expand)
     monkeypatch.setattr(SpatialProjector, "residual_and_adjoint", spy_fused)
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
+    monkeypatch.setattr(sensing, "_KEEP_LIMIT", keep)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * 32)
     pp = SpatialProjector(4, 8, 20, 4, seed=15)
-    assert pp.scale != 1.0
+    assert pp.scale != 1.0 and (pp._cache is None) == (keep == 0)
     assert len(calls) == expansions
     assert passes == [(32,)] * sensing._NORM_ITERATIONS
 
@@ -541,10 +545,11 @@ def test_spatial_build_transient_stays_small():
     # a scale-given 64 x 64 build beyond its packed signs and float64 cache:
     # one draw chunk of raw words with its mask and packed rows, or one
     # chunk of the cache fill (0.6 and 0.1 MiB), where a whole-chunk draw
-    # held 9 MiB and a whole-block cache fill 3.2 MiB. r_p = 0.3 is cached,
-    # r_p = 0.5 is not.
+    # held 9 MiB and a whole-block cache fill 3.2 MiB. The 200 rows of
+    # m_p = 610 are cached; the 819 of r_p = 0.3 are past the keep limit,
+    # so a build given their scale fills no 26.8 MB copy, nor does r_p = 0.5
     SpatialProjector(4, 4, 4, 2, seed=0)  # stream setup outside the count
-    for m_p, cached in ((1229, True), (2048, False)):
+    for m_p, cached in ((610, True), (1229, False), (2048, False)):
         tracemalloc.start()
         try:
             pp = SpatialProjector(64, 64, m_p, 410, seed=1, scale=0.5)
@@ -554,6 +559,24 @@ def test_spatial_build_transient_stays_small():
         assert (pp._cache is not None) == cached
         held = pp._signs.nbytes + (pp._cache.nbytes if cached else 0)
         assert peak - held <= 2 << 20
+
+
+def test_large_block_estimates_its_norm_on_a_transient_copy(monkeypatch):
+    # r_p = 0.3 at 64 x 64: the power iteration sweeps slices of a float64
+    # copy of the 819 x 4096 block, which the build then drops, so the scale
+    # is that of a build that keeps the copy, and later passes expand the
+    # packed signs
+    pp = SpatialProjector(64, 64, 1229, 410, seed=1)
+    assert pp._cache is None
+    monkeypatch.setattr(sensing, "_KEEP_LIMIT", sensing._MATERIALIZE_LIMIT)
+    kept = SpatialProjector(64, 64, 1229, 410, seed=1)
+    assert kept._cache is not None
+    assert pp.scale == kept.scale
+    gen = np.random.default_rng(23)
+    x, y = gen.normal(size=(8, 4096)), gen.normal(size=(8, 1229))
+    for got, want in ((pp.apply(x), kept.apply(x)),
+                      (pp.adjoint(y), kept.adjoint(y))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_spectral_build_peak_stays_near_m():

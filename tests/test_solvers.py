@@ -614,7 +614,7 @@ import numpy as np
 from hsrec import harness, transforms
 from hsrec.datacube import as_band_pixel_matrix
 cube = harness.generate_phantom(harness.PhantomSpec(64, 64, 32, seed=0))
-meas = harness.acquire_at_rates(cube, 0.3, 0.25, 0.01, 0)
+meas = harness.acquire_at_rates(cube, 0.15, 0.25, 0.01, 0)
 basis = transforms.learn_spectral_basis(
     harness.sample_training_columns(as_band_pixel_matrix(cube), 0))
 out = {"y": meas.y, "scales": np.array([meas.spatial.scale,
@@ -627,12 +627,16 @@ np.savez(sys.argv[1], **out)
 
 
 def test_blas_thread_count_moves_solves_but_not_acquisitions(tmp_path):
-    # at m_s = 8 on 64x64 the fused pass multiplies by the whole cached
-    # spatial block, which a BLAS may split by its thread count. The
-    # acquisition and both scales keep their bytes; after 10 iterations
-    # the outputs at 1 and 2 OpenBLAS threads differed by 1.0e-14 (bpdn)
-    # and 6.9e-15 (hybrid) of their largest entry. The gap grows with the
-    # iterations, so the bound holds for this count only
+    # at r_p = 0.15 on 64x64 the spatial block keeps its 204 x 4096 float64
+    # copy, and at m_s = 8 the fused pass multiplies by all of it at once,
+    # a product that a BLAS may split by its thread count. The acquisition
+    # and both scales keep their bytes. After 10 iterations the outputs at
+    # 1 and 2 OpenBLAS threads were equal byte for byte on a 2-vCPU VM, as
+    # were those of r_p = 0.3, whose 819 rows are swept from packed signs
+    # in 24-row chunks; with those rows cached whole they differed by
+    # 1.0e-14 (bpdn) and 6.9e-15 (hybrid) of their largest entry. BLAS
+    # promises no equal bytes, and a gap grows with the iterations, so the
+    # bound holds for this count only
     env = dict(os.environ, PYTHONPATH=str(Path(hsrec.__file__).parents[1]))
     runs = []
     for threads in ("1", "2"):
