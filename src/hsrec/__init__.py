@@ -9,7 +9,7 @@ from .regularizers import prox_l1, tv_sum_and_subgradient
 from .sensing import (Measurements, SpatialProjector, SpectralProjector, acquire,
                       adjoint, default_lowpass_counts, project, rates_to_counts)
 from .solvers import (DivergenceError, SolverConfig, Trace, apg_bpdn,
-                      recover_hybrid, recover_hybrid_nonortho)
+                      recover_hybrid)
 from .transforms import (HaarBasis, SpectralBasis, basis_apply,
                          learn_spectral_basis, walsh_rows, zigzag_indices)
 
@@ -24,7 +24,6 @@ __all__ = [
     "Measurements", "SpatialProjector", "SpectralProjector", "acquire",
     "adjoint", "default_lowpass_counts", "project", "rates_to_counts",
     "DivergenceError", "SolverConfig", "Trace", "apg_bpdn", "recover_hybrid",
-    "recover_hybrid_nonortho",
     "HaarBasis", "SpectralBasis", "basis_apply", "learn_spectral_basis",
     "walsh_rows", "zigzag_indices",
     "__version__",

@@ -117,10 +117,8 @@ def _cmd_eval(args):
 
 def _cmd_render(args):
     cube = formats.read_cube(args.cube)
-    try:
-        bands = [int(tok) for tok in args.bands.split(",")]
-    except ValueError:
-        raise ValueError(f"--bands expects integers, got {args.bands!r}")
+    bands = _parse_list(args.bands, int,
+                        "bad band {!r} in --bands; expected integers")
     if len(bands) != 3:
         raise ValueError("--bands expects exactly three comma-separated indices")
     channels = []
@@ -137,7 +135,7 @@ def _cmd_render(args):
     with open(args.out, "wb") as fh:
         fh.write(f"P6\n{cube.n_h} {cube.n_v}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
-    print(f"wrote {args.out}: {cube.n_h}x{cube.n_v} pixmap from bands {bands}")
+    print(f"wrote {args.out}: {cube.n_h}x{cube.n_v} pixmap from bands {list(bands)}")
     return 0
 
 

@@ -6,7 +6,6 @@ two structures the solvers exploit: piecewise-constant frames (small TV)
 and a low-rank band-by-pixel matrix (at most one signature per region).
 """
 
-import numbers
 import time
 from collections import namedtuple
 from collections.abc import Sequence
@@ -37,7 +36,7 @@ class PhantomSpec:
     def __post_init__(self):
         for name in ("n_v", "n_h", "n_s", "n_regions", "n_atoms"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not rng.is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
         if self.n_atoms > self.n_s:
             raise ValueError(

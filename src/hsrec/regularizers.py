@@ -8,6 +8,7 @@ the TV part of the term f the solvers step along.
 
 import numpy as np
 
+from . import rng
 from .datacube import checked_frames
 
 # The least nonzero pair norm, the square root of the least subnormal. Where
@@ -18,7 +19,7 @@ _NORM_FLOOR = 2.0 ** -537
 
 def prox_l1(z, xi):
     """Entrywise soft threshold; minimizes xi*||U||_1 + 0.5*||Z - U||_F^2."""
-    if not xi >= 0:
+    if not (rng.is_real(xi) and xi >= 0):
         raise ValueError(f"threshold weight must be >= 0, got {xi}")
     z = np.asarray(z, dtype=np.float64)
     return z - np.clip(z, -xi, xi)

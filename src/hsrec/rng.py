@@ -3,7 +3,8 @@
 Every random draw in the package comes through here. Streams are keyed by a
 64-bit user seed plus a purpose tag in the high word of the 128-bit Philox
 key, so the same master seed can feed the phantom, both Rademacher blocks,
-the noise, and the basis sampler without any stream colliding.
+the noise, and the basis sampler without any stream colliding. The type
+rules of every numeric argument, is_integer and is_real, live here too.
 
 Each Rademacher sign is the top bit of one raw 64-bit Philox word: a clear
 top bit is -1. Generator.random() maps a word w to (w >> 11) * 2^-53, so
@@ -25,10 +26,20 @@ SPECTRAL_NORM = 5
 SPATIAL_NORM = 6
 
 
+def is_integer(v):
+    """The package's integer type rule: an integer (numpy's too), no bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v):
+    """The package's real-number type rule: a real (numpy's too), no bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def check_seed(seed):
     """seed as an int; a ValueError unless it is an integer in [0, 2^64),
-    so neither a mask nor a truncation aliases it onto a valid seed."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= int(seed) < 1 << 64):
+    so neither a bool, a mask nor a truncation aliases it onto a valid seed."""
+    if not (is_integer(seed) and 0 <= int(seed) < 1 << 64):
         raise ValueError(f"seeds must lie in [0, 2^64), got {seed}")
     return int(seed)
 

@@ -4,10 +4,11 @@ Measurements are Y = Phi_s X Phi_p^T plus optional Gaussian noise. Each
 axis stacks a low-pass block of leading sequency-ordered Walsh-Hadamard
 coefficients over a seeded Rademacher block with rows scaled to unit norm;
 each Rademacher sign is the top bit of one raw Philox word
-(rng.negative_signs). Axes longer than MAX_WALSH_LENGTH, counts that
-break 1 <= m <= n or 0 <= q <= m, a Rademacher block of more than
-_MAX_RADEMACHER_ENTRIES entries, and a given scale that is not finite and
-> 0 (or not 1 when q = m), are rejected before anything is built.
+(rng.negative_signs). Counts that are not integers with 1 <= m <= n and
+0 <= q <= m, axes longer than MAX_WALSH_LENGTH, a Rademacher block of more
+than _MAX_RADEMACHER_ENTRIES entries, a given scale that is not a real
+number, finite and > 0 (and 1 when q = m), and rates and noise levels that
+are not real numbers in range are rejected before anything is built.
 
 The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
 2048): its q_s leading Walsh rows over Rademacher rows drawn in row chunks
@@ -48,7 +49,6 @@ acquisition, so reading one skips the power iteration.
 """
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -116,16 +116,10 @@ _NORM_ITERATIONS = 50
 _MAX_RADEMACHER_ENTRIES = 1 << 31
 
 
-def _is_real(value):
-    """The type rule of the rate and noise-level checks: a real number and
-    not a bool, so a str, None or a complex number meets their ValueError."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def check_rates(r_p, r_s):
     """A ValueError unless each rate is a real number in (0, 1]."""
     for rate, what in ((r_p, "spatial"), (r_s, "spectral")):
-        if not (_is_real(rate) and 0.0 < rate <= 1.0):
+        if not (rng.is_real(rate) and 0.0 < rate <= 1.0):
             raise ValueError(f"{what} rate must be in (0, 1], got {rate!r}")
 
 
@@ -134,7 +128,7 @@ def rates_to_counts(r_p, r_s, n_p, n_s):
     check_rates(r_p, r_s)
     counts = []
     for rate, n, what in ((r_p, n_p, "spatial"), (r_s, n_s, "spectral")):
-        if n < 1:
+        if not rng.is_integer(n) or n < 1:
             raise ValueError(f"{what} dimension must be >= 1, got {n}")
         counts.append(min(n, max(1, int(math.floor(rate * n + 0.5)))))
     return counts[0], counts[1]
@@ -185,10 +179,10 @@ def _draw_chunks(rows, n):
 
 
 def _check_counts(n, m, q, scale, what):
-    if m < 1 or m > n:
+    if not rng.is_integer(m) or m < 1 or m > n:
         raise ValueError(
             f"{what} projection count must satisfy 1 <= m <= {n}, got {m}")
-    if q < 0 or q > m:
+    if not rng.is_integer(q) or q < 0 or q > m:
         raise ValueError(
             f"{what} low-pass count must satisfy 0 <= q <= m={m}, got {q}")
     if (m - q) * n > _MAX_RADEMACHER_ENTRIES:
@@ -196,7 +190,7 @@ def _check_counts(n, m, q, scale, what):
                          f"exceeds {_MAX_RADEMACHER_ENTRIES}")
     if scale is None:
         return
-    if not (math.isfinite(scale) and scale > 0):
+    if not (rng.is_real(scale) and math.isfinite(scale) and scale > 0):
         raise ValueError(f"{what} scale must be finite and > 0, got {scale}")
     if q == m and scale != 1.0:
         raise ValueError(f"{what} scale must be 1 on a purely low-pass axis "
@@ -223,7 +217,7 @@ class SpatialProjector:
         rows = m_p - q_p
         # 1/sqrt(n_p) is 2^-k * u exactly, k = floor(log2(n_p) / 2), u = 1 or
         # 1/sqrt(2): the products carry 2^-k, which commutes with rounding
-        k = (self.n_p.bit_length() - 1) // 2
+        k = (int(self.n_p).bit_length() - 1) // 2
         self._unit, self._gain = 1.0 / np.sqrt(self.n_p >> 2 * k), 2.0 ** -k
         self._chunk = max(1, _CHUNK_ENTRIES // self.n_p)
         gen = rng.stream(self.seed, rng.SPATIAL_RADEMACHER)
@@ -376,7 +370,7 @@ class Measurements:
 
 def check_noise_level(sigma):
     """A ValueError unless sigma is a real number, finite in float64 and >= 0."""
-    if not (_is_real(sigma) and 0.0 <= sigma <= sys.float_info.max):
+    if not (rng.is_real(sigma) and 0.0 <= sigma <= sys.float_info.max):
         raise ValueError(f"noise level must be finite and >= 0, got {sigma!r}")
 
 

@@ -21,17 +21,16 @@ inverse-transpose synthesis, the plain maps for an orthonormal basis.
   spectral basis and a frame-wise orthonormal wavelet basis.
 - recover_hybrid: least squares plus a total-variation term (handled by a
   subgradient inside the gradient step) and an l1 penalty on spectral-basis
-  coefficients only. recover_hybrid_nonortho is the same function under
-  its older name.
+  coefficients only.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import rng
 from .regularizers import prox_l1, tv_sum_and_subgradient
 from .sensing import adjoint, project, residual_and_adjoint
 from .transforms import basis_apply
@@ -65,11 +64,12 @@ class SolverConfig:
         for name in ("step_size", "gamma", "gamma1", "gamma2", "tau"):
             value = getattr(self, name)
             positive = name in ("step_size", "tau")
-            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            if not (rng.is_real(value) and math.isfinite(value)) or value < 0 or (
+                    positive and value == 0):
                 raise ValueError(f"{name} must be finite and "
                                  f"{'> 0' if positive else '>= 0'}, got {value}")
         n = self.max_iters
-        if not isinstance(n, numbers.Integral) or n < 1:
+        if not rng.is_integer(n) or n < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {n}")
 
 
@@ -266,6 +266,5 @@ def recover_hybrid(measurements, spectral_basis, config, x_truth=None):
                 config.gamma2, config, x_truth)
 
 
-# The dictionary route of the paper is recover_hybrid under a
-# non-orthonormal basis; the name is kept for existing callers.
+# The dictionary route's old name; its one caller is hsbench/workloads.py.
 recover_hybrid_nonortho = recover_hybrid

@@ -19,12 +19,12 @@ instead, which makes every matrix orthonormal and keeps operator norms near
 one; the +/-1 convention is the same operator times sqrt(n).
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .datacube import checked_frames, matrix_from_frames
 
 # Longest axis a Walsh or Haar transform accepts; its full matrix takes 32 MiB.
@@ -33,7 +33,7 @@ MAX_WALSH_LENGTH = 2048
 
 def check_pow2(n, what):
     """The grid rule: n (named what) is a power of two <= MAX_WALSH_LENGTH."""
-    if n < 1 or (n & (n - 1)) != 0:
+    if not rng.is_integer(n) or n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"{what} must be a power of two, got {n}")
     if n > MAX_WALSH_LENGTH:
         raise ValueError(f"{what} must be at most {MAX_WALSH_LENGTH}, got {n}")
@@ -47,15 +47,14 @@ def walsh_rows(n, count=None):
     bitrev(g) divided by sqrt(n), with g = k ^ (k >> 1) the Gray code of k.
     Bit i of bitrev(g) is bit b-1-i of g (n = 2^b), so entry (k, j) is
     (-1)^(sum_i bit(g, b-1-i) bit(j, i)) / sqrt(n). The full matrix is
-    symmetric, so it is its own inverse. A count that is a bool or not an
-    integer in [0, n] is refused.
+    symmetric, so it is its own inverse. A count that is not an integer in
+    [0, n] is refused.
     """
     check_pow2(n, "transform length")
-    if count is not None and (isinstance(count, bool) or not (
-            isinstance(count, numbers.Integral) and 0 <= count <= n)):
+    if count is not None and not (rng.is_integer(count) and 0 <= count <= n):
         raise ValueError(f"row count must be an integer in [0, {n}], "
                          f"got {count!r}")
-    b = n.bit_length() - 1
+    b = int(n).bit_length() - 1
     shift = np.arange(b)
     k = np.arange(n)[:count]
     g = k ^ (k >> 1)
@@ -91,7 +90,7 @@ def zigzag_indices(n_v, n_h, count=None):
     Returns an int array of shape (count, 2); the first B pairs select the
     B "top-left" coefficients.
     """
-    if n_v < 1 or n_h < 1:
+    if not (rng.is_integer(n_v) and rng.is_integer(n_h)) or n_v < 1 or n_h < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {n_v}x{n_h}")
     total = n_v * n_h if count is None else min(count, n_v * n_h)
     # walk only the anti-diagonals the first `total` pairs lie on

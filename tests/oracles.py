@@ -7,7 +7,7 @@ Gray code, Haar matrices from the doubling Kronecker recursion, the
 zig-zag order from literal anti-diagonal enumeration, and projector
 matrices from explicit outer-product rows. Tests compare the library's
 fast paths against these dense forms. The transformed prox is checked by
-cvxpy when it is installed and by an optimality certificate otherwise.
+an optimality certificate, and also by cvxpy when it is installed.
 Old-layout HSM1 measurement files are cut from HSM2 files byte by byte.
 The soft threshold and the TV value and subgradient are also kept in their
 first, frame-layout form, which the in-place library forms must match bit
@@ -136,27 +136,29 @@ def tv_frames(x, n_v, n_h):
 def prox_transformed_error(u, z, xi, a, b):
     """Distance of U from the minimizer of xi*||A^T U B||_1 + 0.5*||Z - U||_F^2.
 
-    With cvxpy installed this is the largest entry of U minus the CLARABEL
-    solution. Without it, it is an upper bound on ||U - U*||_F: the
-    objective is 1-strongly convex, so the norm of any subgradient at a
+    Always an upper bound on ||U - U*||_F from an optimality certificate:
+    the objective is 1-strongly convex, so the norm of any subgradient at a
     point bounds that point's distance to the minimizer. The bound takes
     the minimal-norm subgradient at U with its transformed coefficients
-    below 1e-12 set to zero, plus the length of that rounding step.
+    below 1e-12 set to zero, plus the length of that rounding step. With
+    cvxpy installed it is the larger of that bound and the largest entry of
+    U minus the CLARABEL solution, so both checks hold the caller's bound.
     """
+    c = a.T @ u @ b
+    c[np.abs(c) < 1e-12] = 0.0
+    g = c - a.T @ z @ b  # gradient of the quadratic, in coefficients
+    sub = np.where(c != 0, g + xi * np.sign(c),
+                   np.maximum(np.abs(g) - xi, 0.0))
+    certificate = np.linalg.norm(sub) + np.linalg.norm(a @ c @ b.T - u)
     try:
         import cvxpy as cp
     except ImportError:
-        c = a.T @ u @ b
-        c[np.abs(c) < 1e-12] = 0.0
-        g = c - a.T @ z @ b  # gradient of the quadratic, in coefficients
-        sub = np.where(c != 0, g + xi * np.sign(c),
-                       np.maximum(np.abs(g) - xi, 0.0))
-        return np.linalg.norm(sub) + np.linalg.norm(a @ c @ b.T - u)
+        return certificate
     v = cp.Variable(u.shape)
     cp.Problem(cp.Minimize(
         xi * cp.norm1(cp.vec(a.T @ v @ b, order="F"))
         + 0.5 * cp.sum_squares(z - v))).solve(solver=cp.CLARABEL)
-    return np.abs(u - v.value).max()
+    return max(certificate, np.abs(u - v.value).max())
 
 
 def hsm1_bytes(raw):

@@ -19,7 +19,7 @@ from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, default_lowpass_counts, project,
                            rates_to_counts)
 from hsrec.solvers import (SolverConfig, apg_bpdn, prox_transformed,
-                           recover_hybrid, recover_hybrid_nonortho)
+                           recover_hybrid)
 from hsrec.transforms import (HaarBasis, SpectralBasis, basis_apply,
                               learn_spectral_basis, walsh_rows, zigzag_indices)
 from oracles import (haar_matrix, prox_l1_grid, prox_transformed_error,
@@ -333,7 +333,7 @@ def test_criterion_9_dictionary_route_reduction():
                             gamma2=2 * cfg.gamma2, tau=cfg.tau,
                             max_iters=cfg.max_iters)
     x_orth, trace_orth = recover_hybrid(meas, SpectralBasis(q), cfg_orth)
-    x_dict, trace_dict = recover_hybrid_nonortho(meas, dictionary, cfg)
+    x_dict, trace_dict = recover_hybrid(meas, dictionary, cfg)
     dev = float(np.abs(x_orth - x_dict).max())
     cost_dev = float(np.abs(trace_orth.cost - trace_dict.cost).max())
     elapsed = time.monotonic() - t0

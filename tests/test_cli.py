@@ -568,7 +568,7 @@ def test_render_band_out_of_range(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bands, message", [
-    ("0,1,x", "--bands expects integers, got '0,1,x'"),
+    ("0,1,x", "bad band 'x' in --bands; expected integers"),
     ("0,1", "--bands expects exactly three comma-separated indices")])
 def test_render_rejects_malformed_bands(tmp_path, capsys, bands, message):
     cube = _make_phantom(tmp_path, nv=4, nh=4, ns=4)

@@ -53,3 +53,12 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
             unused.append(name)
     assert not unused, ("exported but called only from its own module, tests "
                         f"or demos: {unused}")
+
+
+def test_no_two_exported_names_are_one_object():
+    # an alias doubles the surface without adding to it
+    names = {}
+    for name in hsrec.__all__:
+        names.setdefault(id(getattr(hsrec, name)), []).append(name)
+    aliases = [group for group in names.values() if len(group) > 1]
+    assert not aliases, f"exported under more than one name: {aliases}"

@@ -23,8 +23,7 @@ from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts, project,
                            rates_to_counts)
 from hsrec.solvers import (DivergenceError, SolverConfig, Trace, apg_bpdn,
-                           fista_momentum, recover_hybrid,
-                           recover_hybrid_nonortho, relative_change)
+                           fista_momentum, recover_hybrid, relative_change)
 from hsrec.transforms import HaarBasis, SpectralBasis, learn_spectral_basis
 from oracles import haar_matrix, spatial_matrix, spectral_matrix
 
@@ -469,11 +468,14 @@ def test_divergence_reports_step_size():
 # ---------------------------------------------------------------- nonortho
 
 def test_nonortho_matches_orthonormal_route():
+    # the dictionary route is recover_hybrid itself; on an orthonormal basis
+    # it takes the plain maps, which negating the basis leaves exact:
+    # (-Q) soft(-Q^T z) = Q soft(Q^T z) bit for bit
     _, meas = _small_measurements()
     q, _ = np.linalg.qr(np.random.default_rng(40).normal(size=(8, 8)))
     cfg = SolverConfig(gamma1=2e-4, gamma2=2e-4, tau=1e-30)
     x_orth, trace_orth = recover_hybrid(meas, SpectralBasis(q), cfg)
-    x_gen, trace_gen = recover_hybrid_nonortho(meas, SpectralBasis(q), cfg)
+    x_gen, trace_gen = recover_hybrid(meas, SpectralBasis(-q), cfg)
     assert trace_orth.iterations == cfg.max_iters
     assert np.array_equal(x_orth, x_gen)
     assert np.array_equal(trace_orth.cost, trace_gen.cost)
@@ -485,7 +487,7 @@ def _solve_dictionary(method, meas, basis, l1_weight, **config):
     if method == "bpdn":
         return apg_bpdn(meas, HaarBasis(8, 8), basis,
                         SolverConfig(gamma=l1_weight, **config))
-    return recover_hybrid_nonortho(
+    return recover_hybrid(
         meas, basis, SolverConfig(gamma1=2e-4, gamma2=l1_weight, **config))
 
 
@@ -541,7 +543,7 @@ def test_nonortho_rejects_rank_deficient_dictionary():
     psi = np.eye(8)
     psi[7] = psi[6]
     with pytest.raises(np.linalg.LinAlgError):
-        recover_hybrid_nonortho(meas, SpectralBasis(psi), SolverConfig())
+        recover_hybrid(meas, SpectralBasis(psi), SolverConfig())
 
 
 def test_nonortho_well_conditioned_dictionary_runs():
@@ -549,8 +551,8 @@ def test_nonortho_well_conditioned_dictionary_runs():
     gen = np.random.default_rng(41)
     psi = np.eye(8) + 0.2 * gen.normal(size=(8, 8))
     assert np.linalg.cond(psi) < 10
-    x_rec, trace = recover_hybrid_nonortho(meas, SpectralBasis(psi),
-                                           default_hybrid_config())
+    x_rec, trace = recover_hybrid(meas, SpectralBasis(psi),
+                                  default_hybrid_config())
     assert trace.reason in ("threshold", "max-iters")
     assert np.all(np.isfinite(trace.cost))
     assert np.all(np.diff(trace.cost) <= 0.0)
