@@ -6,19 +6,17 @@ the one table of headers, which one reader, one payload decoder, one
 header packer and one writer serve:
 
   HSC1  n_v n_h n_s (u32)                                  16 bytes in all
-  HSM1  m_s m_p q_s q_p n_v n_h n_s (u32), the spectral, spatial and
-        noise seeds (u64), sigma (f64)                     64 bytes
-  HSM2  the HSM1 fields, then the spectral and spatial scales (f64), 80
+  HSM2  m_s m_p q_s q_p n_v n_h n_s (u32), the spectral, spatial and noise
+        seeds (u64), sigma, the spectral and spatial scales (f64)  80
 
 A cube file holds the band-by-pixel matrix (band-major, column-major pixels
 within each band), a measurement file the m_s x m_p measurements. The
 projector matrices are not stored but rebuilt from the seeds on read,
 which keeps files small. HSM2 stores the scales because estimating one
 takes 50 power-iteration passes over the rows, most of a build, and its
-last bit depends on the BLAS thread count: a reader given the
-acquisition's scales skips that work and rebuilds exactly the operators
-used at acquisition time. HSM1 files are still read, and their scales
-estimated on read; the writers write HSC1 and HSM2.
+last bit depends on the BLAS thread count: given the acquisition's
+scales, no read runs the power iteration, and each rebuilds exactly the
+operators used at acquisition time.
 
 Before they open the file, the writers check the seeds, refuse a header
 field its layout cannot hold (a count set to -1 after construction, say)
@@ -44,7 +42,6 @@ from .sensing import (Measurements, SpatialProjector, SpectralProjector,
                       check_noise_level)
 
 _LAYOUTS = {b"HSC1": struct.Struct("<3I"),
-            b"HSM1": struct.Struct("<7I3Qd"),
             b"HSM2": struct.Struct("<7I3Q3d")}
 # Largest cube a measurement file may declare: 1 GiB of float64 samples.
 _MAX_CUBE_ENTRIES = 1 << 27
@@ -77,15 +74,14 @@ def _float32_payload(a):
     return x
 
 
-def _read(path, magics):
+def _read(path, magic):
     """(header fields, payload bytes) of the file at path; a ValueError
-    unless its magic is one of magics and its header is whole."""
+    unless it starts with magic and its header is whole."""
+    layout = _LAYOUTS[magic]
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic not in magics:
-            raise ValueError(f"bad magic {magic!r}")
-        layout = _LAYOUTS[magic]
-        header = fh.read(layout.size)
+        found, header = fh.read(4), fh.read(layout.size)
+        if found != magic:
+            raise ValueError(f"bad magic {found!r}; expected {magic.decode()}")
         if len(header) < layout.size:
             raise ValueError(f"truncated {magic.decode()} header")
         return layout.unpack(header), fh.read()
@@ -124,7 +120,7 @@ def write_cube(path, cube):
 
 @_names_file
 def read_cube(path):
-    (n_v, n_h, n_s), payload = _read(path, (b"HSC1",))
+    (n_v, n_h, n_s), payload = _read(path, b"HSC1")
     x = _decode(payload, n_v * n_h * n_s)
     return cube_from_matrix(x.reshape(n_s, n_v * n_h), n_v, n_h)
 
@@ -143,12 +139,11 @@ def write_measurements(path, meas):
 @_names_file
 def read_measurements(path):
     (m_s, m_p, q_s, q_p, n_v, n_h, n_s, spectral_seed, spatial_seed,
-     noise_seed, sigma, *scales), payload = _read(path, (b"HSM1", b"HSM2"))
+     noise_seed, sigma, spectral_scale, spatial_scale), payload = _read(
+        path, b"HSM2")
     check_cube_size(n_v, n_h, n_s)
     check_noise_level(sigma)
     y = _decode(payload, m_s * m_p)
-    # an HSM1 file stores no scales: the constructors estimate them
-    spectral_scale, spatial_scale = scales or (None, None)
     sp = SpectralProjector(n_s, m_s, q_s, spectral_seed, scale=spectral_scale)
     pp = SpatialProjector(n_v, n_h, m_p, q_p, spatial_seed, scale=spatial_scale)
     return Measurements(y=y.reshape(m_s, m_p), spectral=sp, spatial=pp,

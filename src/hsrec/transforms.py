@@ -88,10 +88,14 @@ def zigzag_indices(n_v, n_h, count=None):
     Anti-diagonals d = 0 .. n_v+n_h-2; even diagonals run bottom-left to
     top-right, odd ones top-right to bottom-left, clipped at the borders.
     Returns an int array of shape (count, 2); the first B pairs select the
-    B "top-left" coefficients.
+    B "top-left" coefficients. A count that is not an integer >= 0 is
+    refused; one above n_v * n_h gives all the pairs.
     """
     if not (rng.is_integer(n_v) and rng.is_integer(n_h)) or n_v < 1 or n_h < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {n_v}x{n_h}")
+    if count is not None and not (rng.is_integer(count) and count >= 0):
+        raise ValueError(f"coefficient count must be an integer >= 0, "
+                         f"got {count!r}")
     total = n_v * n_h if count is None else min(count, n_v * n_h)
     # walk only the anti-diagonals the first `total` pairs lie on
     pieces, taken, d = [np.zeros((0, 2), dtype=np.int64)], 0, 0

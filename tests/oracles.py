@@ -8,7 +8,6 @@ zig-zag order from literal anti-diagonal enumeration, and projector
 matrices from explicit outer-product rows. Tests compare the library's
 fast paths against these dense forms. The transformed prox is checked by
 an optimality certificate, and also by cvxpy when it is installed.
-Old-layout HSM1 measurement files are cut from HSM2 files byte by byte.
 The soft threshold and the TV value and subgradient are also kept in their
 first, frame-layout form, which the in-place library forms must match bit
 for bit.
@@ -159,10 +158,3 @@ def prox_transformed_error(u, z, xi, a, b):
         xi * cp.norm1(cp.vec(a.T @ v @ b, order="F"))
         + 0.5 * cp.sum_squares(z - v))).solve(solver=cp.CLARABEL)
     return max(certificate, np.abs(u - v.value).max())
-
-
-def hsm1_bytes(raw):
-    """The HSM1 file of the HSM2 file raw: the same fields and payload with
-    the two stored scales (header bytes 64:80) dropped."""
-    assert raw[:4] == b"HSM2"
-    return b"HSM1" + raw[4:64] + raw[80:]

@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 import hsrec
-from hsrec import formats, harness
+from hsrec import formats, harness, sensing
 from hsrec.cli import main
 from hsrec.datacube import Datacube, as_band_pixel_matrix, cube_from_matrix
 from hsrec.formats import (read_cube, read_measurements, write_cube,
                            write_measurements)
 from hsrec.solvers import SolverConfig, recover_hybrid
 from hsrec.transforms import SpectralBasis, walsh_rows
-from oracles import hsm1_bytes
 
 
 def _make_phantom(tmp_path, name="cube.hsc", nv=16, nh=16, ns=8, seed=1,
@@ -431,22 +430,21 @@ def test_recover_slow_blow_up_exits_3_without_a_file(tmp_path, capsys):
 def test_recover_rejects_non_finite_measurement_files(tmp_path, capsys):
     cube = _make_phantom(tmp_path, nv=8, nh=8, ns=4)
     meas = _acquire(tmp_path, cube, rp=0.5, rs=0.5)
-    hsm2 = meas.read_bytes()
-    sigma_at = struct.calcsize("<4s7I3Q")  # the same in both layouts
-    for raw, header_size in ((hsm2, struct.calcsize("<4s7I3Q3d")),
-                             (hsm1_bytes(hsm2), struct.calcsize("<4s7I3Qd"))):
-        nan_sigma = tmp_path / "nan_sigma.hsm"
-        nan_sigma.write_bytes(raw[:sigma_at] + struct.pack("<d", np.nan)
-                              + raw[sigma_at + 8:])
-        nan_payload = tmp_path / "nan_payload.hsm"
-        nan_payload.write_bytes(raw[:header_size] + np.float32(np.nan).tobytes()
-                                + raw[header_size + 4:])
-        for path, message in ((nan_sigma, "noise level"),
-                              (nan_payload, "not finite")):
-            rc = main(["recover", "--meas", str(path), "--method", "hybrid",
-                       "--out", str(tmp_path / "r.hsc")])
-            assert rc == 2
-            assert message in capsys.readouterr().err
+    raw = meas.read_bytes()
+    sigma_at = struct.calcsize("<4s7I3Q")
+    header_size = struct.calcsize("<4s7I3Q3d")
+    nan_sigma = tmp_path / "nan_sigma.hsm"
+    nan_sigma.write_bytes(raw[:sigma_at] + struct.pack("<d", np.nan)
+                          + raw[sigma_at + 8:])
+    nan_payload = tmp_path / "nan_payload.hsm"
+    nan_payload.write_bytes(raw[:header_size] + np.float32(np.nan).tobytes()
+                            + raw[header_size + 4:])
+    for path, message in ((nan_sigma, "noise level"),
+                          (nan_payload, "not finite")):
+        rc = main(["recover", "--meas", str(path), "--method", "hybrid",
+                   "--out", str(tmp_path / "r.hsc")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -455,10 +453,10 @@ def test_recover_rejects_non_finite_measurement_files(tmp_path, capsys):
     ((4096, 1, 1), "at most 2048"),      # small cube, axis too long
 ])
 def test_recover_rejects_oversized_grids_fast(tmp_path, capsys, grid, message):
-    # 68 bytes: one measurement from one Rademacher row per axis
+    # 84 bytes: one measurement from one Rademacher row per axis
     path = tmp_path / "hostile.hsm"
-    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", 1, 1, 0, 0, *grid,
-                                 0, 0, 0, 0.0)
+    path.write_bytes(struct.pack("<4s7I3Q3d", b"HSM2", 1, 1, 0, 0, *grid,
+                                 0, 0, 0, 0.0, 1.0, 1.0)
                      + np.ones(1, dtype="<f4").tobytes())
     start = time.perf_counter()
     rc = main(["recover", "--meas", str(path), "--method", "hybrid",
@@ -503,6 +501,33 @@ def test_recover_rejects_an_oversized_rademacher_block_fast(tmp_path, capsys):
     assert rc == 2
     assert "spatial Rademacher block of 4096 x 4194304 entries exceeds" in (
         capsys.readouterr().err)
+
+
+def test_scale_less_measurement_files_are_refused_before_any_build(
+        tmp_path, capsys, monkeypatch):
+    # the committed HSM2 file repacked in the HSM1 layout that older
+    # versions wrote, without the two stored scales: a bad magic, refused
+    # before a projector is built or a power iteration runs
+    raw = (Path(__file__).parent / "data" / "meas_hsm2.hsm").read_bytes()
+    fields = struct.unpack_from("<4s7I3Q3d", raw)
+    path = tmp_path / "old.hsm"
+    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", *fields[1:12])
+                     + raw[80:])
+
+    def build(*args, **kwargs):
+        raise AssertionError("built before the magic was checked")
+
+    monkeypatch.setattr(sensing, "_power_norm", build)
+    monkeypatch.setattr(sensing.SpectralProjector, "__init__", build)
+    monkeypatch.setattr(sensing.SpatialProjector, "__init__", build)
+    message = f"{path}: bad magic b'HSM1'; expected HSM2"
+    with pytest.raises(ValueError) as info:
+        read_measurements(path)
+    assert str(info.value) == message
+    out = tmp_path / "rec_old.hsc"
+    assert main(["recover", "--meas", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- eval

@@ -17,14 +17,13 @@ from hsrec.formats import (read_cube, read_measurements, write_cube,
 from hsrec.harness import PhantomSpec, generate_phantom
 from hsrec.sensing import (SpatialProjector, SpectralProjector, acquire,
                            adjoint, project)
-from oracles import hsm1_bytes
 
-# header layouts by magic, and the bytes each header takes
-_LAYOUTS = {b"HSM2": "<4s7I3Q3d", b"HSM1": "<4s7I3Qd"}
-# the committed HSC1 cube and its HSM1 and HSM2 measurement files
+# the HSM2 magic and header as one struct format, 80 bytes
+_HSM2 = "<4s7I3Q3d"
+# the committed HSC1 cube and its HSM2 measurement file
 DATA = Path(__file__).parent / "data"
 _FIXTURES = {name: (DATA / name).read_bytes()
-             for name in ("cube.hsc", "meas_hsm1.hsm", "meas_hsm2.hsm")}
+             for name in ("cube.hsc", "meas_hsm2.hsm")}
 
 
 def _cube():
@@ -170,34 +169,23 @@ def test_measurements_write_refuses_a_cube_its_reader_refuses(tmp_path,
                                                    f"{path}: {message}")
 
 
-def _written_files(path, meas):
-    """(magic, bytes) of meas written as HSM2 and repacked as HSM1."""
-    write_measurements(path, meas)
-    raw = path.read_bytes()
-    return (b"HSM2", raw), (b"HSM1", hsm1_bytes(raw))
-
-
 def test_measurements_header_layout(tmp_path):
     meas = _measurements()
-    scales = (meas.spectral.scale, meas.spatial.scale)
-    for magic, raw in _written_files(tmp_path / "meas.hsm", meas):
-        layout = _LAYOUTS[magic]
-        fields = struct.unpack_from(layout, raw)
-        assert fields[0] == magic
-        assert fields[1:8] == (2, 12, 1, 3, 4, 8, 4)  # m_s m_p q_s q_p n_v n_h n_s
-        assert fields[8:11] == (22, 21, 17)  # spectral, spatial, noise seeds
-        assert fields[11] == 0.01
-        # HSM2 adds the spectral and spatial scales
-        assert fields[12:] == (scales if magic == b"HSM2" else ())
-        payload = raw[struct.calcsize(layout):]
-        assert len(payload) == 4 * 2 * 12
-    assert struct.calcsize(_LAYOUTS[b"HSM2"]) == 80
+    path = tmp_path / "meas.hsm"
+    write_measurements(path, meas)
+    raw = path.read_bytes()
+    fields = struct.unpack_from(_HSM2, raw)
+    assert fields[0] == b"HSM2"
+    assert fields[1:8] == (2, 12, 1, 3, 4, 8, 4)  # m_s m_p q_s q_p n_v n_h n_s
+    assert fields[8:11] == (22, 21, 17)  # spectral, spatial, noise seeds
+    assert fields[11] == 0.01
+    assert fields[12:] == (meas.spectral.scale, meas.spatial.scale)
+    assert struct.calcsize(_HSM2) == 80
+    assert len(raw) - 80 == 4 * 2 * 12  # the float32 payload
 
 
 def test_measurements_hsm2_stores_the_acquisition_scales(tmp_path, monkeypatch):
-    # an HSM2 read takes the stored scales and runs no power iteration; an
-    # HSM1 file estimates them again and, at one BLAS thread count, gets
-    # the same ones, so old files keep their operators
+    # a read takes the stored scales and runs no power iteration
     meas = _measurements()
     norms = []
     original = sensing._power_norm
@@ -208,14 +196,13 @@ def test_measurements_hsm2_stores_the_acquisition_scales(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sensing, "_power_norm", spy)
     path = tmp_path / "meas.hsm"
-    for magic, raw in _written_files(path, meas):
-        path.write_bytes(raw)
-        norms.clear()
-        got = read_measurements(path)
-        assert norms == ([] if magic == b"HSM2" else [4, 32])
-        assert got.spectral.scale == meas.spectral.scale
-        assert got.spatial.scale == meas.spatial.scale
-        assert np.array_equal(got.y, meas.y.astype(np.float32))
+    write_measurements(path, meas)
+    norms.clear()
+    got = read_measurements(path)
+    assert norms == []
+    assert got.spectral.scale == meas.spectral.scale
+    assert got.spatial.scale == meas.spatial.scale
+    assert np.array_equal(got.y, meas.y.astype(np.float32))
 
 
 def test_measurements_read_rejects_corrupt_files(tmp_path):
@@ -255,14 +242,14 @@ def test_measurements_read_rejects_bad_noise_level(tmp_path):
 def test_measurements_read_rejects_non_finite_payload(tmp_path):
     meas = _measurements()
     path = tmp_path / "meas.hsm"
-    for magic, raw in _written_files(path, meas):
-        header = raw[:struct.calcsize(_LAYOUTS[magic])]
-        for value in (np.nan, np.inf, -np.inf):
-            y = meas.y.astype("<f4")
-            y[1, 5] = value
-            path.write_bytes(header + y.tobytes())
-            with pytest.raises(ValueError, match="not finite"):
-                read_measurements(path)
+    write_measurements(path, meas)
+    header = path.read_bytes()[:struct.calcsize(_HSM2)]
+    for value in (np.nan, np.inf, -np.inf):
+        y = meas.y.astype("<f4")
+        y[1, 5] = value
+        path.write_bytes(header + y.tobytes())
+        with pytest.raises(ValueError, match="not finite"):
+            read_measurements(path)
 
 
 @pytest.mark.parametrize("offset, axis", [(64, "spectral"), (72, "spatial")])
@@ -279,13 +266,14 @@ def test_measurements_read_rejects_bad_scales(tmp_path, offset, axis):
 
 
 def test_measurements_read_large_declared_grid_is_fast(tmp_path):
-    # 68 bytes declaring a 2048x2048 grid with one structured row per axis:
-    # the reader builds only the one zig-zag coefficient it keeps
+    # 84 bytes declaring a 2048x2048 grid with one structured row per axis,
+    # so both scales are 1: the reader builds only the one zig-zag
+    # coefficient it keeps
     path = tmp_path / "tiny.hsm"
-    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", 1, 1, 1, 1, 2048, 2048,
-                                 1, 0, 0, 0, 0.0)
+    path.write_bytes(struct.pack(_HSM2, b"HSM2", 1, 1, 1, 1, 2048, 2048,
+                                 1, 0, 0, 0, 0.0, 1.0, 1.0)
                      + np.ones(1, dtype="<f4").tobytes())
-    assert path.stat().st_size == 68
+    assert path.stat().st_size == 84
     start = time.perf_counter()
     meas = read_measurements(path)
     elapsed = time.perf_counter() - start
@@ -297,7 +285,7 @@ def test_measurements_read_large_declared_grid_hsm2_is_fast(tmp_path):
     # the HSM2 twin, with one Rademacher row per axis: the given scales
     # skip the power iteration over the 2048x2048 spatial row
     path = tmp_path / "tiny.hsm"
-    path.write_bytes(struct.pack("<4s7I3Q3d", b"HSM2", 1, 1, 0, 0, 2048, 2048,
+    path.write_bytes(struct.pack(_HSM2, b"HSM2", 1, 1, 0, 0, 2048, 2048,
                                  1, 0, 0, 0, 0.0, 1.0, 0.5)
                      + np.ones(1, dtype="<f4").tobytes())
     assert path.stat().st_size == 84
@@ -313,8 +301,8 @@ def test_measurements_read_checks_spectral_counts_before_building(tmp_path):
     # a header-only file whose m_s * m_p = 0 samples match its empty payload:
     # the counts are rejected before a (2^32 - 1) x 2048 M is allocated
     path = tmp_path / "counts.hsm"
-    path.write_bytes(struct.pack("<4s7I3Qd", b"HSM1", 2**32 - 1, 0, 0, 0,
-                                 1, 1, 2048, 0, 0, 0, 0.0))
+    path.write_bytes(struct.pack(_HSM2, b"HSM2", 2**32 - 1, 0, 0, 0,
+                                 1, 1, 2048, 0, 0, 0, 0.0, 1.0, 1.0))
     start = time.perf_counter()
     with pytest.raises(ValueError,
                        match="spectral projection count must satisfy"):
@@ -359,12 +347,14 @@ _MALFORMED = {
                     + np.full(4, np.inf, dtype="<f4").tobytes()),
     "cube with n_v = 0": (read_cube, struct.pack("<4s3I", b"HSC1", 0, 2, 1)),
     "cube cut short": (read_cube, _FIXTURES["cube.hsc"][:-5]),
-    "HSM1 cut short": (read_measurements, _FIXTURES["meas_hsm1.hsm"][:-5]),
+    "HSM2 header cut short": (read_measurements,
+                              _FIXTURES["meas_hsm2.hsm"][:40]),
     "HSM2 cut short": (read_measurements, _FIXTURES["meas_hsm2.hsm"][:-5]),
-    "HSM1 with n_v = 3": (read_measurements,
-                          _patched("meas_hsm1.hsm", "<I", 20, 3)),
-    "HSM1 with m_s = 2^32 - 1": (read_measurements, struct.pack(
-        "<4s7I3Qd", b"HSM1", 2**32 - 1, 0, 0, 0, 1, 1, 2048, 0, 0, 0, 0.0)),
+    "HSM2 with n_v = 3": (read_measurements,
+                          _patched("meas_hsm2.hsm", "<I", 20, 3)),
+    "HSM2 with m_s = 2^32 - 1": (read_measurements, struct.pack(
+        _HSM2, b"HSM2", 2**32 - 1, 0, 0, 0, 1, 1, 2048, 0, 0, 0, 0.0, 1.0,
+        1.0)),
     "HSM2 with a zero scale": (read_measurements,
                                _patched("meas_hsm2.hsm", "<d", 64, 0.0)),
 }
@@ -387,7 +377,6 @@ def test_read_errors_name_the_file_once(tmp_path, case):
 # per magic: the reader, the header's u32 count, its f64 offsets (sigma and
 # the scales) and its size
 _FUZZ = {b"HSC1": (read_cube, 3, (), 16),
-         b"HSM1": (read_measurements, 7, (56,), 64),
          b"HSM2": (read_measurements, 7, (56, 64, 72), 80)}
 
 

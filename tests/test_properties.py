@@ -10,7 +10,7 @@ y - project(x) and its adjoint; the spectral projector's dense matrix must
 be the oracle Walsh rows over the redrawn Rademacher rows, held once; the
 Walsh rows and Haar matrices must match the independent oracles at every
 supported length; the Haar basis must invert itself frame by frame; and
-HSC1/HSM1 files must round-trip their data (as float32), header fields
+HSC1/HSM2 files must round-trip their data (as float32), header fields
 and operator scales.
 """
 

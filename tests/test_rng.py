@@ -104,6 +104,8 @@ NUMERIC_CHECKS = {
                            "grid dimensions"),
     "zigzag_indices.n_h": ("integer", lambda v: zigzag_indices(4, v), 4,
                            "grid dimensions"),
+    "zigzag_indices.count": ("integer", lambda v: zigzag_indices(4, 4, v), 3,
+                             "coefficient count must be"),
     "SpatialProjector.n_v": ("integer", lambda v: SpatialProjector(
         v, 4, 8, 2, 0), 4, "frame rows must be"),
     "SpatialProjector.m_p": ("integer", lambda v: SpatialProjector(
@@ -135,9 +137,10 @@ NUMERIC_CHECKS = {
 REFUSED = {"integer": (True, "1", None, 1j, 2.5),
            "real": (True, "1", None, 1j)}
 NUMPY = {"integer": np.int64, "real": np.float64}
-# where None is the argument's default: all rows, or the estimated scale
-NONE_IS_DEFAULT = {"walsh_rows.count", "SpatialProjector.scale",
-                   "SpectralProjector.scale"}
+# where None is the argument's default: all rows or pairs, or the
+# estimated scale
+NONE_IS_DEFAULT = {"walsh_rows.count", "zigzag_indices.count",
+                   "SpatialProjector.scale", "SpectralProjector.scale"}
 
 
 def _numeric_cases():

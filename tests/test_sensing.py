@@ -677,7 +677,7 @@ def test_acquire_checks_the_noise_level_before_it_projects():
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0, 10**400])
 def test_measurements_reject_bad_sigma(sigma):
-    # built directly, it would be written as a file the HSM1 reader refuses
+    # built directly, it would be written as a file the HSM2 reader refuses
     pp = SpatialProjector(4, 4, 6, 2, seed=24)
     sp = SpectralProjector(8, 4, 1, seed=25)
     with pytest.raises(ValueError, match="finite and >= 0"):

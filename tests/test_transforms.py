@@ -302,6 +302,7 @@ def test_basis_apply_rejects_bad_input():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: zigzag_indices(0, 4), "grid dimensions must be >= 1"),
+    (lambda: zigzag_indices(4, 4, -1), "coefficient count must be"),
     (lambda: SpectralBasis(np.ones((2, 3))), "must be square"),
     (lambda: SpectralBasis(np.full((2, 2), np.nan)), "must be finite"),
     (lambda: learn_spectral_basis(np.ones((3, 0))), "samples must be n_s x m"),
@@ -311,7 +312,7 @@ def test_basis_apply_rejects_bad_input():
      "does not match a 4x2 grid"),
     (lambda: HaarBasis(4, 2).synthesize(np.zeros(8)),
      "does not match a 4x2 grid"),
-], ids=["zigzag-empty-grid", "basis-not-square",
+], ids=["zigzag-empty-grid", "zigzag-negative-count", "basis-not-square",
         "basis-not-finite", "learn-no-samples", "learn-not-finite",
         "haar-analyze-columns", "haar-synthesize-vector"])
 def test_malformed_input_is_refused(call, message):
