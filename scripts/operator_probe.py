@@ -24,12 +24,13 @@ does not depend on --grid: a time divided by it can be compared across
 hosts and sessions. Every time except norm_s is the median of 5 runs.
 After the timings, so that no time moves, tracemalloc takes two peaks:
 build_peak_mib, of one default spatial build (its packed signs and any
-float64 cache included), and solve_peak_per_cube, of the 11-iteration
-hybrid solve, in float64 cubes (x.nbytes). held_mib is what the acquired
-spatial projector keeps, from nbytes: its packed signs plus its float64
-cache, which a default build of at most _MATERIALIZE_LIMIT entries fills
-for the norm estimate and keeps only up to _KEEP_LIMIT (every 32x32 block,
-64x64 ones of up to 256 rows).
+cache or estimate copy included), and solve_peak_per_cube, of the
+11-iteration hybrid solve, in float64 cubes (x.nbytes). held_mib is what
+the acquired spatial projector keeps, from nbytes: its packed signs plus
+its float64 cache, kept only up to _KEEP_LIMIT entries (every 32x32 block,
+64x64 ones of up to 256 rows). A default build of more, up to
+_MATERIALIZE_LIMIT, estimates its norm on an int8 copy of the signs,
+which it casts slice by slice and then drops.
 Fix the BLAS thread count in the environment for comparable numbers:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/operator_probe.py

@@ -7,8 +7,9 @@ directly, at its default_config() (sigma 0.01, truth-trained basis), on the
 at (0.5, 0.5), for each measurement seed. The 64x64x32 spatial Rademacher
 block at r_p = 0.5 has more than _MATERIALIZE_LIMIT entries, so that case
 runs the chunked path throughout. The one at r_p = 0.3 has more than
-_KEEP_LIMIT: its norm is estimated on a float64 cache, which the build then
-drops, so that case is solved from packed signs. The others run the cached
+_KEEP_LIMIT: its norm is estimated on an int8 copy of the signs, cast
+slice by slice to the values and slices of a float64 cache, which the build
+then drops, so that case is solved from packed signs. The others run the cached
 path. On the 32x16 grid log2 n_p is odd, so its rows are expanded to
 +/-1/sqrt(2) rather than +/-1.
 One line per run: method, grid, rates, seed, iterations, stop reason, the

@@ -39,15 +39,23 @@ def tv_sum_and_subgradient(x, n_v, n_h):
     differentiable.
     """
     # (rows, n_h, n_v) frames in the matrix's own order, vertical index last
-    cols = checked_frames(x, n_v, n_h).swapaxes(-1, -2)
-    dv = np.empty_like(cols)
-    dh = np.empty_like(cols)
-    dv[..., -1] = 0.0
-    dh[..., -1, :] = 0.0
-    np.subtract(cols[..., 1:], cols[..., :-1], out=dv[..., :-1])
-    np.subtract(cols[..., 1:, :], cols[..., :-1, :], out=dh[..., :-1, :])
+    cols = np.ascontiguousarray(checked_frames(x, n_v, n_h).swapaxes(-1, -2))
+    flat = cols.reshape(-1)
+
+    def take(d, step, edge):
+        # one 1-D subtraction over the contiguous buffer; the far edge, whose
+        # entries crossed into the next column or frame, is then zeroed
+        np.subtract(flat[step:], flat[:-step], out=d.reshape(-1)[:-step])
+        d[edge] = 0.0
+        return d
+
+    v_edge, h_edge = (..., -1), (..., -1, slice(None))
+    dv = take(np.empty(cols.shape), 1, v_edge)
+    dh = take(np.empty(cols.shape), n_v, h_edge)
     norm = dv * dv
-    norm += dh * dh
+    dh *= dh
+    norm += dh
+    take(dh, n_v, h_edge)  # retaken, so no fourth cube-sized array
     np.sqrt(norm, out=norm)
     total = float(norm.sum(axis=(-2, -1)).sum())
     # unit difference vectors, in place; only zero norms meet the floor

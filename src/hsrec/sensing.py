@@ -18,20 +18,22 @@ Rademacher rows that its constructor draws once and stores packed, one sign
 bit per entry, expanded to float64 +/-1 (+/-1/sqrt(2) when log2 n_p is
 odd); the rest of 1/sqrt(n_p), a power of two, is a gain on each product,
 so every output and scale is that of +/-1/sqrt(n_p) rows bit for bit.
-A default build of at most _MATERIALIZE_LIMIT Rademacher entries also
-caches them as float64 for its power iteration, and keeps that cache only
-up to _KEEP_LIMIT entries (every 32x32 block, 64x64 ones of up to 256
-rows); a build given its scale fills a cache only up to _KEEP_LIMIT. Rows
-with no cache are expanded chunk by chunk instead of being held whole,
-once per apply, adjoint or
+A build of at most _KEEP_LIMIT Rademacher entries (every 32x32 block,
+64x64 ones of up to 256 rows) also caches them as float64. A default build
+of more, up to _MATERIALIZE_LIMIT, holds them for its power iteration as
+an int8 +/-1 copy, one byte per entry, and drops it after; each step casts
+the copy's slices into one float64 buffer. A build given its scale fills
+no copy past _KEEP_LIMIT. Rows with no cache are expanded chunk by chunk
+instead of being held whole, once per apply, adjoint or
 residual_and_adjoint. Draws and passes are chunked separately. A build
-draws and packs its rows, then fills its cache, in chunks of at most
-_DRAW_BYTES of raw words (one row, 8 n_p bytes, past 256x256 frames), so
-beyond what it keeps it holds at most about 0.6 MiB; a much larger draw
-budget can cost resident memory through glibc's mmap threshold (see
-_CHUNK_ENTRIES). A pass sweeps the rows in chunks whose size it picks from
-its row count (see _WORKSET_BYTES): a chunk is expanded into one reused
-buffer, or is a view of the cache. The fused pass runs both products of a
+draws and packs its rows, then fills its cache or copy, in chunks of at
+most _DRAW_BYTES of raw words (one row, 8 n_p bytes, past 256x256 frames),
+so beyond what it keeps or copies it holds at most about 0.6 MiB; a much
+larger draw budget can cost resident memory through glibc's mmap threshold
+(see _CHUNK_ENTRIES). A pass sweeps the rows in chunks whose size it picks
+from its row count (see _WORKSET_BYTES): a chunk is expanded into one
+reused buffer, cast into it from the int8 copy, or is a view of the float64
+cache. The fused pass runs both products of a
 chunk while it is in cache: the solvers make one per iterate, and the
 spatial power iteration one per step, at y = 0.
 
@@ -72,22 +74,30 @@ from .transforms import check_pow2, walsh_rows, zigzag_indices
 # not follow the draw budget.
 #
 # The spatial rows are kept as packed sign bits. A default build of at most
-# _MATERIALIZE_LIMIT entries also caches them as float64 for its norm
-# estimate, whose passes (m = 1) ran faster on slices of a cache: 1.9 against
-# 2.8-2.9 ms over 819 x 4096 rows. Only a block of at most _KEEP_LIMIT entries
-# keeps its cache after the estimate, and a build given its scale fills one
-# only then: a solver's fused pass (m = 8) ran faster on a cache at 32x32
-# (0.50 against 0.89-0.93 ms over 410 rows, 1.05-1.09 against 1.83-1.94 over
-# 900) but not at 64x64 (1.07-1.09 against 0.97-1.00 ms over 128 rows, 2.01
-# against 1.62-1.75 over 256, 3.73-3.78 against 3.49-3.62 over 512, 5.59-5.65
-# against 5.13-5.18 over 819). The rule loses one measured case: at 64x64,
-# m = 4, over 512 rows the cache took 1.62-1.64 ms against 1.94-1.96. A kept
-# cache of 819 x 4096 rows (r_p = 0.3) held 26.8 MB. Timed with one BLAS
-# thread on the host below, medians of 31 in two rounds. Rows with no cache
-# are expanded in row chunks once per apply, adjoint and fused
-# residual-and-adjoint pass. Every pass
-# sweeps the rows in chunks, expanded or sliced from the cache, so that the
-# fused pass reads each chunk from memory once for both products. A pass over
+# _MATERIALIZE_LIMIT entries also copies them for its norm estimate, whose
+# passes (m = 1) ran faster on slices of a float64 cache than on expanded
+# chunks: 1.9 against 2.8-2.9 ms over 819 x 4096 rows. Past _KEEP_LIMIT the
+# copy holds int8 +/-1, and each step casts one slice at a time into one
+# float64 buffer by _expand's last step (_widen), in the cached rule's
+# slices below, so every BLAS call and default scale is the float64 cache's
+# bit for bit. At 819 x 4096 the copy holds 3.4 MB, not 26.8 MB: one build's
+# tracemalloc peak fell from 26.2 to 4.5 MiB and its time from 166 to 157 ms
+# (medians of 12 interleaved builds, 10 faster). A block that the 1-row
+# passes take whole (rows of more than 2^14 entries) keeps a float64 copy,
+# which an int8 one would cast whole at every step. Only a block of at most
+# _KEEP_LIMIT entries keeps its cache after the estimate, and a build given
+# its scale fills one only then: a solver's fused pass (m = 8) ran faster on
+# a cache at 32x32 (0.50 against 0.89-0.93 ms over 410 rows, 1.05-1.09
+# against 1.83-1.94 over 900) but not at 64x64 (1.07-1.09 against 0.97-1.00
+# ms over 128 rows, 2.01 against 1.62-1.75 over 256, 3.73-3.78 against
+# 3.49-3.62 over 512, 5.59-5.65 against 5.13-5.18 over 819). The rule loses
+# one measured case: at 64x64, m = 4, over 512 rows the cache took
+# 1.62-1.64 ms against 1.94-1.96. Timed with one BLAS thread on the host
+# below, medians of 31 in two rounds.
+# Rows with no cache are expanded in row chunks once per apply, adjoint and
+# fused residual-and-adjoint pass. Every pass sweeps the rows in chunks,
+# expanded, cast from the copy or sliced from the cache, so that the fused
+# pass reads each chunk from memory once for both products. A pass over
 # m input rows whose input, accumulator and product blocks (24 m n_p bytes)
 # take at most two thirds of a budget B fills the rest of B with each chunk,
 # so that both stay in a 2 MiB L2 cache. An expanded chunk, at most
@@ -230,8 +240,12 @@ class SpatialProjector:
         entries = rows * self.n_p
         keep = entries <= _KEEP_LIMIT
         if entries <= _MATERIALIZE_LIMIT and (keep or scale is None):
-            # allocated after the draws, so it never coexists with one
-            self._cache = np.empty((rows, self.n_p))
+            # allocated after the draws, so it never coexists with one. The
+            # estimate's copy holds int8 signs where its 1-row passes slice
+            # it; a block they take whole would be cast whole at every step
+            narrow = not keep and self._pass_rows(1, True) < rows
+            self._cache = np.empty((rows, self.n_p),
+                                   np.int8 if narrow else np.float64)
             for lo, hi in _draw_chunks(rows, self.n_p):
                 self._expand(lo, hi, self._cache[lo:hi])
         self.scale = 1.0 if scale is None else float(scale)
@@ -246,33 +260,52 @@ class SpatialProjector:
             self._cache = None  # the estimate's copy: later passes expand
 
     def _expand(self, lo, hi, out):
-        """Rademacher rows lo:hi as float64 +/-u into out: a plain cast of
-        the signs when u = 1, one multiply when log2 n_p is odd."""
+        """Rademacher rows lo:hi unpacked into out through _widen."""
         signs = np.unpackbits(self._signs[lo:hi], axis=1,
                               count=self.n_p).view(np.int8)
         signs *= -2
-        signs += 1  # 1 - 2b in place: +1 or -1, one float64 pass below
-        if self._unit == 1.0:
+        signs += 1  # 1 - 2b in place: +1 or -1
+        return self._widen(signs, out)
+
+    def _widen(self, signs, out):
+        """int8 +/-1 rows into out: as they are into int8, as float64 +/-u
+        by a plain cast when u = 1 and one multiply when log2 n_p is odd."""
+        if self._unit == 1.0 or out.dtype == np.int8:
             np.copyto(out, signs)
             return out
         return np.multiply(signs, self._unit, out=out)
 
-    def _blocks(self, m):
-        """(first output row, Rademacher rows) pairs for a pass over m input
-        rows, in slices sized by the _WORKSET_BYTES rule: views of the cached
-        block when there is one, else chunks expanded into one buffer
-        reused per call."""
-        rows, n, cache = self.m_p - self.q_p, self.n_p, self._cache
+    def _pass_rows(self, m, cached):
+        """Rows per block of a pass over m input rows, by the _WORKSET_BYTES
+        rule: half the budget for a slice of the cached block, and past the
+        rule's bound the whole cache or a _CHUNK_ENTRIES chunk."""
+        rows, n = self.m_p - self.q_p, self.n_p
         chunk, budget = self._chunk, _WORKSET_BYTES
-        if cache is not None:
+        if cached:
             chunk, budget = max(rows, 1), _WORKSET_BYTES // 2
         if 3 * 24 * m * n <= 2 * budget:
             chunk = min((budget - 24 * m * n) // (8 * n), chunk)
-        buf = np.empty((min(chunk, rows), n)) if cache is None else None
+        return chunk
+
+    def _blocks(self, m):
+        """(first output row, Rademacher rows) pairs for a pass over m input
+        rows, in _pass_rows slices: views of a float64 cache, else float64
+        rows in one buffer reused per call, cast from an int8 cache or
+        expanded from the packed signs."""
+        rows, cache = self.m_p - self.q_p, self._cache
+        chunk = self._pass_rows(m, cache is not None)
+        buf = None
+        if cache is None or cache.dtype == np.int8:
+            buf = np.empty((min(chunk, rows), self.n_p))
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
-            yield self.q_p + lo, (cache[lo:hi] if cache is not None
-                                  else self._expand(lo, hi, buf[:hi - lo]))
+            if buf is None:
+                block = cache[lo:hi]
+            elif cache is None:
+                block = self._expand(lo, hi, buf[:hi - lo])
+            else:
+                block = self._widen(cache[lo:hi], buf[:hi - lo])
+            yield self.q_p + lo, block
 
     def _low(self, x):
         coeff = self._wv @ frames_from_matrix(x, self.n_v, self.n_h) @ self._wh.T

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,17 @@ def test_tv_bits_match_the_frame_layout_form(n_v, n_h, make):
     assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
     assert sub.shape == x.shape
     assert sub.tobytes() == want_sub.tobytes()
+
+
+def test_tv_holds_three_cube_sized_arrays():
+    # dv, dh and the norm buffer that becomes g: dh is squared in place and
+    # then retaken, so no fourth cube-sized array is live (3.19 cubes with
+    # numpy's ufunc buffers at 64x64x32, where a dh * dh temporary made 4.00)
+    x = np.random.default_rng(12).normal(size=(32, 64 * 64))
+    tracemalloc.start()
+    try:
+        tv_sum_and_subgradient(x, 64, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * x.nbytes, peak / x.nbytes

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -240,36 +241,51 @@ def test_chunked_block_draws_philox_once(monkeypatch):
     assert drawn == [2 * 32] * 8
 
 
-@pytest.mark.parametrize("limit, keep, expansions", [
-    (0, 0, sensing._NORM_ITERATIONS * 6),  # 16 rows in chunks of 3: 6 chunks
-    # cached once, in the constructor
-    (sensing._MATERIALIZE_LIMIT, sensing._KEEP_LIMIT, 1),
-    # cached once for the estimate, then dropped
-    (sensing._MATERIALIZE_LIMIT, 0, 1),
+@pytest.mark.parametrize("limit, keep, unpacked, widened", [
+    # 16 rows in chunks of 3: each step unpacks 6 chunks into float64
+    (0, 0, {"float64": sensing._NORM_ITERATIONS * 6},
+     {"float64": sensing._NORM_ITERATIONS * 6}),
+    # unpacked once into the float64 cache, in the constructor
+    (sensing._MATERIALIZE_LIMIT, sensing._KEEP_LIMIT, {"float64": 1},
+     {"float64": 1}),
+    # unpacked once into an int8 copy for the estimate, then dropped: each
+    # step casts the copy's four slices of 5 rows into float64
+    (sensing._MATERIALIZE_LIMIT, 0, {"int8": 1},
+     {"int8": 1, "float64": sensing._NORM_ITERATIONS * 4}),
 ], ids=["chunked", "cached", "dropped"])
 def test_power_iteration_expands_each_chunk_once_per_step(monkeypatch, limit,
-                                                          keep, expansions):
-    # each Gram step is one fused pass at y = 0
-    calls, passes = [], []
+                                                          keep, unpacked,
+                                                          widened):
+    # each Gram step is one fused pass at y = 0; the counts are per dtype of
+    # the rows written
+    unpacks, widens, passes = Counter(), Counter(), []
     expand = SpatialProjector._expand
+    widen = SpatialProjector._widen
     fused = SpatialProjector.residual_and_adjoint
 
     def spy_expand(self, lo, hi, out):
-        calls.append((lo, hi))
+        unpacks[out.dtype.name] += 1
         return expand(self, lo, hi, out)
+
+    def spy_widen(self, signs, out):
+        widens[out.dtype.name] += 1
+        return widen(self, signs, out)
 
     def spy_fused(self, y, x):
         passes.append(x.shape)
         return fused(self, y, x)
 
     monkeypatch.setattr(SpatialProjector, "_expand", spy_expand)
+    monkeypatch.setattr(SpatialProjector, "_widen", spy_widen)
     monkeypatch.setattr(SpatialProjector, "residual_and_adjoint", spy_fused)
     monkeypatch.setattr(sensing, "_MATERIALIZE_LIMIT", limit)
     monkeypatch.setattr(sensing, "_KEEP_LIMIT", keep)
     monkeypatch.setattr(sensing, "_CHUNK_ENTRIES", 3 * 32)
+    # a cached 1-row pass takes 5-row slices; a chunk stays at 3 rows
+    monkeypatch.setattr(sensing, "_WORKSET_BYTES", 2 * (24 + 8 * 5) * 32)
     pp = SpatialProjector(4, 8, 20, 4, seed=15)
     assert pp.scale != 1.0 and (pp._cache is None) == (keep == 0)
-    assert len(calls) == expansions
+    assert (unpacks, widens) == (unpacked, widened)
     assert passes == [(32,)] * sensing._NORM_ITERATIONS
 
 
@@ -547,25 +563,32 @@ def test_spatial_build_transient_stays_small():
     # chunk of the cache fill (0.6 and 0.1 MiB), where a whole-chunk draw
     # held 9 MiB and a whole-block cache fill 3.2 MiB. The 200 rows of
     # m_p = 610 are cached; the 819 of r_p = 0.3 are past the keep limit,
-    # so a build given their scale fills no 26.8 MB copy, nor does r_p = 0.5
+    # so a build given their scale fills no 26.8 MB copy, nor does r_p = 0.5.
+    # A default build of those 819 rows estimates its norm on an int8 copy
+    # of 3.4 MB and one pass buffer of 21 float64 rows, where a float64 copy
+    # held 26.8 MB
     SpatialProjector(4, 4, 4, 2, seed=0)  # stream setup outside the count
-    for m_p, cached in ((610, True), (1229, False), (2048, False)):
+    for m_p, scale, cached in ((610, 0.5, True), (1229, 0.5, False),
+                               (2048, 0.5, False), (1229, None, False)):
         tracemalloc.start()
         try:
-            pp = SpatialProjector(64, 64, m_p, 410, seed=1, scale=0.5)
+            pp = SpatialProjector(64, 64, m_p, 410, seed=1, scale=scale)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (pp._cache is not None) == cached
         held = pp._signs.nbytes + (pp._cache.nbytes if cached else 0)
+        if scale is None:
+            held += (m_p - 410) * 4096  # one byte per Rademacher entry
         assert peak - held <= 2 << 20
 
 
 def test_large_block_estimates_its_norm_on_a_transient_copy(monkeypatch):
-    # r_p = 0.3 at 64 x 64: the power iteration sweeps slices of a float64
-    # copy of the 819 x 4096 block, which the build then drops, so the scale
-    # is that of a build that keeps the copy, and later passes expand the
-    # packed signs
+    # r_p = 0.3 at 64 x 64: the power iteration sweeps slices of an int8
+    # copy of the 819 x 4096 block, each cast into one float64 buffer, and
+    # the build then drops the copy, so the scale is that of a build that
+    # keeps a float64 cache bit for bit, and later passes expand the packed
+    # signs
     pp = SpatialProjector(64, 64, 1229, 410, seed=1)
     assert pp._cache is None
     monkeypatch.setattr(sensing, "_KEEP_LIMIT", sensing._MATERIALIZE_LIMIT)
@@ -577,6 +600,27 @@ def test_large_block_estimates_its_norm_on_a_transient_copy(monkeypatch):
     for got, want in ((pp.apply(x), kept.apply(x)),
                       (pp.adjoint(y), kept.adjoint(y))):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_odd_grid_estimates_its_norm_on_the_int8_copy(monkeypatch):
+    # 32 x 64, log2 n_p odd: each slice of the int8 copy is multiplied by
+    # 1/sqrt(2) as the cache's rows are, so the scale is that of a build
+    # that keeps its float64 cache; r_p = 0.6 gives 1024 rows, 2^21 entries
+    copies = set()
+    fused = SpatialProjector.residual_and_adjoint
+
+    def spy_fused(self, y, x):
+        copies.add(self._cache.dtype.name)
+        return fused(self, y, x)
+
+    monkeypatch.setattr(SpatialProjector, "residual_and_adjoint", spy_fused)
+    pp = SpatialProjector(32, 64, 1229, 205, seed=4)
+    assert pp._cache is None and copies == {"int8"}
+    copies.clear()
+    monkeypatch.setattr(sensing, "_KEEP_LIMIT", sensing._MATERIALIZE_LIMIT)
+    kept = SpatialProjector(32, 64, 1229, 205, seed=4)
+    assert kept._cache is not None and copies == {"float64"}
+    assert pp.scale == kept.scale
 
 
 def test_spectral_build_peak_stays_near_m():

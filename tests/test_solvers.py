@@ -232,9 +232,11 @@ def test_solve_expands_each_spatial_chunk_once_per_iterate(monkeypatch):
 
 def test_solve_peak_stays_within_cube_budget():
     # an uncached 64x64x32 (0.5, 0.25) instance: three cube-sized arrays
-    # live across the steps, plus TV's four or the Haar prox's temporaries
-    # and the expanded chunk (7.1 and 6.1 cubes; 10.1 and 8.1 with a new
-    # array per step)
+    # live across the steps, plus TV's three or the Haar prox's temporaries
+    # and the expanded chunk (6.3 and 6.1 cubes; 7.1 for hybrid while TV
+    # held four, and 10.1 and 8.1 with a new array per step). Hybrid keeps
+    # the bound of 8: 7 would leave 0.7 cube for other numpy versions'
+    # temporaries. test_tv_holds_three_cube_sized_arrays bounds TV's own
     cube = generate_phantom(PhantomSpec(64, 64, 32, seed=0))
     x = as_band_pixel_matrix(cube)
     meas = acquire_at_rates(cube, 0.5, 0.25, 0.01, 0)
