@@ -6,7 +6,10 @@ through harness.acquire_at_rates and times the spatial projector's build
 (spatial_build_s, a default build with its 50-step power-iteration norm
 estimate) and a build given the estimated scale (draw_s: the Philox
 draw, the sign packing and, for at most _KEEP_LIMIT Rademacher entries,
-their float64 cache, but no power iteration). The probe fails
+their float64 cache, but no power iteration). A block of at least
+_PARALLEL_ENTRIES entries is drawn on every CPU the process may use, and
+the line reports their count as cpus beside draw_s and read_s: run the
+probe under `taskset -c 0` for the one-CPU times. The probe fails
 unless that build applies bit for bit like the default one. norm_s, the
 norm estimate's share, is their difference. It then times one pass over
 the spatial Rademacher rows as a solver's operator calls see them
@@ -138,9 +141,9 @@ def main():
         "grid": args.grid, "rates": [r_p, r_s], "seed": SEED,
         "counts": {"m_p": pp.m_p, "q_p": pp.q_p, "m_s": sp.m_s, "q_s": sp.q_s},
         "rademacher_entries": (pp.m_p - pp.q_p) * pp.n_p,
-        "spatial_build_s": spatial_build_s, "draw_s": draw_s,
-        "norm_s": spatial_build_s - draw_s, "expand_s": expand_s,
-        "project_s": project_s, "adjoint_s": adjoint_s,
+        "spatial_build_s": spatial_build_s, "cpus": sensing._cpus(),
+        "draw_s": draw_s, "norm_s": spatial_build_s - draw_s,
+        "expand_s": expand_s, "project_s": project_s, "adjoint_s": adjoint_s,
         "residual_adjoint_s": residual_adjoint_s, "read_s": read_s,
         "hybrid_iter_s": (more - one) / EXTRA_ITERS, "calib_s": calib_s,
         "build_peak_mib": build_peak / 2**20, "held_mib": held / 2**20,

@@ -9,7 +9,10 @@ rules of every numeric argument, is_integer and is_real, live here too.
 Each Rademacher sign is the top bit of one raw 64-bit Philox word: a clear
 top bit is -1. Generator.random() maps a word w to (w >> 11) * 2^-53, so
 this is exactly random() < 0.5 on the same stream positions, without the
-float64 temporaries.
+float64 temporaries. Philox is counter-based (Salmon et al., SC 2011), so a
+stream can start at any raw word: entry (i, j) of a rows x n block is word
+i n + j, and a range of rows drawn from a stream started at its first word
+holds the bits of the whole draw.
 """
 
 import numbers
@@ -44,11 +47,17 @@ def check_seed(seed):
     return int(seed)
 
 
-def stream(seed, purpose):
+def stream(seed, purpose, start=0):
     """Independent Generator for (seed, purpose); seed must be an integer in
-    [0, 2^64) and purpose one of the tags above."""
+    [0, 2^64) and purpose one of the tags above. Its first raw word is word
+    start of the stream: Philox.advance(k) skips k counter steps of four
+    words each, and the rest of start is drawn and dropped."""
     key = check_seed(seed) | (int(purpose) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bits = np.random.Philox(key=key)
+    if start:
+        bits.advance(start // 4)
+        bits.random_raw(start % 4)
+    return np.random.Generator(bits)
 
 
 def negative_signs(gen, shape):

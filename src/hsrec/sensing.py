@@ -11,7 +11,7 @@ number, finite and > 0 (and 1 when q = m), and rates and noise levels that
 are not real numbers in range are rejected before anything is built.
 
 The spectral projector is one dense m_s x n_s matrix M (at most 2048 x
-2048): its q_s leading Walsh rows over Rademacher rows drawn in row chunks
+2048): its q_s leading Walsh rows over Rademacher rows drawn in chunks
 straight into M, applied as a single product. The spatial projector keeps
 the zig-zag-first 2-D Walsh coefficients of each n_v x n_h frame over
 Rademacher rows that its constructor draws once and stores packed, one sign
@@ -25,16 +25,19 @@ an int8 +/-1 copy, one byte per entry, and drops it after; each step casts
 the copy's slices into one float64 buffer. A build given its scale fills
 no copy past _KEEP_LIMIT. Rows with no cache are expanded chunk by chunk
 instead of being held whole, once per apply, adjoint or
-residual_and_adjoint. Draws and passes are chunked separately. A build
+residual_and_adjoint. Draws and passes are chunked separately. Both
+projectors draw their rows through _draw_rademacher, on every CPU the
+process may use for a block of at least _PARALLEL_ENTRIES entries, with
+the same bits for any CPU count; the passes stay on one thread. A build
 draws and packs its rows, then fills its cache or copy, in chunks of at
-most _DRAW_BYTES of raw words (one row, 8 n_p bytes, past 256x256 frames),
-so beyond what it keeps or copies it holds at most about 0.6 MiB; a much
-larger draw budget can cost resident memory through glibc's mmap threshold
-(see _CHUNK_ENTRIES). A pass sweeps the rows in chunks whose size it picks
-from its row count (see _WORKSET_BYTES): a chunk is expanded into one
-reused buffer, cast into it from the int8 copy, or is a view of the float64
-cache. The fused pass runs both products of a
-chunk while it is in cache: the solvers make one per iterate, and the
+most _DRAW_BYTES of raw words in all (past 256x256 frames, runs of columns
+of one row), so beyond what it keeps or copies it holds at most about 0.6
+MiB; a much larger draw budget can cost resident memory through glibc's
+mmap threshold (see _CHUNK_ENTRIES). A pass sweeps the rows in chunks
+whose size it picks from its row count (see _WORKSET_BYTES): a chunk is
+expanded into one reused buffer, cast into it from the int8 copy, or is a
+view of the float64 cache. The fused pass runs both products of a chunk
+while it is in cache: the solvers make one per iterate, and the
 spatial power iteration one per step, at y = 0.
 
 Both projectors fold in a deterministic spectral normalization: the stacked
@@ -50,8 +53,12 @@ the estimate and draws the same rows: an HSM2 file stores the scales of its
 acquisition, so reading one skips the power iteration.
 """
 
+import collections
+import itertools
 import math
+import os
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -62,10 +69,13 @@ from .datacube import frames_from_matrix, matrix_from_frames
 from .transforms import check_pow2, walsh_rows, zigzag_indices
 
 # Draws and passes are chunked separately. Both axes draw their Rademacher
-# rows, and the spatial axis packs them and then fills its cache, in row
-# chunks of at most _DRAW_BYTES of raw Philox words (one row when a row is
-# longer): the stream and every byte are those of one whole draw, and a
-# 64x64 build holds at most 0.6 MiB beyond what it keeps. A draw budget well
+# rows, and the spatial axis packs them, in chunks of at most _DRAW_BYTES of
+# raw Philox words in all: each of w workers draws whole rows in chunks of
+# _DRAW_BYTES / w, or a power-of-two run of columns of one row when a row
+# is longer. The spatial axis then fills its cache in row chunks of
+# _DRAW_BYTES on one thread. The stream and every byte are those of one
+# whole draw, and a 64x64 build holds at most 0.6 MiB beyond what it keeps,
+# as tracemalloc counts it with the workers' threads. A draw budget well
 # above the solvers' cube-sized temporaries may give back part of that gain
 # in resident memory even where the live peak stays small: glibc raises its
 # mmap threshold to the size of each freed mmapped block, so later
@@ -121,6 +131,23 @@ _CHUNK_ENTRIES = 1 << 20
 _DRAW_BYTES = 1 << 19
 _WORKSET_BYTES = 3 << 19
 _NORM_ITERATIONS = 50
+# A block of at least _PARALLEL_ENTRIES entries is drawn on one worker per
+# usable CPU. Packed spatial draws, sequential against two workers, medians
+# of 81 interleaved on a 2-vCPU VM shared with other tenants: 205 x 1024
+# 1.12 against 1.58 ms (two workers faster in 0), 410 x 1024 2.20 against
+# 2.27 (33), 128 x 4096 4.62 against 2.74 (67), 256 x 4096 9.80 against 5.13
+# (79) and 819 x 4096 18.7 against 14.3 ms (81). So every 32x32 block at
+# rates up to 0.5 stays sequential; a thread takes about 0.12 ms to start
+# and join. Each worker takes _RANGES_PER_WORKER ranges of rows in turn
+# rather than one, so a worker whose CPU another process holds is left
+# fewer: over 1638 x 4096, medians of 40 interleaved, 23.4, 26.0 and 27.9
+# ms against 23.7, 30.3 and 33.8 in three runs. A range costs one stream
+# set-up, about 32 us. A drawing thread's glibc malloc arena keeps the pages
+# of its chunks, about 1 MB resident once per process, since the next
+# build's thread reuses the arena: hsbench's peak RSS moved by -0.06 to
+# +0.24 MB.
+_PARALLEL_ENTRIES = 1 << 19
+_RANGES_PER_WORKER = 4
 # Largest Rademacher block a projector may draw: 256 MiB of packed spatial
 # signs, enough for 128x128 frames at any rate and 256x256 at r_p <= 0.5.
 _MAX_RADEMACHER_ENTRIES = 1 << 31
@@ -182,10 +209,74 @@ def _power_norm(gram_fn, dim, gen):
 
 
 def _draw_chunks(rows, n):
-    """(lo, hi) row ranges of a rows x n Rademacher draw, each at least one
-    row and otherwise at most _DRAW_BYTES of raw Philox words."""
+    """(lo, hi) row ranges of a rows x n cache fill, each at least one row
+    and otherwise at most _DRAW_BYTES / 8 entries."""
     step = max(1, _DRAW_BYTES // (8 * n))
     return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _cpus():
+    """CPUs this process may run on: its affinity mask (which taskset
+    narrows) where the OS has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _draw_rademacher(seed, purpose, out, n, s=None):
+    """The Rademacher block of the (seed, purpose) stream, len(out) rows of
+    n signs, into out: packed sign bits when s is None, else float64 +/-s.
+    Past _PARALLEL_ENTRIES entries the caller and one thread per further
+    usable CPU, joined before return, take ranges of rows in turn, each
+    drawn from a stream started at its first word into its own rows, so
+    the bits never depend on the worker count. A worker draws chunks of
+    _DRAW_BYTES / workers of raw words: whole rows, or a power-of-two run of
+    at least 8 columns of a longer row, so a packed chunk fills whole bytes."""
+    rows = len(out)
+    workers = max(1, min(_cpus(), rows)) if rows * n >= _PARALLEL_ENTRIES else 1
+    words = max(8, _DRAW_BYTES // (8 * workers))
+    step, cols = max(1, words // n), min(n, 1 << (words.bit_length() - 1))
+    parts = 1 if workers == 1 else min(rows, _RANGES_PER_WORKER * workers)
+    todo = collections.deque((rows * i // parts, rows * (i + 1) // parts)
+                             for i in range(parts))
+
+    def draw():
+        while True:
+            try:
+                a, b = todo.popleft()  # atomic: each range is drawn once
+            except IndexError:
+                return
+            gen = rng.stream(seed, purpose, start=a * n)
+            for lo, c in itertools.product(range(a, b, step), range(0, n, cols)):
+                hi = min(lo + step, b)
+                neg = rng.negative_signs(gen, (hi - lo, cols))
+                if s is None:
+                    out[lo:hi, c // 8:(c + cols + 7) // 8] = np.packbits(
+                        neg, axis=1)
+                else:
+                    out[lo:hi, c:c + cols] = np.where(neg, -s, s)
+                del neg  # no mask outlives its chunk
+
+    def work():
+        try:
+            draw()
+        except BaseException as exc:  # raised again in the caller
+            failed.append(exc)
+            todo.clear()
+
+    failed = []
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        draw()
+    finally:
+        todo.clear()  # after an error every worker stops at its range's end
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _check_counts(n, m, q, scale, what):
@@ -230,12 +321,9 @@ class SpatialProjector:
         k = (int(self.n_p).bit_length() - 1) // 2
         self._unit, self._gain = 1.0 / np.sqrt(self.n_p >> 2 * k), 2.0 ** -k
         self._chunk = max(1, _CHUNK_ENTRIES // self.n_p)
-        gen = rng.stream(self.seed, rng.SPATIAL_RADEMACHER)
         self._signs = np.empty((rows, (self.n_p + 7) // 8), np.uint8)
-        for lo, hi in _draw_chunks(rows, self.n_p):
-            # one expression: no draw outlives its packing
-            self._signs[lo:hi] = np.packbits(
-                rng.negative_signs(gen, (hi - lo, self.n_p)), axis=1)
+        _draw_rademacher(self.seed, rng.SPATIAL_RADEMACHER, self._signs,
+                         self.n_p)
         self._cache = None
         entries = rows * self.n_p
         keep = entries <= _KEEP_LIMIT
@@ -361,13 +449,10 @@ class SpectralProjector:
         _check_counts(n_s, m_s, q_s, scale, "spectral")
         self.n_s, self.m_s, self.q_s = n_s, m_s, q_s
         self.seed = rng.check_seed(seed)
-        gen = rng.stream(self.seed, rng.SPECTRAL_RADEMACHER)
         self._m = np.empty((m_s, n_s))
         self._m[:q_s] = walsh_rows(n_s, q_s)
-        s = 1.0 / np.sqrt(n_s)
-        for lo, hi in _draw_chunks(m_s - q_s, n_s):  # Rademacher rows, +/-s
-            self._m[q_s + lo:q_s + hi] = np.where(
-                rng.negative_signs(gen, (hi - lo, n_s)), -s, s)
+        _draw_rademacher(self.seed, rng.SPECTRAL_RADEMACHER, self._m[q_s:],
+                         n_s, 1.0 / np.sqrt(n_s))
         self.scale = 1.0 if scale is None else float(scale)
         if scale is None and q_s < m_s:
             gen = rng.stream(self.seed, rng.SPECTRAL_NORM)

@@ -41,6 +41,21 @@ def test_streams_are_purpose_separated():
     assert not np.array_equal(b, c)
 
 
+@pytest.mark.parametrize("start", list(range(10)) + [3 * 4096])
+def test_a_stream_started_at_a_word_continues_one_sequential_draw(start):
+    # Philox.advance(k) skips k counter steps of four raw words, and the
+    # rest of start is drawn and dropped: a stream started at words 0-9 or
+    # at the first word of row 3 of a 64 x 64 frame's block gives the
+    # words of one sequential draw from there, at both ends of the seeds
+    for seed in (5, (1 << 64) - 1):
+        whole = rng.stream(seed, rng.SPATIAL_RADEMACHER).bit_generator
+        want = whole.random_raw(start + 12)[start:]
+        at = rng.stream(seed, rng.SPATIAL_RADEMACHER, start=start)
+        assert np.array_equal(at.bit_generator.random_raw(12), want)
+        assert at.bit_generator.random_raw(5).tobytes() == (
+            whole.random_raw(5).tobytes())
+
+
 def test_rademacher_values_and_balance():
     gen = rng.stream(0, rng.SPATIAL_RADEMACHER)
     vals = rng.rademacher(gen, (200, 50))

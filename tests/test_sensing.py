@@ -1,7 +1,9 @@
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 import hsrec.sensing as sensing
 from hsrec import rng
 from hsrec.datacube import Datacube
+from hsrec.formats import read_measurements
 from hsrec.harness import ExperimentSpec, acquire_at_rates
 from hsrec.sensing import (Measurements, SpatialProjector, SpectralProjector,
                            acquire, adjoint, default_lowpass_counts, project,
@@ -555,6 +558,83 @@ def test_draw_budget_leaves_every_byte(monkeypatch, budget):
     want = built()
     monkeypatch.setattr(sensing, "_DRAW_BYTES", budget)
     assert built() == want
+
+
+def _drawn_blocks():
+    # the committed file's two projectors, a 64 x 64 x 32 (0.5, 0.25)
+    # spatial build and a 2048-band spectral one, given their scales so
+    # that only the draws run
+    meas = read_measurements(Path(__file__).parent / "data" / "meas_hsm2.hsm")
+    pp = SpatialProjector(64, 64, 2048, 410, seed=1, scale=1.0)
+    sp = SpectralProjector(2048, 1843, 460, seed=1, scale=1.0)
+    return [meas.spatial._signs.tobytes(), meas.spectral._m.tobytes(),
+            pp._signs.tobytes(), sp._m.tobytes()]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_draws_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # every block drawn on 1, 2, 3 or 5 workers, which take its row ranges
+    # in turn, each from a stream started at the range's first word, holds
+    # the bytes of the sequential draw; the fixture's 4 spectral rows take
+    # at most 4 workers. A short switch interval makes the workers' turns
+    # interleave
+    monkeypatch.setattr(sensing, "_cpus", lambda: 1)
+    want = _drawn_blocks()
+    monkeypatch.setattr(sensing, "_PARALLEL_ENTRIES", 0)
+    monkeypatch.setattr(sensing, "_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _drawn_blocks() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failed_draw_thread_fails_the_build(monkeypatch):
+    # an error in a drawing thread is raised in the caller, not left as
+    # unwritten rows
+    original = rng.negative_signs
+
+    def fails_off_main(gen, shape):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no room for a draw chunk")
+        return original(gen, shape)
+
+    monkeypatch.setattr(rng, "negative_signs", fails_off_main)
+    monkeypatch.setattr(sensing, "_cpus", lambda: 2)
+    with pytest.raises(MemoryError, match="no room"):
+        SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)
+
+
+def _build_and_send(conn):
+    pp = SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)
+    conn.send_bytes(pp._signs.tobytes())
+    conn.close()
+
+
+def test_a_forked_child_draws_in_parallel(monkeypatch):
+    # the draw's threads are joined before the build returns, so a child
+    # forked after a parallel build inherits none of them and draws with its
+    # own, the same bytes, within the timeout
+    monkeypatch.setattr(sensing, "_cpus", lambda: 2)
+    assert 819 * 4096 >= sensing._PARALLEL_ENTRIES  # drawn on 2 workers
+    want = SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)._signs
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_build_and_send, args=(send,))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child's build did not finish"
+        got = recv.recv_bytes()
+    finally:
+        recv.close()
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == want.tobytes()
 
 
 def test_spatial_build_transient_stays_small():
