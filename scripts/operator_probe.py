@@ -6,9 +6,9 @@ through harness.acquire_at_rates and times the spatial projector's build
 (spatial_build_s, a default build with its 50-step power-iteration norm
 estimate) and a build given the estimated scale (draw_s: the Philox
 draw, the sign packing and, for at most _KEEP_LIMIT Rademacher entries,
-their float64 cache, but no power iteration). A block of at least
-_PARALLEL_ENTRIES entries is drawn on every CPU the process may use, and
-the line reports their count as cpus beside draw_s and read_s: run the
+their float64 cache, but no power iteration). A large block is drawn on
+up to one thread per CPU the process may use (sensing._WORKER_ENTRIES),
+and the line reports their count as cpus beside draw_s and read_s: run the
 probe under `taskset -c 0` for the one-CPU times. The probe fails
 unless that build applies bit for bit like the default one. norm_s, the
 norm estimate's share, is their difference. It then times one pass over

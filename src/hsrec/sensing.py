@@ -26,9 +26,10 @@ the copy's slices into one float64 buffer. A build given its scale fills
 no copy past _KEEP_LIMIT. Rows with no cache are expanded chunk by chunk
 instead of being held whole, once per apply, adjoint or
 residual_and_adjoint. Draws and passes are chunked separately. Both
-projectors draw their rows through _draw_rademacher, on every CPU the
-process may use for a block of at least _PARALLEL_ENTRIES entries, with
-the same bits for any CPU count; the passes stay on one thread. A build
+projectors draw their rows through _draw_rademacher, on up to one thread
+per CPU the process may use, each thread drawing one range of rows of at
+least _WORKER_ENTRIES entries, with the same bits for any CPU count; the
+passes stay on one thread. A build
 draws and packs its rows, then fills its cache or copy, in chunks of at
 most _DRAW_BYTES of raw words in all (past 256x256 frames, runs of columns
 of one row), so beyond what it keeps or copies it holds at most about 0.6
@@ -53,7 +54,6 @@ the estimate and draws the same rows: an HSM2 file stores the scales of its
 acquisition, so reading one skips the power iteration.
 """
 
-import collections
 import itertools
 import math
 import os
@@ -131,23 +131,30 @@ _CHUNK_ENTRIES = 1 << 20
 _DRAW_BYTES = 1 << 19
 _WORKSET_BYTES = 3 << 19
 _NORM_ITERATIONS = 50
-# A block of at least _PARALLEL_ENTRIES entries is drawn on one worker per
-# usable CPU. Packed spatial draws, sequential against two workers, medians
-# of 81 interleaved on a 2-vCPU VM shared with other tenants: 205 x 1024
-# 1.12 against 1.58 ms (two workers faster in 0), 410 x 1024 2.20 against
-# 2.27 (33), 128 x 4096 4.62 against 2.74 (67), 256 x 4096 9.80 against 5.13
-# (79) and 819 x 4096 18.7 against 14.3 ms (81). So every 32x32 block at
-# rates up to 0.5 stays sequential; a thread takes about 0.12 ms to start
-# and join. Each worker takes _RANGES_PER_WORKER ranges of rows in turn
-# rather than one, so a worker whose CPU another process holds is left
-# fewer: over 1638 x 4096, medians of 40 interleaved, 23.4, 26.0 and 27.9
-# ms against 23.7, 30.3 and 33.8 in three runs. A range costs one stream
-# set-up, about 32 us. A drawing thread's glibc malloc arena keeps the pages
-# of its chunks, about 1 MB resident once per process, since the next
-# build's thread reuses the arena: hsbench's peak RSS moved by -0.06 to
-# +0.24 MB.
-_PARALLEL_ENTRIES = 1 << 19
-_RANGES_PER_WORKER = 4
+# A Rademacher block is drawn on up to one worker per usable CPU, each
+# taking one contiguous range of rows of at least _WORKER_ENTRIES entries,
+# so a block of fewer than 2^20 entries is drawn on the calling thread
+# alone: every 32x32 block at rates up to 0.5 and 64x64 blocks of fewer
+# than 256 rows. Packed spatial draws, sequential against two workers,
+# medians of 81 interleaved, in two runs on a 2-vCPU VM shared with other
+# tenants: 128 x 4096 2.69 and 2.40 ms against 2.84 and 3.02 (two workers
+# faster in 52 and 29 of 81), 256 x 4096 8.00 and 4.67 against 5.23 and
+# 3.02 (62 and 74), 819 x 4096 19.5 and 16.9 against 15.9 and 14.0 (72 and
+# 78), 1638 x 4096 34.0 and 32.4 against 21.0 and 24.0 ms (78 and 71).
+# Smaller blocks were timed faster on two workers in these runs (410 x 1024
+# 2.05 and 1.88 against 1.56 and 1.35 ms) but slower or even in an earlier
+# sweep (2.20 against 2.27, and 205 x 1024 1.12 against 1.58), so they stay
+# sequential. A thread takes about 0.12 ms to start and join. A worker
+# draws chunks of _DRAW_BYTES / workers but never fewer than _WORKER_WORDS
+# raw words (32 KiB), so at most 16 workers draw at once: a sequential draw
+# of 819 x 4096 took 26.5, 20.3 and 16.7 ms in chunks of 1024, 2048 and 4096
+# words and 14.9-17.7 ms in larger ones, a few microseconds of Python,
+# which holds the GIL, per chunk. Only one and two workers were timed. A
+# drawing thread's glibc malloc arena keeps the pages of its chunks, about
+# 1 MB resident once per process, since the next build's thread reuses the
+# arena: hsbench's peak RSS moved by -0.08 to +0.29 MB.
+_WORKER_ENTRIES = 1 << 19
+_WORKER_WORDS = 1 << 12
 # Largest Rademacher block a projector may draw: 256 MiB of packed spatial
 # signs, enough for 128x128 frames at any rate and 256x256 at r_p <= 0.5.
 _MAX_RADEMACHER_ENTRIES = 1 << 31
@@ -227,52 +234,50 @@ def _cpus():
 def _draw_rademacher(seed, purpose, out, n, s=None):
     """The Rademacher block of the (seed, purpose) stream, len(out) rows of
     n signs, into out: packed sign bits when s is None, else float64 +/-s.
-    Past _PARALLEL_ENTRIES entries the caller and one thread per further
-    usable CPU, joined before return, take ranges of rows in turn, each
-    drawn from a stream started at its first word into its own rows, so
-    the bits never depend on the worker count. A worker draws chunks of
-    _DRAW_BYTES / workers of raw words: whole rows, or a power-of-two run of
-    at least 8 columns of a longer row, so a packed chunk fills whole bytes."""
+    The rows are split into one contiguous range per worker (see
+    _WORKER_ENTRIES): one thread per range but the last, which the caller
+    draws, all joined before return. Each range is drawn from a stream
+    started at its first word into its own rows, so the bits never depend
+    on the worker count. A thread that cannot be started leaves its range
+    and those after it to the caller. A worker draws chunks of _DRAW_BYTES
+    / workers of raw words: whole rows, or a power-of-two run of at least
+    8 columns of a longer row, so a packed chunk fills whole bytes."""
     rows = len(out)
-    workers = max(1, min(_cpus(), rows)) if rows * n >= _PARALLEL_ENTRIES else 1
+    workers = max(1, min(_cpus(), rows, rows * n // _WORKER_ENTRIES,
+                         _DRAW_BYTES // (8 * _WORKER_WORDS)))
     words = max(8, _DRAW_BYTES // (8 * workers))
     step, cols = max(1, words // n), min(n, 1 << (words.bit_length() - 1))
-    parts = 1 if workers == 1 else min(rows, _RANGES_PER_WORKER * workers)
-    todo = collections.deque((rows * i // parts, rows * (i + 1) // parts)
-                             for i in range(parts))
 
-    def draw():
-        while True:
-            try:
-                a, b = todo.popleft()  # atomic: each range is drawn once
-            except IndexError:
-                return
-            gen = rng.stream(seed, purpose, start=a * n)
-            for lo, c in itertools.product(range(a, b, step), range(0, n, cols)):
-                hi = min(lo + step, b)
-                neg = rng.negative_signs(gen, (hi - lo, cols))
-                if s is None:
-                    out[lo:hi, c // 8:(c + cols + 7) // 8] = np.packbits(
-                        neg, axis=1)
-                else:
-                    out[lo:hi, c:c + cols] = np.where(neg, -s, s)
-                del neg  # no mask outlives its chunk
+    def draw(a, b):
+        gen = rng.stream(seed, purpose, start=a * n)
+        for lo, c in itertools.product(range(a, b, step), range(0, n, cols)):
+            hi = min(lo + step, b)
+            neg = rng.negative_signs(gen, (hi - lo, cols))
+            if s is None:
+                out[lo:hi, c // 8:(c + cols + 7) // 8] = np.packbits(
+                    neg, axis=1)
+            else:
+                out[lo:hi, c:c + cols] = np.where(neg, -s, s)
+            del neg  # no mask outlives its chunk
 
-    def work():
+    def work(a, b):
         try:
-            draw()
+            draw(a, b)
         except BaseException as exc:  # raised again in the caller
             failed.append(exc)
-            todo.clear()
 
-    failed = []
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
+    bounds = [rows * i // workers for i in range(workers)]
+    failed, threads = [], []
     try:
-        draw()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            thread = threading.Thread(target=work, args=(a, b))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the caller draws on
+                break
+            threads.append(thread)
+        draw(bounds[len(threads)], rows)
     finally:
-        todo.clear()  # after an error every worker stops at its range's end
         for thread in threads:
             thread.join()
     if failed:

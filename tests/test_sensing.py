@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import re
 import subprocess
@@ -573,14 +572,13 @@ def _drawn_blocks():
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_draws_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    # every block drawn on 1, 2, 3 or 5 workers, which take its row ranges
-    # in turn, each from a stream started at the range's first word, holds
-    # the bytes of the sequential draw; the fixture's 4 spectral rows take
-    # at most 4 workers. A short switch interval makes the workers' turns
-    # interleave
+    # every block drawn on 1, 2, 3 or 5 workers, each drawing one range of
+    # rows from a stream started at the range's first word, holds the bytes
+    # of the sequential draw; the fixture's 4 spectral rows take at most 4
+    # workers. A short switch interval makes the workers' chunks interleave
     monkeypatch.setattr(sensing, "_cpus", lambda: 1)
     want = _drawn_blocks()
-    monkeypatch.setattr(sensing, "_PARALLEL_ENTRIES", 0)
+    monkeypatch.setattr(sensing, "_WORKER_ENTRIES", 1)
     monkeypatch.setattr(sensing, "_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -606,35 +604,29 @@ def test_a_failed_draw_thread_fails_the_build(monkeypatch):
         SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)
 
 
-def _build_and_send(conn):
-    pp = SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)
-    conn.send_bytes(pp._signs.tobytes())
-    conn.close()
-
-
-def test_a_forked_child_draws_in_parallel(monkeypatch):
-    # the draw's threads are joined before the build returns, so a child
-    # forked after a parallel build inherits none of them and draws with its
-    # own, the same bytes, within the timeout
-    monkeypatch.setattr(sensing, "_cpus", lambda: 2)
-    assert 819 * 4096 >= sensing._PARALLEL_ENTRIES  # drawn on 2 workers
+@pytest.mark.parametrize("starts", [0, 1])
+def test_a_thread_that_cannot_start_leaves_its_rows_to_the_caller(
+        monkeypatch, starts):
+    # under a thread or process limit a range whose thread does not start
+    # is drawn by the caller with every range after it: the same bytes, and
+    # every thread that did start is joined before the build returns
+    monkeypatch.setattr(sensing, "_cpus", lambda: 1)
     want = SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)._signs
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_build_and_send, args=(send,))
-    child.start()
-    send.close()
-    try:
-        assert recv.poll(60), "the forked child's build did not finish"
-        got = recv.recv_bytes()
-    finally:
-        recv.close()
-        child.join(10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert not child.is_alive() and child.exitcode == 0
-    assert got == want.tobytes()
+    started = []
+
+    class Limited(threading.Thread):
+        def start(self):
+            if len(started) == starts:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Limited)
+    monkeypatch.setattr(sensing, "_cpus", lambda: 3)  # 819 rows, 3 workers
+    got = SpatialProjector(64, 64, 1229, 410, seed=2, scale=1.0)._signs
+    assert got.tobytes() == want.tobytes()
+    assert len(started) == starts
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_spatial_build_transient_stays_small():
